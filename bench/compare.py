@@ -70,7 +70,7 @@ def summarize(records: list[dict], bounds: dict[str, float] | None = None) -> li
             q1, med, q3 = quartiles(values)
             bound = (bounds or {}).get(metric)
             flag = ""
-            if bound is not None and metric != "setup_s" and spread(values) > bound / 3:
+            if bound is not None and spread(values) > bound / 3:
                 flag = "  spread above a third of the bound"
             lines.append(
                 f"{workload:14} {metric:12} n={len(values):2} median={med:.6g} "

@@ -5,12 +5,13 @@
 A single-process closed loop: one client issues each query of the
 workload after the previous one returned; no threads, no worker pool.
 
-A run sets up several times (fresh import of ``hurwitz``, the four
-checked-in tables, the workload's inputs) and reports the median as
-``setup_s``.  It then runs *passes* over the workload's ops for about
-``--seconds``.  Each pass starts with every package cache cleared except
-the loaded tables, and caches persist between the ops of a pass, as in one
-library session.  Every answer is compared exactly with a reference from
+A run makes *passes* over the workload's ops for about ``--seconds``.
+Before each pass, and once after the last, it sets up SETUP_BATCH times
+(fresh import of ``hurwitz``, the four checked-in tables, the workload's
+inputs) and reports the median of all set-ups as ``setup_s``.  Each pass
+runs on the last set-up before it, so every package cache starts cold,
+and caches persist between the ops of a pass, as in one library session.
+Every answer is compared exactly with a reference from
 another route; a mismatch or an exception counts as a failed op and makes
 the run exit 1.  All times are reference seconds (see ``speed.py``).
 
@@ -45,7 +46,10 @@ from tracing import Tracer
 
 DEFAULT_SEED = 1
 DEFAULT_SECONDS = 25
-SETUP_REPEATS = 5
+# One set-up takes about 16 ms and a stray collection or stall can double
+# it, so a run sets up many times and reports the median.  Batches between
+# the passes spread the set-ups over the machine's drift during the run.
+SETUP_BATCH = 25
 RESULTS = Path(__file__).resolve().parent / "results"
 
 END_TO_END_UNITS = {"setup_s": "s", "wall_s": "s", "peak_rss_mb": "MB"}
@@ -66,6 +70,7 @@ class Pass:
     end: Mark
     op_marks: list[tuple[Mark, Mark]]
     failures: list[str]
+    peak_rss_mb: float  # of the process so far
     layer_counts: dict[str, int] = field(default_factory=dict)
     layer_times: dict[str, float] = field(default_factory=dict)
     spans: list[tuple] = field(default_factory=list)
@@ -97,22 +102,27 @@ def setup(workload: str, seed: int, tiny: bool):
     return h, ops
 
 
-def package_caches(h) -> list:
-    """Every lru_cache of the package except the loaded table file."""
-    found = {}
-    for name, module in sys.modules.items():
-        if name.split(".")[0] != "hurwitz":
-            continue
-        for value in vars(module).values():
-            if callable(getattr(value, "cache_clear", None)):
-                found[id(value)] = value
-    found.pop(id(h.tables._load), None)
-    return list(found.values())
+def timed_setups(sp: Speedometer, workload: str, seed: int, tiny: bool, marks: list):
+    """SETUP_BATCH set-ups, each timed into ``marks``; the last one's (h, ops)."""
+    for _ in range(SETUP_BATCH):
+        gc.collect()  # the previous set-up's modules are garbage now
+        before = sp.mark()
+        loaded = setup(workload, seed, tiny)
+        marks.append((before, sp.mark()))
+    return loaded
 
 
-def run_pass(sp: Speedometer, h, ops, refs, caches, tracer: Tracer | None = None) -> Pass:
-    for cache in caches:
-        cache.cache_clear()
+def run_pass(sp: Speedometer, h, ops, refs, tracer: Tracer | None = None) -> Pass:
+    if tracer is not None:
+        tracer.install()
+        try:
+            return _run_pass(sp, h, ops, refs, tracer)
+        finally:
+            tracer.uninstall()
+    return _run_pass(sp, h, ops, refs, None)
+
+
+def _run_pass(sp: Speedometer, h, ops, refs, tracer: Tracer | None) -> Pass:
     gc.collect()  # every pass starts from the same collector state
     op_marks, outputs = [], []
     if tracer is not None:
@@ -129,7 +139,7 @@ def run_pass(sp: Speedometer, h, ops, refs, caches, tracer: Tracer | None = None
             out, err = None, f"{type(exc).__name__}: {exc}"
         op_marks.append((before, sp.mark()))
         outputs.append((out, err))
-    result = Pass(start, sp.mark(), op_marks, [])
+    result = Pass(start, sp.mark(), op_marks, [], _peak_rss_mb())
     if tracer is not None:
         tracer.active = False
         result.layer_counts, result.layer_times = tracer.pass_metrics()
@@ -145,13 +155,15 @@ def run_pass(sp: Speedometer, h, ops, refs, caches, tracer: Tracer | None = None
     return result
 
 
-def run_passes(sp, h, ops, refs, caches, budget: float, tracer=None) -> list[Pass]:
-    """At least one pass; another while it is expected to end within the
-    budget (in wall seconds)."""
+def run_passes(sp, workload, seed, tiny, refs, setups: list, budget: float, tracer=None) -> list[Pass]:
+    """At least one pass, each after a batch of set-ups timed into
+    ``setups``; another while it is expected to end within the budget (in
+    wall seconds)."""
     passes = []
     start = time.perf_counter()
     while True:
-        passes.append(run_pass(sp, h, ops, refs, caches, tracer))
+        h, ops = timed_setups(sp, workload, seed, tiny, setups)
+        passes.append(run_pass(sp, h, ops, refs, tracer))
         if len(passes) > 1:
             passes[-1].spans = []  # keep the spans of the first pass only
         mean = (time.perf_counter() - start) / len(passes)
@@ -177,26 +189,21 @@ def write_spans(path: Path, spans) -> None:
 
 def measure(workload: str, seed: int, seconds: float, trace: bool, tiny: bool = False) -> dict:
     """Run one benchmark run and return its result object."""
+    # Set-up is timed as a library session pays it: importing the bytecode
+    # the first set-up compiled and cached, even where the environment
+    # turns cache writes off.
+    sys.dont_write_bytecode = False
     sp = Speedometer()
     with sp:
         setups = []
-        for _ in range(SETUP_REPEATS):
-            before = sp.mark()
-            h, ops = setup(workload, seed, tiny)
-            setups.append((before, sp.mark()))
         refs = workloads.load_refs()
-        caches = package_caches(h)
         start = time.perf_counter()
-        plain = run_passes(sp, h, ops, refs, caches, seconds / 2 if trace else seconds)
+        plain = run_passes(sp, workload, seed, tiny, refs, setups, seconds / 2 if trace else seconds)
         traced = []
         if trace:
-            tracer = Tracer()
-            tracer.install()
-            try:
-                traced = run_passes(sp, h, ops, refs, caches, seconds - (time.perf_counter() - start), tracer)
-            finally:
-                tracer.uninstall()
-        peak_rss = _peak_rss_mb()
+            budget = seconds - (time.perf_counter() - start)
+            traced = run_passes(sp, workload, seed, tiny, refs, setups, budget, Tracer())
+        timed_setups(sp, workload, seed, tiny, setups)
     # every interval is converted once all calibration samples are in
     wall = [sp.reference_seconds(p.start, p.end) for p in plain]
     raw_wall = [sp.wall(p.start, p.end) for p in plain]
@@ -209,7 +216,10 @@ def measure(workload: str, seed: int, seconds: float, trace: bool, tiny: bool = 
         metrics = {
             "setup_s": statistics.median(sp.reference_seconds(a, b) for a, b in setups),
             "wall_s": statistics.median(wall),
-            "peak_rss_mb": peak_rss,
+            # Through the first pass: later passes repeat the work, and
+            # what they add is allocator fragmentation, which would make
+            # the figure depend on how many passes fit in the run.
+            "peak_rss_mb": plain[0].peak_rss_mb,
         }
         units = END_TO_END_UNITS
         # printed, not gated (see the note at END_TO_END_UNITS)
@@ -234,7 +244,7 @@ def measure(workload: str, seed: int, seconds: float, trace: bool, tiny: bool = 
         "workload": workload,
         "seed": seed,
         "passes": len(passes),
-        "ops_per_pass": len(ops),
+        "ops_per_pass": len(plain[0].op_marks),
         "measured_wall_s": statistics.median(raw_wall),
         "kernel_ms": statistics.median(sp.kernel_s) * 1e3,
         "percentiles": percentiles,

@@ -7,7 +7,9 @@ end-to-end metrics of BENCHMARK.json and a traced run exactly the
 per-layer metrics, with their units, and that no op fails.  Then it
 plants a wrong reference (one stored value, one E_g term count) and
 checks that the gate counts the failure and the exit code is non-zero.
-Exits 0 when every check holds.
+Last it checks that reference seconds keep the size of a change: a fixed
+extra cost put into every op must raise ``wall_s`` by that cost, as timed
+alone, within the bound of ``wall_s``.  Exits 0 when every check holds.
 """
 
 from __future__ import annotations
@@ -16,13 +18,17 @@ import contextlib
 import io
 import json
 import math
+import statistics
 from pathlib import Path
 
 import run
 import workloads
+from speed import Speedometer
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SEED = run.DEFAULT_SEED
+PAD_TERMS = 500
+CALIBRATION_ROUNDS = 25
 
 
 def tiny_run(workload: str, trace: bool) -> dict:
@@ -82,10 +88,50 @@ def check_gate() -> list[str]:
     return problems
 
 
+def pad() -> int:
+    """A fixed pure-Python cost unlike the calibration kernel: products of
+    two small integer polynomials accumulated in a dict, the kind of work
+    the ring does.  Its keys and values are ints, which the collector does
+    not track, so it costs the same beside a large heap as alone."""
+    acc = {}
+    for i in range(PAD_TERMS):
+        for j in range(PAD_TERMS):
+            key = 7 * (i + j) + (i * j) % 7
+            acc[key] = acc.get(key, 0) + (i + 1) * (j + 3)
+    return len(acc)
+
+
+def check_calibration(bound: float) -> list[str]:
+    """Alternate passes of tiny genus-tower with and without ``pad`` in
+    every op, and time ``pad`` alone between them, all in reference seconds."""
+    refs = workloads.load_refs()
+    run_op = workloads.run_op
+    plain, padded, alone = [], [], []
+    sp = Speedometer()
+    with sp:
+        for _ in range(CALIBRATION_ROUNDS):
+            p = run.run_pass(sp, *run.setup("genus-tower", SEED, True), refs)
+            plain.append(sp.reference_seconds(p.start, p.end))
+            with planted(workloads, "run_op", lambda h, op: (pad(), run_op(h, op))[1]):
+                p = run.run_pass(sp, *run.setup("genus-tower", SEED, True), refs)
+            padded.append(sp.reference_seconds(p.start, p.end))
+            before = sp.mark()
+            pad()
+            alone.append(sp.reference_seconds(before, sp.mark()))
+    ops = len(p.op_marks)
+    rise = statistics.median(padded) - statistics.median(plain)
+    added = statistics.median(alone) * ops
+    print(f"calibration: a pass rose by {rise:.4g} s for {added:.4g} s of added work")
+    if abs(rise / added - 1) > bound:
+        return [f"wall_s rose by {rise:.4g} s for {added:.4g} s of added work, beyond the bound {bound}"]
+    return []
+
+
 def main() -> int:
     workloads.require_src()
     spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
-    problems = check_metrics(spec) + check_gate()
+    bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "wall_s")
+    problems = check_metrics(spec) + check_gate() + check_calibration(bound)
     for problem in problems:
         print(f"FAIL {problem}")
     print("smoke: ok" if not problems else f"smoke: {len(problems)} problems")

@@ -14,10 +14,13 @@ down under the same contention.  (A kernel that stays in the first-level
 cache tracked the library worse than no calibration at all.)
 
 A timed interval is converted to *reference seconds*: its wall time minus
-the handler's time, times REFERENCE_KERNEL_S over the median kernel time
-of the samples taken within WINDOW seconds of the interval.  (The median,
-because a rare long stall that hits a 2 ms sample would otherwise weigh
-as much as a slowdown of the whole interval.)  A reference
+the handler's time, times the mean over the interval of the local factor.
+Between two samples, the local factor is REFERENCE_KERNEL_S over the
+median kernel time of the samples taken within WINDOW seconds of the
+first one.  (Stretch by stretch, because the speed drifts within a
+second, and a whole-interval factor left an auto-mix pass twice as
+noisy; the median, because a rare stall that hits a 2 ms sample would
+otherwise weigh as much as a slowdown of the whole stretch.)  A reference
 second is the time the interval would take on a machine where one kernel
 call takes REFERENCE_KERNEL_S.  Making the library faster lowers reference
 seconds exactly as it lowers wall time; a slowdown of the whole machine
@@ -34,7 +37,7 @@ import time
 from fractions import Fraction
 
 PERIOD = 0.1
-WINDOW = 0.5
+WINDOW = 0.25
 REFERENCE_KERNEL_S = 0.002
 KERNEL_ENTRIES = 20_000
 KERNEL_READS = 500
@@ -52,6 +55,7 @@ class Speedometer:
         self.kernel_s: list[float] = []
         self.busy = 0.0  # time spent in the handler so far
         self._previous = None
+        self._local: list[float] = []  # local factor from each sample on
 
     def kernel(self) -> Fraction:
         p = self.position
@@ -83,12 +87,30 @@ class Speedometer:
         """A point in time: (clock, handler time so far)."""
         return time.perf_counter(), self.busy
 
+    def _local_factors(self) -> list[float]:
+        if len(self._local) != len(self.times):
+            local = []
+            for t in self.times:
+                lo = bisect.bisect_left(self.times, t - WINDOW)
+                hi = bisect.bisect_right(self.times, t + WINDOW)
+                local.append(REFERENCE_KERNEL_S / statistics.median(self.kernel_s[lo:hi]))
+            self._local = local
+        return self._local
+
     def factor(self, start: tuple[float, float], end: tuple[float, float]) -> float:
-        """Reference seconds per second of work between two marks."""
-        lo = bisect.bisect_left(self.times, start[0] - WINDOW)
-        hi = bisect.bisect_right(self.times, end[0] + WINDOW)
-        samples = self.kernel_s[lo:hi] or self.kernel_s[-3:]
-        return REFERENCE_KERNEL_S / statistics.median(samples)
+        """Reference seconds per second of work between two marks: the
+        local factor, averaged over the interval by time."""
+        local = self._local_factors()
+        a, b = start[0], end[0]
+        i = max(bisect.bisect_right(self.times, a) - 1, 0)
+        if b <= a:
+            return local[i]
+        total = 0.0
+        while a < b:
+            stop = min(self.times[i + 1], b) if i + 1 < len(self.times) else b
+            total += (stop - a) * local[i]
+            a, i = stop, i + 1
+        return total / (end[0] - start[0])
 
     def reference_seconds(self, start: tuple[float, float], end: tuple[float, float]) -> float:
         """Time between two marks, without the handler, at reference speed."""

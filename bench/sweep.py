@@ -3,10 +3,11 @@
     python3 bench/sweep.py --seeds 10                    # this checkout
     python3 bench/sweep.py --tree parent=../a --tree change=../b --seeds 10
 
-Every workload runs once per seed untraced and, for the first
-``--traced`` seeds, once traced.  With several trees, each seed runs on
-every tree, alternating which tree goes first.  Each tree's records go to
-``<out-dir>/<name>.jsonl`` (one JSON object per run); the quartile
+Every workload runs once per seed untraced, for run_seconds of
+BENCHMARK.json, and for seed 1 once traced.  With several trees, each
+seed runs on every tree, alternating which tree goes first.  Each tree's
+records go to ``bench/results/<name>.jsonl`` (one JSON object per run),
+which a sweep overwrites, so a file never mixes two sweeps.  The quartile
 spread of every end-to-end metric is printed at the end.  Compare two
 trees with ``bench/compare.py``.
 """
@@ -23,6 +24,7 @@ import compare
 import workloads
 
 HERE = Path(__file__).resolve().parent
+TRACED_SEEDS = 1
 
 
 def run_one(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -40,26 +42,22 @@ def run_one(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> d
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Run bench/run.py over seeds and trees.")
     parser.add_argument("--tree", action="append", default=[], help="NAME=DIR of a checkout")
-    parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS)
     parser.add_argument("--seeds", type=int, default=10, help="seeds 1..N")
-    parser.add_argument("--traced", type=int, default=1, help="seeds that also run traced")
-    parser.add_argument("--seconds", type=int, default=None, help="default: run_seconds of BENCHMARK.json")
-    parser.add_argument("--out-dir", default=str(HERE / "results"))
     args = parser.parse_args(argv)
 
     trees = dict(t.split("=", 1) for t in args.tree) or {"current": str(HERE.parent)}
-    seconds = args.seconds or json.loads((HERE.parent / "BENCHMARK.json").read_text())["run_seconds"]
-    out_dir = Path(args.out_dir)
+    seconds = json.loads((HERE.parent / "BENCHMARK.json").read_text())["run_seconds"]
+    out_dir = HERE / "results"
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = {name: open(out_dir / f"{name}.jsonl", "a", encoding="utf-8") for name in trees}
+    files = {name: open(out_dir / f"{name}.jsonl", "w", encoding="utf-8") for name in trees}
     records = {name: [] for name in trees}
     try:
         for i, seed in enumerate(range(1, args.seeds + 1)):
             order = list(trees.items())
             if i % 2:
                 order.reverse()
-            for workload in args.workload or workloads.WORKLOADS:
-                for trace in (0, 1) if i < args.traced else (0,):
+            for workload in workloads.WORKLOADS:
+                for trace in (0, 1) if i < TRACED_SEEDS else (0,):
                     for name, tree in order:
                         result = run_one(Path(tree), workload, seed, seconds, trace)
                         record = {"workload": workload, "seed": seed, "trace": trace, "result": result}
