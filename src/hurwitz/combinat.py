@@ -59,7 +59,8 @@ def elem_sym(values, k: int) -> Fraction:
 def elem_sym_shifted(alpha, k: int) -> int:
     """e_k over the multiset {2*alpha_i + 1}."""
     val = elem_sym([2 * a + 1 for a in alpha], k)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise AssertionError(f"e_{k} of odd integers is not an integer: {val}")
     return val.numerator
 
 

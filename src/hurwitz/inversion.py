@@ -134,11 +134,13 @@ def expand_rational_form(form: RationalForm, max_weight: int) -> MSeries:
         maux = aux_series(max_weight, j_max)
         base, series_j = maux.eta, maux.eta_j
     inv = (MSeries.constant(1, max_weight) - base).inverse()
-    inv_pows: dict[int, MSeries] = {0: MSeries.constant(1, max_weight)}
+    inv_pows = [MSeries.constant(1, max_weight)]
 
     def inv_pow(k: int) -> MSeries:
-        if k not in inv_pows:
-            inv_pows[k] = inv_pow(k - 1) * inv
+        # a loop, not recursion: a self-referencing closure would keep every
+        # power alive until the cyclic garbage collector ran
+        while len(inv_pows) <= k:
+            inv_pows.append(inv_pows[-1] * inv)
         return inv_pows[k]
 
     total = MSeries.constant(form.constant, max_weight)
@@ -148,7 +150,8 @@ def expand_rational_form(form: RationalForm, max_weight: int) -> MSeries:
             term = term * series_j(j)
         total = total + term * inv_pow(form.denominator_power(alpha))
     if not form.classical:
-        assert total.constant_term() == 0, "monotone forms have no constant term"
+        if total.constant_term() != 0:
+            raise AssertionError("monotone forms have no constant term")
     return total
 
 

@@ -170,7 +170,8 @@ def _solve(D: int, R: int, monotone: bool) -> TruncatedH:
             h = c * factorial(alpha.size)
             if not monotone:
                 h *= factorial(r)
-            assert h.denominator == 1, (alpha, r, h)
+            if h.denominator != 1:
+                raise AssertionError(f"non-integral count at {tuple(alpha)}, r={r}: {h}")
             if h:
                 table.counts[(alpha, r)] = h.numerator
     return table

@@ -80,12 +80,6 @@ def partitions(n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def partitions_upto(n: int):
-    """All partitions of 0, 1, ..., n."""
-    for d in range(n + 1):
-        yield from partitions(d)
-
-
 def subpartitions(alpha, size: int):
     """Distinct sub-multisets of ``alpha`` whose parts sum to ``size``.
 

@@ -1,6 +1,13 @@
 """Truncated series in the q's plus two catalytic variables, and the
 literal lifting/projection/splitting operators acting on them.
 
+`BiSeries` is `series.MSeries` graded by (q-weight, y1-degree,
+y2-degree): it supplies only that grading (the key join of
+(q monomial, y1 degree, y2 degree), its q-weight and the bounds
+(wq, w1, w2)) and the y-operations MSeries has no version of; cleaning,
++, -, *, ==, truncation, the q-derivative, powers and substitution are
+the MSeries code.
+
 This module is the series-level oracle for the algebraic operator ring:
 everything here is defined directly from the operator formulas
 
@@ -12,55 +19,93 @@ everything here is defined directly from the operator formulas
     T(F)     = (1-eta)^(-1) proj( (1-4y2)^(-3/2) split( (1-4y1) F ) ),
 
 with no reference to the ring representation, so agreement between the
-two is a genuine two-route check.  The same container also hosts the
-original-coordinate lift sum_k k x1^k d/dp_k (an MSeries slice embedded
-with an extra catalytic variable) used to validate the pipeline against
-the join-cut tables; only the naming of the variables differs.
+two is a genuine two-route check.  That is why `ring.RingElement` keeps
+its own arithmetic instead of joining this kernel: the literal-vs-ring
+check only means something while its two sides share no arithmetic code.
+
+The same container also hosts the original-coordinate lift
+sum_k k x1^k d/dp_k (an MSeries slice embedded with an extra catalytic
+variable) used to validate the pipeline against the join-cut tables; only
+the naming of the variables differs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .combinat import rising
 from .inversion import aux_series
 from .ring import RingElement
-from .series import MSeries
+from .series import MSeries, _key
 
 QKey = tuple[tuple[int, ...], int, int]  # (q monomial, y1 degree, y2 degree)
 
 
-class BiSeries:
-    """Series in Q[[q]][[y1, y2]] truncated at q-weight wq and y-degrees
-    w1, w2."""
+class BiSeries(MSeries):
+    """`MSeries` graded by (q-weight, y1-degree, y2-degree): a series in
+    Q[[q]][[y1, y2]] truncated at q-weight wq and y-degrees w1, w2.  Keys
+    are (q monomial, y1 degree, y2 degree); all arithmetic is inherited."""
 
-    __slots__ = ("wq", "w1", "w2", "coeffs")
+    __slots__ = ("w1", "w2")
+
+    _ONE = ((), 0, 0)
 
     def __init__(self, wq: int, w1: int, w2: int, coeffs=None):
-        self.wq = wq
         self.w1 = w1
         self.w2 = w2
-        clean: dict[QKey, Fraction] = {}
-        for (mono, a, b), c in (coeffs or {}).items():
-            mono = tuple(sorted(mono, reverse=True))
-            if sum(mono) > wq or a > w1 or b > w2:
-                continue
-            c = Fraction(c)
-            if c:
-                clean[(mono, a, b)] = c
-        self.coeffs = clean
+        super().__init__(wq, coeffs)
 
-    def _bounds(self, other: "BiSeries") -> tuple[int, int, int]:
-        return (
-            min(self.wq, other.wq),
-            min(self.w1, other.w1),
-            min(self.w2, other.w2),
-        )
+    # -- the grading ---------------------------------------------------
 
-    @classmethod
-    def constant(cls, value, wq: int, w1: int, w2: int) -> "BiSeries":
-        return cls(wq, w1, w2, {((), 0, 0): Fraction(value)})
+    @property
+    def wq(self) -> int:
+        return self.max_weight
+
+    @property
+    def bounds(self) -> tuple[int, int, int]:
+        return (self.max_weight, self.w1, self.w2)
+
+    @staticmethod
+    def _canon(key) -> QKey:
+        mono, a, b = key
+        return (_key(mono), a, b)
+
+    @staticmethod
+    def _q(key) -> tuple[int, ...]:
+        return key[0]
+
+    @staticmethod
+    def _with_q(key, mono) -> QKey:
+        return (mono, key[1], key[2])
+
+    @staticmethod
+    def _weight(key) -> int:
+        return sum(key[0])
+
+    @staticmethod
+    def _fits(key, bounds) -> bool:
+        return sum(key[0]) <= bounds[0] and key[1] <= bounds[1] and key[2] <= bounds[2]
+
+    @staticmethod
+    def _join(k1, k2, bounds):
+        a = k1[1] + k2[1]
+        b = k1[2] + k2[2]
+        if a > bounds[1] or b > bounds[2]:
+            return None
+        return (_key(k1[0] + k2[0]), a, b)
+
+    # Bound in this class's own dict, not only inherited, so that per-layer
+    # tracing, which wraps the functions a class itself defines, keeps
+    # BiSeries products and sums apart from MSeries ones.
+    __mul__ = MSeries.__mul__
+    __add__ = MSeries.__add__
+
+    def __repr__(self) -> str:
+        return f"BiSeries(wq={self.wq}, w1={self.w1}, w2={self.w2}, {len(self.coeffs)} terms)"
+
+    # -- what MSeries has no version of ----------------------------------
 
     @classmethod
     def from_mseries(cls, F: MSeries, wq: int, w1: int, w2: int) -> "BiSeries":
@@ -79,89 +124,6 @@ class BiSeries:
                 out[key] = c
         return cls(wq, w1, w2, out)
 
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        wq, w1, w2 = self._bounds(other)
-        out = BiSeries(wq, w1, w2, self.coeffs)
-        res = dict(out.coeffs)
-        for key, c in other.coeffs.items():
-            mono, a, b = key
-            if sum(mono) > wq or a > w1 or b > w2:
-                continue
-            s = res.get(key, Fraction(0)) + c
-            if s:
-                res[key] = s
-            else:
-                res.pop(key, None)
-        out.coeffs = res
-        return out
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + other.scale(-1)
-
-    def scale(self, v) -> "BiSeries":
-        v = Fraction(v)
-        out = BiSeries(self.wq, self.w1, self.w2)
-        if v:
-            out.coeffs = {k: v * c for k, c in self.coeffs.items()}
-        return out
-
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
-        wq, w1, w2 = self._bounds(other)
-        res: dict[QKey, Fraction] = {}
-        small = self.coeffs
-        big = other.coeffs
-        if len(small) > len(big):
-            small, big = big, small
-        for (m1, a1, b1), c1 in small.items():
-            for (m2, a2, b2), c2 in big.items():
-                a = a1 + a2
-                b = b1 + b2
-                if a > w1 or b > w2:
-                    continue
-                mono = tuple(sorted(m1 + m2, reverse=True))
-                if sum(mono) > wq:
-                    continue
-                key = (mono, a, b)
-                s = res.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    res[key] = s
-                else:
-                    del res[key]
-        out = BiSeries(wq, w1, w2)
-        out.coeffs = res
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BiSeries)
-            and (self.wq, self.w1, self.w2) == (other.wq, other.w1, other.w2)
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"BiSeries(wq={self.wq}, w1={self.w1}, w2={self.w2}, {len(self.coeffs)} terms)"
-
-    def restrict(self, wq: int, w1: int, w2: int) -> "BiSeries":
-        return BiSeries(wq, w1, w2, self.coeffs)
-
-    def dq(self, k: int) -> "BiSeries":
-        out: dict[QKey, Fraction] = {}
-        for (mono, a, b), c in self.coeffs.items():
-            m = mono.count(k)
-            if not m:
-                continue
-            rest = list(mono)
-            rest.remove(k)
-            key = (tuple(rest), a, b)
-            s = out.get(key, Fraction(0)) + m * c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        res = BiSeries(self.wq, self.w1, self.w2)
-        res.coeffs = out
-        return res
-
     def dy(self, var: int) -> "BiSeries":
         out: dict[QKey, Fraction] = {}
         for (mono, a, b), c in self.coeffs.items():
@@ -174,54 +136,31 @@ class BiSeries:
                 out[key] = s
             else:
                 del out[key]
-        res = BiSeries(self.wq, self.w1, self.w2)
-        res.coeffs = out
-        return res
+        return self._new(self.bounds, out)
 
     def y2_coefficient(self, k: int) -> "BiSeries":
-        res = BiSeries(self.wq, self.w1, self.w2)
-        res.coeffs = {
-            (mono, a, 0): c for (mono, a, b), c in self.coeffs.items() if b == k
-        }
-        return res
+        return self._new(
+            self.bounds,
+            {(mono, a, 0): c for (mono, a, b), c in self.coeffs.items() if b == k},
+        )
 
     def substitute(self, qmap: dict[int, MSeries], yscale: MSeries) -> "BiSeries":
         """q_k -> qmap[k] and y1 -> y1 * yscale (a constant-term-1 series of
         the target variables); the result is read in the new basis."""
-        out = BiSeries(self.wq, self.w1, self.w2)
-        pow_cache: dict[tuple[int, int], BiSeries] = {}
+        bounds = self.bounds
 
-        def qpow(k: int, e: int) -> BiSeries:
-            if (k, e) not in pow_cache:
-                if qmap[k].constant_term() != 0:
-                    raise ValueError("substitution images must be constant-free")
-                base = BiSeries.from_mseries(qmap[k].truncate(self.wq), self.wq, self.w1, self.w2)
-                acc = BiSeries.constant(1, self.wq, self.w1, self.w2)
-                for _ in range(e):
-                    acc = acc * base
-                pow_cache[(k, e)] = acc
-            return pow_cache[(k, e)]
+        def embed(s: MSeries) -> BiSeries:
+            return BiSeries.from_mseries(s.truncate(self.wq), *bounds)
 
-        ys_cache: dict[int, BiSeries] = {}
+        yscale_pow = cache(embed(yscale).pow)
 
-        def ypow_scale(a: int) -> BiSeries:
-            if a not in ys_cache:
-                base = BiSeries.from_mseries(yscale.truncate(self.wq), self.wq, self.w1, self.w2)
-                acc = BiSeries.constant(1, self.wq, self.w1, self.w2)
-                for _ in range(a):
-                    acc = acc * base
-                ys_cache[a] = acc
-            return ys_cache[a]
-
-        for (mono, a, b), c in self.coeffs.items():
+        def term_of(key: QKey, c: Fraction) -> BiSeries:
+            _mono, a, b = key
             if b:
                 raise ValueError("substitution is defined for y2-free series")
-            term = BiSeries(self.wq, self.w1, self.w2, {((), a, 0): c})
-            term = term * ypow_scale(a)
-            for k in sorted(set(mono)):
-                term = term * qpow(k, mono.count(k))
-            out = out + term
-        return out
+            return BiSeries(*bounds, {((), a, 0): c}) * yscale_pow(a)
+
+        return self._substitute(qmap, embed, term_of)
 
 
 # -- the literal operators ------------------------------------------------
@@ -242,13 +181,13 @@ def lift_literal(G: BiSeries) -> BiSeries:
     wq, w1, w2 = G.wq, G.w1, G.w2
     out = BiSeries(wq, w1, w2)
     for k in range(1, wq + 1):
-        d = G.dq(k)
+        d = G.derivative(k)
         if d.coeffs:
             yk = BiSeries(wq, w1, w2, {((), k, 0): Fraction(k)})
             out = out + yk * d
     euler = BiSeries(wq, w1, w2)
     for k in range(1, wq + 1):
-        d = G.dq(k)
+        d = G.derivative(k)
         if d.coeffs:
             qk = BiSeries(wq, w1, w2, {((k,), 0, 0): Fraction(k)})
             euler = euler + qk * d
@@ -262,7 +201,7 @@ def lift_px(G: BiSeries) -> BiSeries:
     wq, w1, w2 = G.wq, G.w1, G.w2
     out = BiSeries(wq, w1, w2)
     for k in range(1, wq + 1):
-        d = G.dq(k)
+        d = G.derivative(k)
         if d.coeffs:
             xk = BiSeries(wq, w1, w2, {((), k, 0): Fraction(k)})
             out = out + xk * d
@@ -285,9 +224,7 @@ def split_1_to_2(F: BiSeries) -> BiSeries:
                 out[key] = s
             else:
                 del out[key]
-    res = BiSeries(F.wq, F.w1, F.w2)
-    res.coeffs = out
-    return res
+    return F._new(F.bounds, out)
 
 
 def project_2(M: BiSeries) -> BiSeries:

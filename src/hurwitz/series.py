@@ -1,20 +1,33 @@
-"""Truncated multivariate formal power series over Fraction.
+"""Truncated sparse formal power series over Fraction: the one graded kernel.
 
-A series lives in Q[[v_1, v_2, ...]] for one indexed family of variables
-(the p's or the q's -- the engine is basis-agnostic) and is graded by
-weight: the variable with index k has weight k.  A monomial is a weakly
-decreasing tuple of indices, so monomials are in bijection with partitions
-and the weight of a monomial is the size of its partition.  Everything is
-truncated at a fixed maximum weight; binary operations truncate eagerly to
-the smaller of the two bounds.
+An `MSeries` lives in Q[[v_1, v_2, ...]] for one indexed family of
+variables (the p's or the q's -- the engine is basis-agnostic) and is
+graded by weight: the variable with index k has weight k.  A monomial is a
+weakly decreasing tuple of indices, so monomials are in bijection with
+partitions and the weight of a monomial is the size of its partition.
+Everything is truncated at a fixed maximum weight; binary operations
+truncate eagerly to the componentwise minimum of the two bounds.
+
+The arithmetic here (cleaning, +, -, scale, *, ==, truncate, the
+q-derivative, pow, inverse and the power-cached substitution loop) reads
+the grading only through a few hooks: the bounds tuple, the canonical key,
+the q-monomial of a key, its q-weight, whether a key fits the bounds, and
+the join of two keys under a product.  `qyseries.BiSeries` is this class
+graded by (q-weight, y1-degree, y2-degree): it overrides those hooks to add
+two catalytic y-degrees, and so shares all of this code.
+
+`ring.RingElement` stays outside this kernel on purpose.  The literal
+q/y-series operators of `qyseries` are checked against the ring operators,
+and that check only means something while its two sides use independent
+arithmetic; the ring's coefficient representation is also free to change
+on its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-
-from .partitions import Partition
+from operator import itemgetter
 
 
 def _key(mono) -> tuple[int, ...]:
@@ -26,29 +39,61 @@ class MSeries:
 
     __slots__ = ("max_weight", "coeffs")
 
+    _ONE = ()  # the key of the constant term
+
     def __init__(self, max_weight: int, coeffs=None):
         if max_weight < 0:
             raise ValueError("max_weight must be >= 0")
         self.max_weight = max_weight
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for mono, c in (coeffs or {}).items():
-            key = _key(mono)
-            if sum(key) > max_weight:
+        bounds = self.bounds
+        clean = {}
+        for key, c in (coeffs or {}).items():
+            key = self._canon(key)
+            if not self._fits(key, bounds):
                 continue
             c = Fraction(c)
             if c:
                 clean[key] = c
         self.coeffs = clean
 
+    # -- the grading ---------------------------------------------------
+
+    @property
+    def bounds(self) -> tuple[int, ...]:
+        return (self.max_weight,)
+
+    _canon = staticmethod(_key)
+
+    @staticmethod
+    def _q(key) -> tuple[int, ...]:
+        return key
+
+    @staticmethod
+    def _with_q(key, mono):
+        return mono
+
+    @staticmethod
+    def _weight(key) -> int:
+        return sum(key)
+
+    @staticmethod
+    def _fits(key, bounds) -> bool:
+        return sum(key) <= bounds[0]
+
+    @staticmethod
+    def _join(k1, k2, bounds):
+        """Key of the product of two terms whose weights fit, or None."""
+        return _key(k1 + k2)
+
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls, max_weight: int) -> "MSeries":
-        return cls(max_weight)
+    def zero(cls, *bounds) -> "MSeries":
+        return cls(*bounds)
 
     @classmethod
-    def constant(cls, value, max_weight: int) -> "MSeries":
-        return cls(max_weight, {(): Fraction(value)})
+    def constant(cls, value, *bounds) -> "MSeries":
+        return cls(*bounds, {cls._ONE: Fraction(value)})
 
     @classmethod
     def variable(cls, k: int, max_weight: int) -> "MSeries":
@@ -62,30 +107,36 @@ class MSeries:
             {(k,): Fraction(coeff_of_index(k)) for k in range(1, max_weight + 1)},
         )
 
+    def _new(self, bounds, coeffs: dict) -> "MSeries":
+        """A series of this type from already clean coefficients."""
+        out = type(self)(*bounds)
+        out.coeffs = coeffs
+        return out
+
     # -- basic queries -----------------------------------------------
 
-    def __getitem__(self, mono) -> Fraction:
-        return self.coeffs.get(_key(mono), Fraction(0))
+    def __getitem__(self, key) -> Fraction:
+        return self.coeffs.get(self._canon(key), Fraction(0))
 
     def coefficient(self, alpha) -> Fraction:
         """[v_alpha] of the series (alpha any partition-like iterable)."""
         return self[alpha]
 
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((), Fraction(0))
+        return self.coeffs.get(self._ONE, Fraction(0))
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, MSeries)
-            and self.max_weight == other.max_weight
+            type(other) is type(self)
+            and self.bounds == other.bounds
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        raise TypeError("MSeries is not hashable")
+        raise TypeError(f"{type(self).__name__} is not hashable")
 
     def __repr__(self) -> str:
         n = len(self.coeffs)
@@ -93,83 +144,95 @@ class MSeries:
 
     # -- arithmetic ---------------------------------------------------
 
-    def truncate(self, max_weight: int) -> "MSeries":
-        if max_weight > self.max_weight:
-            raise ValueError(
-                "cannot extend a truncated series (coefficients above "
-                f"weight {self.max_weight} are unknown)"
+    def _meet(self, other: "MSeries") -> tuple[int, ...]:
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
             )
-        if max_weight == self.max_weight:
-            out = MSeries(max_weight)
-            out.coeffs = dict(self.coeffs)
-            return out
-        return MSeries(max_weight, self.coeffs)
+        return tuple(map(min, self.bounds, other.bounds))
+
+    def _within(self, bounds) -> dict:
+        """A copy of the coefficients that fit ``bounds``."""
+        if bounds == self.bounds:
+            return dict(self.coeffs)
+        fits = self._fits
+        return {k: c for k, c in self.coeffs.items() if fits(k, bounds)}
+
+    def truncate(self, *bounds) -> "MSeries":
+        if len(bounds) != len(self.bounds) or any(
+            b > own for b, own in zip(bounds, self.bounds)
+        ):
+            raise ValueError(
+                f"cannot truncate bounds {self.bounds} to {bounds} (coefficients "
+                "beyond a truncation are unknown)"
+            )
+        return self._new(bounds, self._within(bounds))
 
     def __add__(self, other) -> "MSeries":
         if not isinstance(other, MSeries):
-            return self + MSeries.constant(other, self.max_weight)
-        w = min(self.max_weight, other.max_weight)
-        out = dict(self.truncate(w).coeffs)
-        for mono, c in other.coeffs.items():
-            if sum(mono) > w:
-                continue
-            s = out.get(mono, Fraction(0)) + c
+            return self + self.constant(other, *self.bounds)
+        bounds = self._meet(other)
+        out = self._within(bounds)
+        theirs = other.coeffs if other.bounds == bounds else other._within(bounds)
+        for key, c in theirs.items():
+            s = out.get(key, Fraction(0)) + c
             if s:
-                out[mono] = s
+                out[key] = s
             else:
-                out.pop(mono, None)
-        res = MSeries(w)
-        res.coeffs = out
-        return res
+                out.pop(key, None)
+        return self._new(bounds, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MSeries":
-        res = MSeries(self.max_weight)
-        res.coeffs = {m: -c for m, c in self.coeffs.items()}
-        return res
+        return self._new(self.bounds, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "MSeries":
         if not isinstance(other, MSeries):
-            other = MSeries.constant(other, self.max_weight)
+            other = self.constant(other, *self.bounds)
         return self + (-other)
 
     def __rsub__(self, other) -> "MSeries":
-        return MSeries.constant(other, self.max_weight) + (-self)
+        return self.constant(other, *self.bounds) + (-self)
 
     def scale(self, value) -> "MSeries":
         value = Fraction(value)
-        res = MSeries(self.max_weight)
-        if value:
-            res.coeffs = {m: value * c for m, c in self.coeffs.items()}
-        return res
+        if not value:
+            return self._new(self.bounds, {})
+        return self._new(self.bounds, {k: value * c for k, c in self.coeffs.items()})
 
     def __mul__(self, other) -> "MSeries":
         if not isinstance(other, MSeries):
             return self.scale(other)
-        w = min(self.max_weight, other.max_weight)
-        out: dict[tuple[int, ...], Fraction] = {}
-        # iterate the smaller operand outside
+        bounds = self._meet(other)
+        cap = bounds[0]
+        weight, join = self._weight, self._join
+        # iterate the smaller operand outside; the inner one, sorted by
+        # weight once, is cut at the first term that no longer fits
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
-        for m1, c1 in a.items():
-            w1 = sum(m1)
-            if w1 > w:
+        inner = sorted(((weight(k), k, c) for k, c in b.items()), key=itemgetter(0))
+        out: dict = {}
+        for k1, c1 in a.items():
+            room = cap - weight(k1)
+            if room < 0:
                 continue
-            room = w - w1
-            for m2, c2 in b.items():
-                if sum(m2) > room:
+            for w2, k2, c2 in inner:
+                if w2 > room:
+                    break
+                key = join(k1, k2, bounds)
+                if key is None:
                     continue
-                key = _key(m1 + m2)
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
+                if key in out:
+                    s = out[key] + c1 * c2
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
                 else:
-                    del out[key]
-        res = MSeries(w)
-        res.coeffs = out
-        return res
+                    out[key] = c1 * c2
+        return self._new(bounds, out)
 
     __rmul__ = __mul__
 
@@ -177,7 +240,7 @@ class MSeries:
         """Integer power; negative n requires an invertible constant term."""
         if n < 0:
             return self.inverse().pow(-n)
-        result = MSeries.constant(1, self.max_weight)
+        result = self.constant(1, *self.bounds)
         base = self
         while n:
             if n & 1:
@@ -191,13 +254,13 @@ class MSeries:
         c0 = self.constant_term()
         if c0 == 0:
             raise ZeroDivisionError("series has zero constant term")
-        # 1/(c0 (1 + t)) with t = self/c0 - 1 of weight >= 1: alternating
-        # geometric sum, exact after max_weight terms.
+        # 1/(c0 (1 + t)) with t = self/c0 - 1 of positive degree: an
+        # alternating geometric sum, exact after sum(bounds) terms.
         t = self.scale(Fraction(1) / c0) - 1
-        out = MSeries.constant(1, self.max_weight)
-        power = MSeries.constant(1, self.max_weight)
+        out = self.constant(1, *self.bounds)
+        power = out
         sign = 1
-        for _ in range(self.max_weight):
+        for _ in range(sum(self.bounds)):
             power = power * t
             sign = -sign
             if power.is_zero():
@@ -207,22 +270,21 @@ class MSeries:
 
     def derivative(self, k: int) -> "MSeries":
         """Partial derivative with respect to the index-k variable."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for mono, c in self.coeffs.items():
+        out: dict = {}
+        for key, c in self.coeffs.items():
+            mono = self._q(key)
             m = mono.count(k)
             if m == 0:
                 continue
             rest = list(mono)
             rest.remove(k)
-            key = tuple(rest)
+            key = self._with_q(key, tuple(rest))
             s = out.get(key, Fraction(0)) + m * c
             if s:
                 out[key] = s
             else:
                 del out[key]
-        res = MSeries(self.max_weight)
-        res.coeffs = out
-        return res
+        return self._new(self.bounds, out)
 
     def substitute(self, images: dict[int, "MSeries"]) -> "MSeries":
         """Replace each variable v_k by images[k]; indices without an image
@@ -230,22 +292,28 @@ class MSeries:
         (every image must have zero constant term) or truncation would be
         unsound."""
         w = self.max_weight
-        cache: dict[tuple[int, int], MSeries] = {}
+        return self._substitute(
+            images, lambda img: img.truncate(w), lambda key, c: MSeries.constant(c, w)
+        )
 
-        def image_power(k: int, e: int) -> MSeries:
-            key = (k, e)
-            if key not in cache:
-                img = images[k]
-                if img.constant_term() != 0:
-                    raise ValueError("substitution images must have no constant term")
-                cache[key] = img.truncate(w).pow(e)
-            return cache[key]
-
-        total = MSeries.zero(w)
-        for mono, c in self.coeffs.items():
-            term = MSeries.constant(c, w)
+    def _substitute(self, images, embed, term_of) -> "MSeries":
+        """Sum over the terms of term_of(key, c) times images[k]^e for each
+        part k of multiplicity e in the key's q-monomial.  ``embed`` carries
+        an image into this series' type and bounds; each (k, e) power is
+        computed once."""
+        cache: dict = {}
+        total = self.zero(*self.bounds)
+        for key, c in self.coeffs.items():
+            term = term_of(key, c)
+            mono = self._q(key)
             for k in sorted(set(mono)):
-                term = term * image_power(k, mono.count(k))
+                e = mono.count(k)
+                if (k, e) not in cache:
+                    img = images[k]
+                    if img.constant_term() != 0:
+                        raise ValueError("substitution images must have no constant term")
+                    cache[k, e] = embed(img).pow(e)
+                term = term * cache[k, e]
             total = total + term
         return total
 
@@ -253,9 +321,9 @@ class MSeries:
         """exp of a constant-free series."""
         if self.constant_term() != 0:
             raise ValueError("exp needs a constant-free series")
-        out = MSeries.constant(1, self.max_weight)
-        power = MSeries.constant(1, self.max_weight)
-        for m in range(1, self.max_weight + 1):
+        out = self.constant(1, *self.bounds)
+        power = out
+        for m in range(1, sum(self.bounds) + 1):
             power = power * self
             if power.is_zero():
                 break
@@ -266,16 +334,11 @@ class MSeries:
         """log(1/(1 - x)) = sum_m x^m / m for a constant-free series x."""
         if self.constant_term() != 0:
             raise ValueError("log needs a constant-free series")
-        out = MSeries.zero(self.max_weight)
-        power = MSeries.constant(1, self.max_weight)
-        for m in range(1, self.max_weight + 1):
+        out = self.zero(*self.bounds)
+        power = self.constant(1, *self.bounds)
+        for m in range(1, sum(self.bounds) + 1):
             power = power * self
             if power.is_zero():
                 break
             out = out + power.scale(Fraction(1, m))
         return out
-
-    def monomials(self):
-        """Iterate (Partition, coefficient) pairs in a canonical order."""
-        for mono in sorted(self.coeffs, key=lambda m: (sum(m), m)):
-            yield Partition(mono), self.coeffs[mono]

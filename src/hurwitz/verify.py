@@ -12,6 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .closedforms import (
     bernoulli_constant,
@@ -78,32 +79,17 @@ def check_oracle_dfs_vs_dp() -> tuple[bool, str]:
     return not diffs, f"{total} cases; " + _diff_report(diffs)
 
 
-def check_joincut_monotone_vs_oracle() -> tuple[bool, str]:
-    """Monotone join-cut table equals the oracle for d <= 6, r <= 10."""
-    table = solve_monotone(6, 10)
-    oracle = CountTable(6, 10, monotone=True)
+def check_joincut_vs_oracle(monotone: bool, dmax: int, rmax: int) -> tuple[bool, str]:
+    """The join-cut table of one family equals the oracle for d <= dmax,
+    r <= rmax."""
+    solve = solve_monotone if monotone else solve_classical
+    table = solve(dmax, rmax)
+    oracle = CountTable(dmax, rmax, monotone=monotone)
     diffs = []
     total = 0
-    for d in range(1, 7):
+    for d in range(1, dmax + 1):
         for alpha in partitions(d):
-            for r in range(11):
-                total += 1
-                if table[alpha, r] != oracle[alpha, r]:
-                    diffs.append(
-                        f"{tuple(alpha)},r={r}: joincut={table[alpha, r]} oracle={oracle[alpha, r]}"
-                    )
-    return not diffs, f"{total} cases; " + _diff_report(diffs)
-
-
-def check_joincut_classical_vs_oracle() -> tuple[bool, str]:
-    """Classical join-cut table equals the oracle for d <= 5, r <= 8."""
-    table = solve_classical(5, 8)
-    oracle = CountTable(5, 8, monotone=False)
-    diffs = []
-    total = 0
-    for d in range(1, 6):
-        for alpha in partitions(d):
-            for r in range(9):
+            for r in range(rmax + 1):
                 total += 1
                 if table[alpha, r] != oracle[alpha, r]:
                     diffs.append(
@@ -170,25 +156,10 @@ def check_classical_formulas() -> tuple[bool, str]:
     return not diffs, f"{total} partitions x 4 genera; " + _diff_report(diffs)
 
 
-def check_pipeline_genus2() -> tuple[bool, str]:
-    """Pipeline genus-2 coefficients equal the published seven values."""
-    got = rational_form(2)
-    want = paper_form(2)
-    diffs = []
-    keys = set(got.terms) | set(want.terms)
-    for a in sorted(keys, key=lambda a: (a.size, a)):
-        g_, w_ = got.coefficient(a), want.coefficient(a)
-        if g_ != w_:
-            diffs.append(f"{tuple(a)}: pipeline={g_} table={w_}")
-    if got.constant != want.constant:
-        diffs.append(f"constant: pipeline={got.constant} table={want.constant}")
-    return not diffs, f"{len(keys)} coefficients + constant; " + _diff_report(diffs)
-
-
-def check_pipeline_genus3() -> tuple[bool, str]:
-    """Pipeline genus-3 coefficients equal the published table."""
-    got = rational_form(3)
-    want = paper_form(3)
+def check_pipeline_table(g: int) -> tuple[bool, str]:
+    """Pipeline genus-g coefficients equal the published table."""
+    got = rational_form(g)
+    want = paper_form(g)
     diffs = []
     keys = set(got.terms) | set(want.terms)
     for a in sorted(keys, key=lambda a: (a.size, a)):
@@ -320,13 +291,13 @@ def check_structural_assertions() -> tuple[bool, str]:
 
 CHECKS = {
     "oracle-dfs-vs-dp": check_oracle_dfs_vs_dp,
-    "joincut-monotone-vs-oracle": check_joincut_monotone_vs_oracle,
-    "joincut-classical-vs-oracle": check_joincut_classical_vs_oracle,
+    "joincut-monotone-vs-oracle": partial(check_joincut_vs_oracle, True, 6, 10),
+    "joincut-classical-vs-oracle": partial(check_joincut_vs_oracle, False, 5, 8),
     "genus0-formula": check_genus0_formula,
     "genus1-formula": check_genus1_formula,
     "classical-formulas": check_classical_formulas,
-    "pipeline-genus2-table": check_pipeline_genus2,
-    "pipeline-genus3-table": check_pipeline_genus3,
+    "pipeline-genus2-table": partial(check_pipeline_table, 2),
+    "pipeline-genus3-table": partial(check_pipeline_table, 3),
     "bernoulli-law": check_bernoulli_law,
     "matsumoto-novak": check_matsumoto_novak,
     "scaling-law": check_scaling_law,
@@ -373,11 +344,15 @@ def run_check(name: str) -> CheckResult:
 def run_suite(suite: str, jobs: int = 1) -> list[CheckResult]:
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     names = SUITES[suite]
-    if jobs > 1 and len(names) > 1:
+    # the pool starts all its workers at once: never more than there are checks
+    workers = min(jobs, len(names))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_check, names))
     else:
         results = [run_check(name) for name in names]

@@ -199,3 +199,45 @@ def test_verify_parallel_jobs(capsys):
     assert [ln.split()[1].rstrip(":") for ln in lines] == sorted(
         ln.split()[1].rstrip(":") for ln in lines
     )
+
+
+def test_verify_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "scaling", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert "--jobs must be >= 1" in err
+
+
+def test_verify_jobs_clamped_to_suite_size(monkeypatch):
+    # a fake pool records the worker count and runs in-process, so no
+    # process is ever started for a large --jobs
+    import concurrent.futures
+
+    from hurwitz import verify
+
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, names):
+            return map(fn, names)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(
+        verify, "run_check", lambda name: verify.CheckResult(name, True, "", 0.0)
+    )
+    for jobs, suite in ((5000, "all"), (5000, "oracle-vs-joincut"), (2, "all")):
+        results = verify.run_suite(suite, jobs=jobs)
+        assert [r.name for r in results] == sorted(verify.SUITES[suite])
+    assert seen == [len(verify.SUITES["all"]), 3, 2]
+    verify.run_suite("all", jobs=1)
+    verify.run_suite("scaling", jobs=5000)
+    assert len(seen) == 3  # one worker, or one check, runs without a pool

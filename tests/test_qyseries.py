@@ -101,6 +101,6 @@ def test_pi2_projection_against_literal_series():
         literal = project_2(y2_pow * binom)
         eta = aux_series(wq).eta
         v = BiSeries.from_mseries((MSeries.constant(1, wq) - eta).inverse(), wq, 0, 0)
-        literal = v * literal.restrict(wq, 0, 0)
+        literal = v * literal.truncate(wq, 0, 0)
         algebraic = expand_ring_element(pi2_project(i), wq, 0)
         assert literal.coeffs == algebraic.coeffs, i

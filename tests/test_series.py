@@ -4,37 +4,63 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurwitz.qyseries import BiSeries
 from hurwitz.series import MSeries
+
+COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 def small_series(max_weight=4):
     monos = st.lists(
         st.integers(min_value=1, max_value=max_weight), min_size=0, max_size=3
     ).map(lambda parts: tuple(sorted(parts, reverse=True)))
-    coeff = st.fractions(
-        min_value=-5, max_value=5, max_denominator=6
-    )
-    return st.dictionaries(monos, coeff, max_size=5).map(
+    return st.dictionaries(monos, COEFF, max_size=5).map(
         lambda d: MSeries(max_weight, d)
     )
 
 
-@given(a=small_series(), b=small_series())
+def small_biseries():
+    """BiSeries with bounds drawn at or below (4, 3, 2), and keys that may
+    overshoot them, so that cleaning and the componentwise minimum of the
+    bounds are exercised."""
+    monos = st.lists(st.integers(min_value=1, max_value=4), max_size=3)
+    keys = st.tuples(monos, st.integers(0, 3), st.integers(0, 2))
+    return st.builds(
+        lambda wq, w1, w2, d: BiSeries(wq, w1, w2, {(tuple(m), a, b): c for (m, a, b), c in d}),
+        st.integers(2, 4),
+        st.integers(1, 3),
+        st.integers(0, 2),
+        st.lists(st.tuples(keys, COEFF), max_size=5),
+    )
+
+
+# every law is checked on each kind of series in every example
+KINDS = (small_series(), small_biseries())
+
+
+def draw(data, n):
+    return [[data.draw(kind) for _ in range(n)] for kind in KINDS]
+
+
+@given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_multiplication_commutes(a, b):
-    assert a * b == b * a
+def test_multiplication_commutes(data):
+    for a, b in draw(data, 2):
+        assert a * b == b * a
 
 
-@given(a=small_series(), b=small_series(), c=small_series())
+@given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_multiplication_associates(a, b, c):
-    assert (a * b) * c == a * (b * c)
+def test_multiplication_associates(data):
+    for a, b, c in draw(data, 3):
+        assert (a * b) * c == a * (b * c)
 
 
-@given(a=small_series(), b=small_series(), c=small_series())
+@given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_distributivity(a, b, c):
-    assert a * (b + c) == a * b + a * c
+def test_distributivity(data):
+    for a, b, c in draw(data, 3):
+        assert a * (b + c) == a * b + a * c
 
 
 def test_truncation_policy_is_min_of_bounds():
@@ -43,6 +69,14 @@ def test_truncation_policy_is_min_of_bounds():
     assert (a * b).max_weight == 3
     assert (a + b).max_weight == 3
     assert (a * b).is_zero()  # weight 5 > 3 truncated away
+
+    a = BiSeries(5, 1, 4, {((4,), 1, 0): 1, ((1,), 0, 1): 1})
+    b = BiSeries(3, 2, 1, {((1,), 0, 0): 1, ((), 1, 1): 1})
+    for out in (a * b, b * a, a + b):
+        assert (out.wq, out.w1, out.w2) == (3, 1, 1)
+    # q-weight 5 > 3, y1-degree 2 > 1 and y2-degree 2 > 1 are truncated away
+    assert (a * b).coeffs == {((1, 1), 0, 1): 1}
+    assert (a + b).coeffs == {((1,), 0, 1): 1, ((1,), 0, 0): 1, ((), 1, 1): 1}
 
 
 def test_inverse_and_pow():
@@ -94,3 +128,9 @@ def test_truncate_cannot_extend():
     s = MSeries(3, {(1,): 1})
     with pytest.raises(ValueError):
         s.truncate(5)
+    bi = BiSeries(3, 2, 1, {((1,), 1, 1): 1})
+    for wider in ((4, 2, 1), (3, 3, 1), (3, 2, 2)):
+        with pytest.raises(ValueError):
+            bi.truncate(*wider)
+    assert bi.truncate(3, 1, 1) == BiSeries(3, 1, 1, {((1,), 1, 1): 1})
+    assert bi.truncate(3, 0, 1).is_zero()
