@@ -1,7 +1,9 @@
 """Command-line interface: compute numbers, emit rational forms, verify.
 
 Exit codes: 0 success, 1 a verification check failed, 2 unsupported
-range/usage (the message names the violated bound).  All numeric output
+range/usage (the message names the violated bound), 3 an internal
+invariant failed (one line "internal error: ..." on stderr, no
+traceback).  All numeric output
 is exact; rationals serialize as "num/den" strings.  Output is
 byte-identical across runs unless --timing is given.
 """
@@ -38,6 +40,12 @@ from .tables import paper_form
 from .verify import SUITES, run_suite
 
 METHODS = ("auto", "oracle", "joincut", "closed-form", "pipeline", "lagrange")
+
+# |alpha| cap of the one-coefficient extraction (pipeline and lagrange).  The
+# extraction works on the divisors of alpha; at |alpha| = 16 the worst shape,
+# (4,3,2,2,1,1,1,1,1) with 72 divisors, takes 0.2-0.3 s in either family at
+# genus 3 on a 2-vCPU machine.
+EXTRACTION_CAP = 16
 
 
 class RangeError(Exception):
@@ -110,8 +118,10 @@ def compute_value(genus: int, alpha: Partition, classical: bool, method: str) ->
             raise RangeError("the pipeline starts at genus 1; use closed-form")
         if genus > GENUS_CAP:
             raise RangeError(f"pipeline genus cap is {GENUS_CAP}")
-        if alpha.size > 12:
-            raise RangeError(f"pipeline extraction caps |alpha| at 12, got {alpha.size}")
+        if alpha.size > EXTRACTION_CAP:
+            raise RangeError(
+                f"pipeline extraction caps |alpha| at {EXTRACTION_CAP}, got {alpha.size}"
+            )
         if genus == 1:
             return method, monotone_from_log_form(genus1_closed(), alpha)
         return method, monotone_from_rational_form(rational_form(genus), alpha)
@@ -119,8 +129,10 @@ def compute_value(genus: int, alpha: Partition, classical: bool, method: str) ->
     if method == "lagrange":
         if genus not in (2, 3):
             raise RangeError("checked-in tables exist for genus 2 and 3 only")
-        if alpha.size > 12:
-            raise RangeError(f"table extraction caps |alpha| at 12, got {alpha.size}")
+        if alpha.size > EXTRACTION_CAP:
+            raise RangeError(
+                f"table extraction caps |alpha| at {EXTRACTION_CAP}, got {alpha.size}"
+            )
         form = paper_form(genus, classical=classical)
         if classical:
             return method, classical_from_rational_form(form, alpha)
@@ -264,6 +276,9 @@ def main(argv=None) -> int:
     except (RangeError, ResourceLimitError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,6 +16,21 @@ theorem gives
 
     [p_alpha] F = [r_alpha] e^{d delta} (1 - phi) F.
 
+One coefficient is computed in a quotient ring.  Only monomials that
+divide q_alpha as a multiset can contribute to [q_alpha] of a product, and
+the monomials that do not divide it span an ideal (every multiple of a
+non-divisor is a non-divisor).  Dropping them is therefore the quotient map
+onto Q[q] / (monomials not dividing q_alpha), a ring homomorphism that
+commutes with +, *, pow, inverse, exp and log.  So `lagrange_extract` and
+`classical_extract` project F onto the divisors of alpha
+(`series.DivisorSeries`) and build their kernel there, and the
+`*_from_*_form` functions expand the form there directly, through the same
+expander as `expand_rational_form`.  Every coefficient the quotient keeps
+is the exact coefficient of the full series, so the extracted values are
+exact; for alpha = (6, 6) the quotient has 3 monomials where weight 12 has
+272.  Whole series (`expand_rational_form`, `expand_log_form`, the p/q
+conversions) stay truncated by weight.
+
 The q (resp. r) basis is canonical internally; conversion back to p is a
 fixed-point iteration on the implicit relation, used by tests and the
 round-trip checks.
@@ -30,7 +45,7 @@ from math import factorial
 from .combinat import central_binomial
 from .forms import LogForm, RationalForm
 from .partitions import Partition
-from .series import MSeries
+from .series import DivisorSeries, MSeries
 
 
 @dataclass(frozen=True)
@@ -49,44 +64,52 @@ class AuxSeries:
 
 def aux_series(max_weight: int, j_max: int = 0) -> AuxSeries:
     """gamma, eta and eta_1..eta_{j_max} as q-series of the given weight."""
-    gamma = MSeries.linear(central_binomial, max_weight)
-    eta = MSeries.linear(lambda k: (2 * k + 1) * central_binomial(k), max_weight)
+    return _aux_series(MSeries.constant(1, max_weight), j_max)
+
+
+def _aux_series(one: MSeries, j_max: int) -> AuxSeries:
+    """gamma, eta and eta_1..eta_{j_max} in the grading of the series one."""
+    bounds = one.bounds
+    gamma = one.linear(central_binomial, *bounds)
+    eta = one.linear(lambda k: (2 * k + 1) * central_binomial(k), *bounds)
     etas = tuple(
-        MSeries.linear(
-            lambda k, j=j: (2 * k + 1) * k**j * central_binomial(k), max_weight
-        )
+        one.linear(lambda k, j=j: (2 * k + 1) * k**j * central_binomial(k), *bounds)
         for j in range(1, j_max + 1)
     )
     return AuxSeries(gamma, eta, etas)
 
 
+def _project(F: MSeries, alpha: Partition) -> DivisorSeries:
+    """F in the quotient by the monomials that do not divide q_alpha."""
+    if not F._fits(alpha, F.bounds):
+        raise ValueError(f"series truncated below q_{tuple(alpha)}")
+    return DivisorSeries(alpha, F.coeffs)
+
+
 def lagrange_extract(F: MSeries, alpha) -> Fraction:
     """[p_alpha] of a q-basis series F, via Lagrange inversion."""
     alpha = Partition(alpha)
+    Fa = _project(F, alpha)
     d = alpha.size
-    if d > F.max_weight:
-        raise ValueError(f"series truncated below weight {d}")
     if d == 0:
         return F.constant_term()
-    Fd = F.truncate(d)
-    aux = aux_series(d)
-    one_minus_gamma = MSeries.constant(1, d) - aux.gamma
-    kernel = (MSeries.constant(1, d) - aux.eta) * one_minus_gamma.pow(-(2 * d + 1))
-    return (kernel * Fd)[alpha]
+    one = DivisorSeries.constant(1, alpha)
+    aux = _aux_series(one, 0)
+    kernel = (one - aux.eta) * (one - aux.gamma).pow(-(2 * d + 1))
+    return (kernel * Fa)[alpha]
 
 
 def classical_extract(F: MSeries, alpha) -> Fraction:
     """[p_alpha] of an r-basis series F, via the classical analogue."""
     alpha = Partition(alpha)
+    Fa = _project(F, alpha)
     d = alpha.size
-    if d > F.max_weight:
-        raise ValueError(f"series truncated below weight {d}")
     if d == 0:
         return F.constant_term()
-    Fd = F.truncate(d)
-    aux = classical_aux_series(d)
-    kernel = aux.delta.scale(d).exp() * (MSeries.constant(1, d) - aux.phi)
-    return (kernel * Fd)[alpha]
+    one = DivisorSeries.constant(1, alpha)
+    aux = _classical_aux_series(one, 0)
+    kernel = aux.delta.scale(d).exp() * (one - aux.phi)
+    return (kernel * Fa)[alpha]
 
 
 @dataclass(frozen=True)
@@ -105,12 +128,16 @@ class ClassicalAux:
 
 def classical_aux_series(max_weight: int, j_max: int = 0) -> ClassicalAux:
     """delta, phi and phi_1..phi_{j_max} as r-series of the given weight."""
-    delta = MSeries.linear(lambda k: Fraction(k**k, factorial(k)), max_weight)
-    phi = MSeries.linear(lambda k: Fraction(k ** (k + 1), factorial(k)), max_weight)
+    return _classical_aux_series(MSeries.constant(1, max_weight), j_max)
+
+
+def _classical_aux_series(one: MSeries, j_max: int) -> ClassicalAux:
+    """delta, phi and phi_1..phi_{j_max} in the grading of the series one."""
+    bounds = one.bounds
+    delta = one.linear(lambda k: Fraction(k**k, factorial(k)), *bounds)
+    phi = one.linear(lambda k: Fraction(k ** (k + 1), factorial(k)), *bounds)
     phis = tuple(
-        MSeries.linear(
-            lambda k, j=j: Fraction(k ** (k + j + 1), factorial(k)), max_weight
-        )
+        one.linear(lambda k, j=j: Fraction(k ** (k + j + 1), factorial(k)), *bounds)
         for j in range(1, j_max + 1)
     )
     return ClassicalAux(delta, phi, phis)
@@ -118,7 +145,12 @@ def classical_aux_series(max_weight: int, j_max: int = 0) -> ClassicalAux:
 
 def expand_log_form(form: LogForm, max_weight: int) -> MSeries:
     """q-series of a log(1/(1-eta)), log(1/(1-gamma)) combination."""
-    aux = aux_series(max_weight)
+    return _expand_log_form(form, MSeries.constant(1, max_weight))
+
+
+def _expand_log_form(form: LogForm, one: MSeries) -> MSeries:
+    """The series of a log form in the grading of the series one."""
+    aux = _aux_series(one, 0)
     return aux.eta.log_geometric().scale(form.coeff_eta) + aux.gamma.log_geometric().scale(
         form.coeff_gamma
     )
@@ -126,15 +158,20 @@ def expand_log_form(form: LogForm, max_weight: int) -> MSeries:
 
 def expand_rational_form(form: RationalForm, max_weight: int) -> MSeries:
     """Series of a rational form in its own basis (q monotone, r classical)."""
+    return _expand_rational_form(form, MSeries.constant(1, max_weight))
+
+
+def _expand_rational_form(form: RationalForm, one: MSeries) -> MSeries:
+    """The series of a rational form in the grading of the series one."""
     j_max = max((max(a) for a in form.terms if a), default=0)
     if form.classical:
-        caux = classical_aux_series(max_weight, j_max)
+        caux = _classical_aux_series(one, j_max)
         base, series_j = caux.phi, caux.phi_j
     else:
-        maux = aux_series(max_weight, j_max)
+        maux = _aux_series(one, j_max)
         base, series_j = maux.eta, maux.eta_j
-    inv = (MSeries.constant(1, max_weight) - base).inverse()
-    inv_pows = [MSeries.constant(1, max_weight)]
+    inv = (one - base).inverse()
+    inv_pows = [one]
 
     def inv_pow(k: int) -> MSeries:
         # a loop, not recursion: a self-referencing closure would keep every
@@ -143,9 +180,9 @@ def expand_rational_form(form: RationalForm, max_weight: int) -> MSeries:
             inv_pows.append(inv_pows[-1] * inv)
         return inv_pows[k]
 
-    total = MSeries.constant(form.constant, max_weight)
+    total = one.scale(form.constant)
     for alpha, c in form.terms.items():
-        term = MSeries.constant(c, max_weight)
+        term = one.scale(c)
         for j in alpha:
             term = term * series_j(j)
         total = total + term * inv_pow(form.denominator_power(alpha))
@@ -158,14 +195,14 @@ def expand_rational_form(form: RationalForm, max_weight: int) -> MSeries:
 def monotone_from_log_form(form: LogForm, alpha) -> Fraction:
     """H_1(alpha) = d! [p_alpha] of the expanded log form."""
     alpha = Partition(alpha)
-    series = expand_log_form(form, alpha.size)
+    series = _expand_log_form(form, DivisorSeries.constant(1, alpha))
     return factorial(alpha.size) * lagrange_extract(series, alpha)
 
 
 def monotone_from_rational_form(form: RationalForm, alpha) -> Fraction:
     """H_g(alpha) = d! [p_alpha] of the expanded rational form."""
     alpha = Partition(alpha)
-    series = expand_rational_form(form, alpha.size)
+    series = _expand_rational_form(form, DivisorSeries.constant(1, alpha))
     return factorial(alpha.size) * lagrange_extract(series, alpha)
 
 
@@ -173,7 +210,7 @@ def classical_from_rational_form(form: RationalForm, alpha) -> Fraction:
     """Classical H_g(alpha) = d! r! [p_alpha] of the expanded form."""
     alpha = Partition(alpha)
     r = 2 * form.genus - 2 + alpha.length + alpha.size
-    series = expand_rational_form(form, alpha.size)
+    series = _expand_rational_form(form, DivisorSeries.constant(1, alpha))
     return factorial(alpha.size) * factorial(r) * classical_extract(series, alpha)
 
 
@@ -187,18 +224,14 @@ def gamma_in_p(max_weight: int) -> MSeries:
     gamma = MSeries.zero(max_weight)
     for _ in range(max_weight):
         base = (MSeries.constant(1, max_weight) - gamma).inverse()
-        powers = {0: MSeries.constant(1, max_weight)}
-
-        def bpow(k):
-            if k not in powers:
-                powers[k] = bpow(k - 1) * base
-            return powers[k]
-
+        square = base * base
+        power = MSeries.constant(1, max_weight)  # base^(2k) at step k
         total = MSeries.zero(max_weight)
         for k in range(1, max_weight + 1):
+            power = power * square
             total = total + MSeries.variable(k, max_weight).scale(
                 central_binomial(k)
-            ) * bpow(2 * k)
+            ) * power
         gamma = total
     return gamma
 

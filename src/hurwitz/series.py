@@ -6,15 +6,19 @@ graded by weight: the variable with index k has weight k.  A monomial is a
 weakly decreasing tuple of indices, so monomials are in bijection with
 partitions and the weight of a monomial is the size of its partition.
 Everything is truncated at a fixed maximum weight; binary operations
-truncate eagerly to the componentwise minimum of the two bounds.
+truncate eagerly to the meet of the two bounds (for weights, their
+minimum).
 
 The arithmetic here (cleaning, +, -, scale, *, ==, truncate, the
-q-derivative, pow, inverse and the power-cached substitution loop) reads
-the grading only through a few hooks: the bounds tuple, the canonical key,
-the q-monomial of a key, its q-weight, whether a key fits the bounds, and
-the join of two keys under a product.  `qyseries.BiSeries` is this class
-graded by (q-weight, y1-degree, y2-degree): it overrides those hooks to add
-two catalytic y-degrees, and so shares all of this code.
+q-derivative, pow, inverse, exp, log and the power-cached substitution
+loop) reads the grading only through a few hooks: the bounds tuple, their
+meet, the canonical key, the q-monomial of a key, its q-weight and the
+largest q-weight that fits, whether a key fits the bounds, the join of two
+keys under a product, and how many constant-free factors a nonzero product
+can have.  `qyseries.BiSeries` is this class graded by (q-weight,
+y1-degree, y2-degree): it overrides those hooks to add two catalytic
+y-degrees, and so shares all of this code.  `DivisorSeries` keeps only the
+monomials that divide one fixed monomial q_alpha.
 
 `ring.RingElement` stays outside this kernel on purpose.  The literal
 q/y-series operators of `qyseries` are checked against the ring operators,
@@ -25,7 +29,10 @@ on its own.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import factorial
 from operator import itemgetter
 
@@ -85,6 +92,22 @@ class MSeries:
         """Key of the product of two terms whose weights fit, or None."""
         return _key(k1 + k2)
 
+    @staticmethod
+    def _meet_bounds(b1, b2) -> tuple:
+        """The bounds of a sum or product: what fits both operands."""
+        return tuple(map(min, b1, b2))
+
+    @staticmethod
+    def _cap(bounds) -> int:
+        """The largest q-weight of a key that fits."""
+        return bounds[0]
+
+    @staticmethod
+    def _depth(bounds) -> int:
+        """A bound on the number of constant-free factors whose product can
+        be nonzero: each factor raises the grading by at least one."""
+        return sum(bounds)
+
     # -- constructors ------------------------------------------------
 
     @classmethod
@@ -100,11 +123,11 @@ class MSeries:
         return cls(max_weight, {(k,): Fraction(1)})
 
     @classmethod
-    def linear(cls, coeff_of_index, max_weight: int) -> "MSeries":
+    def linear(cls, coeff_of_index, *bounds) -> "MSeries":
         """Series sum_k c(k) v_k with c given by a callable on k."""
         return cls(
-            max_weight,
-            {(k,): Fraction(coeff_of_index(k)) for k in range(1, max_weight + 1)},
+            *bounds,
+            {(k,): Fraction(coeff_of_index(k)) for k in range(1, cls._cap(bounds) + 1)},
         )
 
     def _new(self, bounds, coeffs: dict) -> "MSeries":
@@ -149,7 +172,7 @@ class MSeries:
             raise TypeError(
                 f"cannot combine {type(self).__name__} with {type(other).__name__}"
             )
-        return tuple(map(min, self.bounds, other.bounds))
+        return self._meet_bounds(self.bounds, other.bounds)
 
     def _within(self, bounds) -> dict:
         """A copy of the coefficients that fit ``bounds``."""
@@ -159,8 +182,9 @@ class MSeries:
         return {k: c for k, c in self.coeffs.items() if fits(k, bounds)}
 
     def truncate(self, *bounds) -> "MSeries":
-        if len(bounds) != len(self.bounds) or any(
-            b > own for b, own in zip(bounds, self.bounds)
+        if (
+            len(bounds) != len(self.bounds)
+            or self._meet_bounds(bounds, self.bounds) != bounds
         ):
             raise ValueError(
                 f"cannot truncate bounds {self.bounds} to {bounds} (coefficients "
@@ -205,7 +229,7 @@ class MSeries:
         if not isinstance(other, MSeries):
             return self.scale(other)
         bounds = self._meet(other)
-        cap = bounds[0]
+        cap = self._cap(bounds)
         weight, join = self._weight, self._join
         # iterate the smaller operand outside; the inner one, sorted by
         # weight once, is cut at the first term that no longer fits
@@ -255,12 +279,12 @@ class MSeries:
         if c0 == 0:
             raise ZeroDivisionError("series has zero constant term")
         # 1/(c0 (1 + t)) with t = self/c0 - 1 of positive degree: an
-        # alternating geometric sum, exact after sum(bounds) terms.
+        # alternating geometric sum, exact after _depth(bounds) terms.
         t = self.scale(Fraction(1) / c0) - 1
         out = self.constant(1, *self.bounds)
         power = out
         sign = 1
-        for _ in range(sum(self.bounds)):
+        for _ in range(self._depth(self.bounds)):
             power = power * t
             sign = -sign
             if power.is_zero():
@@ -323,7 +347,7 @@ class MSeries:
             raise ValueError("exp needs a constant-free series")
         out = self.constant(1, *self.bounds)
         power = out
-        for m in range(1, sum(self.bounds) + 1):
+        for m in range(1, self._depth(self.bounds) + 1):
             power = power * self
             if power.is_zero():
                 break
@@ -336,9 +360,71 @@ class MSeries:
             raise ValueError("log needs a constant-free series")
         out = self.zero(*self.bounds)
         power = self.constant(1, *self.bounds)
-        for m in range(1, sum(self.bounds) + 1):
+        for m in range(1, self._depth(self.bounds) + 1):
             power = power * self
             if power.is_zero():
                 break
             out = out + power.scale(Fraction(1, m))
         return out
+
+
+@lru_cache(maxsize=64)
+def divisors(alpha: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """Every sub-multiset of the weakly decreasing tuple alpha, each as a
+    weakly decreasing tuple: the monomials that divide q_alpha."""
+    counts = sorted(Counter(alpha).items(), reverse=True)
+    return frozenset(
+        sum(((k,) * e for (k, _), e in zip(counts, exps)), ())
+        for exps in product(*(range(m + 1) for _, m in counts))
+    )
+
+
+class DivisorSeries(MSeries):
+    """`MSeries` graded by divisibility: only the monomials that divide
+    q_alpha, for one fixed partition alpha, are kept.
+
+    Their complement is a monomial ideal (a multiple of a non-divisor is a
+    non-divisor), so dropping it is the quotient map onto
+    Q[q] / (monomials not dividing q_alpha).  That map is a ring
+    homomorphism: it commutes with +, * and hence with pow, inverse, exp
+    and log, and every coefficient it keeps is the exact coefficient of the
+    full series.  The meet of two such gradings is the gcd of their
+    monomials.  A product of constant-free factors has at least one part
+    per factor, so one of more than len(alpha) factors is zero.
+    """
+
+    __slots__ = ("alpha",)
+
+    def __init__(self, alpha, coeffs=None):
+        self.alpha = _key(alpha)
+        super().__init__(sum(self.alpha), coeffs)
+
+    @property
+    def bounds(self) -> tuple[tuple[int, ...]]:
+        return (self.alpha,)
+
+    @staticmethod
+    def _fits(key, bounds) -> bool:
+        return key in divisors(bounds[0])
+
+    @staticmethod
+    def _join(k1, k2, bounds):
+        key = _key(k1 + k2)
+        return key if key in divisors(bounds[0]) else None
+
+    @staticmethod
+    def _meet_bounds(b1, b2) -> tuple[tuple[int, ...]]:
+        if b1 == b2:
+            return b1
+        return (_key((Counter(b1[0]) & Counter(b2[0])).elements()),)
+
+    @staticmethod
+    def _cap(bounds) -> int:
+        return sum(bounds[0])
+
+    @staticmethod
+    def _depth(bounds) -> int:
+        return len(bounds[0])
+
+    def __repr__(self) -> str:
+        return f"DivisorSeries(alpha={self.alpha}, {len(self.coeffs)} terms)"

@@ -241,3 +241,37 @@ def test_verify_jobs_clamped_to_suite_size(monkeypatch):
     verify.run_suite("all", jobs=1)
     verify.run_suite("scaling", jobs=5000)
     assert len(seen) == 3  # one worker, or one check, runs without a pool
+
+
+def test_extraction_cap(capsys):
+    from hurwitz.closedforms import mn_single_cycle
+
+    for g in (2, 3):
+        for d in range(13, 17):
+            code, out, _ = run_cli(
+                capsys, "compute", "--genus", str(g), "--partition", str(d),
+                "--method", "lagrange",
+            )
+            assert code == 0
+            assert json.loads(out)["value"] == fmt_fraction(mn_single_cycle(g, d))
+    for method in ("lagrange", "pipeline"):
+        code, out, err = run_cli(
+            capsys, "compute", "--genus", "2", "--partition", "17", "--method", method
+        )
+        assert code == 2 and out == ""
+        assert "caps |alpha| at 16, got 17" in err
+
+
+def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
+    from hurwitz import cli
+    from hurwitz.ring import ProjectionFitError
+
+    def broken(form, alpha):
+        raise ProjectionFitError("projection fit failed at i=1, k=2")
+
+    monkeypatch.setattr(cli, "monotone_from_rational_form", broken)
+    code, out, err = run_cli(
+        capsys, "compute", "--genus", "2", "--partition", "2,2", "--method", "lagrange"
+    )
+    assert code == 3 and out == ""
+    assert err == "internal error: projection fit failed at i=1, k=2\n"

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from math import factorial
@@ -21,7 +22,7 @@ from hurwitz.inversion import (
 from hurwitz.joincut import solve_classical, solve_monotone
 from hurwitz.partitions import Partition, partitions
 from hurwitz.pipeline import genus1_closed
-from hurwitz.series import MSeries
+from hurwitz.series import DivisorSeries, MSeries
 from hurwitz.tables import paper_form
 
 
@@ -45,6 +46,17 @@ def test_gamma_in_p_linear_term():
     assert gamma_in_p(3)[(1,)] == 2
 
 
+def test_gamma_in_p_leaves_no_reference_cycles():
+    gamma_in_p(3)
+    gc.collect()
+    gc.disable()
+    try:
+        gamma_in_p(6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_lagrange_extract_examples():
     aux = aux_series(3)
     # [p_1] gamma = 2, computed through the q-side extraction
@@ -54,6 +66,10 @@ def test_lagrange_extract_examples():
     for d in range(1, 4):
         for alpha in partitions(d):
             assert lagrange_extract(const, alpha) == 0
+    # coefficients the series does not carry are refused, not read as 0
+    for short, alpha in ((const, (2, 2)), (DivisorSeries((2, 1)), (2, 2))):
+        with pytest.raises(ValueError):
+            lagrange_extract(short, alpha)
 
 
 def test_log_form_extractions():

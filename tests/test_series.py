@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurwitz.partitions import partitions
 from hurwitz.qyseries import BiSeries
-from hurwitz.series import MSeries
+from hurwitz.series import DivisorSeries, MSeries, divisors
 
 COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -34,8 +35,22 @@ def small_biseries():
     )
 
 
+def small_divisor_series():
+    """DivisorSeries over the divisors of (3, 2, 2, 1, 1), so that operands
+    may differ in alpha and the gcd of the bounds is exercised, with keys
+    that may not divide alpha."""
+    monos = st.lists(st.integers(min_value=1, max_value=3), max_size=4).map(
+        lambda parts: tuple(sorted(parts, reverse=True))
+    )
+    return st.builds(
+        DivisorSeries,
+        st.sampled_from(sorted(divisors((3, 2, 2, 1, 1)))),
+        st.dictionaries(monos, COEFF, max_size=6),
+    )
+
+
 # every law is checked on each kind of series in every example
-KINDS = (small_series(), small_biseries())
+KINDS = (small_series(), small_biseries(), small_divisor_series())
 
 
 def draw(data, n):
@@ -77,6 +92,32 @@ def test_truncation_policy_is_min_of_bounds():
     # q-weight 5 > 3, y1-degree 2 > 1 and y2-degree 2 > 1 are truncated away
     assert (a * b).coeffs == {((1, 1), 0, 1): 1}
     assert (a + b).coeffs == {((1,), 0, 1): 1, ((1,), 0, 0): 1, ((), 1, 1): 1}
+
+    a = DivisorSeries((3, 2, 1, 1), {(3, 1): 1, (1,): 2, (): 1})
+    b = DivisorSeries((2, 2, 1), {(2,): 1, (1,): 1})
+    for out in (a * b, b * a, a + b):
+        assert out.alpha == (2, 1)  # the gcd
+    # (3, 1) and (1, 1) do not divide (2, 1) and are truncated away
+    assert (a * b).coeffs == {(2, 1): 2, (2,): 1, (1,): 1}
+    assert (a + b).coeffs == {(1,): 3, (): 1, (2,): 1}
+
+
+@given(a=small_series(), b=small_series(), alpha=st.sampled_from(
+    [tuple(p) for d in range(5) for p in partitions(d)]
+))
+@settings(max_examples=40, deadline=None)
+def test_divisor_projection_is_a_ring_map(a, b, alpha):
+    def proj(s):
+        return DivisorSeries(alpha, s.coeffs)
+
+    assert proj(a * b) == proj(a) * proj(b)
+    assert proj(a + b) == proj(a) + proj(b)
+    unit = a - a.constant_term() + 2
+    assert proj(unit.inverse()) == proj(unit).inverse()
+    assert proj(unit.pow(-3)) == proj(unit).pow(-3)
+    free = b - b.constant_term()
+    assert proj(free.exp()) == proj(free).exp()
+    assert proj(free.log_geometric()) == proj(free).log_geometric()
 
 
 def test_inverse_and_pow():
@@ -134,3 +175,8 @@ def test_truncate_cannot_extend():
             bi.truncate(*wider)
     assert bi.truncate(3, 1, 1) == BiSeries(3, 1, 1, {((1,), 1, 1): 1})
     assert bi.truncate(3, 0, 1).is_zero()
+    ds = DivisorSeries((2, 1), {(2, 1): 1, (1,): 1})
+    for wider in ((2, 2), (1, 1), (3,)):
+        with pytest.raises(ValueError):
+            ds.truncate(wider)
+    assert ds.truncate((1,)) == DivisorSeries((1,), {(1,): 1})
