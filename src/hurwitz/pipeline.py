@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
 from .forms import LogForm, RationalForm
 from .partitions import Partition
@@ -53,7 +53,10 @@ from .ring import (
     invert_one_minus_T,
 )
 
-GENUS_CAP = 12  # weighted degrees grow as 3g-1; keep the recursion honest
+# The largest genus whose cold ``hurwitz rational-form --genus g`` finishes
+# within 60 s on a 2-vCPU Xeon VM (Python 3.11.7): g = 7 / 8 / 9 / 10 took
+# 2.2-2.5 / 5.9-6.6 / 13.8-15.4 / 37-41 s cold; g = 11 took 96 s.
+GENUS_CAP = 10
 
 
 @lru_cache(maxsize=None)
@@ -68,8 +71,10 @@ def normalized_delta1(g: int) -> RingElement:
     else:
         prev = delta1_element(g - 1)
         rhs = apply_delta1(prev.shift_v(-(2 * g - 3)), m=2 * g - 3)
-        for gp in range(1, g):
-            rhs = rhs + delta1_element(gp) * delta1_element(g - gp)
+        # the sum over g' = 1..g-1 is symmetric under g' <-> g - g'
+        for gp in range(1, g // 2 + 1):
+            prod = delta1_element(gp) * delta1_element(g - gp)
+            rhs = rhs + (prod if 2 * gp == g else prod.scale(2))
         rhs = rhs.shift_v(-(2 * g - 2))
     if not rhs.is_honest():
         raise AssertionError(f"genus {g} right side left the ring")
@@ -118,6 +123,15 @@ def _basis_u_poly(j: int) -> dict[int, Fraction]:
     return dict(eta_y_upoly(j - 1))
 
 
+@lru_cache(maxsize=None)
+def _basis_int_poly(j: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Basis element j's U-polynomial as integer coefficients over a
+    positive denominator q: (q, ((e, q * coefficient), ...))."""
+    poly = _basis_u_poly(j)
+    q = lcm(*(c.denominator for c in poly.values()))
+    return q, tuple((e, c.numerator * (q // c.denominator)) for e, c in poly.items())
+
+
 def decompose_basis(g: int, E: RingElement) -> BasisDecomp:
     """Solve the triangular system writing E_g over the y-series basis.
 
@@ -125,28 +139,37 @@ def decompose_basis(g: int, E: RingElement) -> BasisDecomp:
     cancellation identity."""
     if not E.in_ring(3 * g - 1):
         raise ValueError("decompose_basis expects the normalized honest element")
-    by_degree: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for (u2, _v, hs), c in E.terms.items():
-        by_degree.setdefault(u2 // 2, {})[hs] = c
+    # numerators by U degree, all over the one denominator ``den``
+    by_degree: dict[int, dict[tuple[int, ...], int]] = {}
+    for (u2, _v, hs), n in E.nums.items():
+        by_degree.setdefault(u2 // 2, {})[hs] = n
+    den = E.den
     comps: list[RingElement] = [RingElement.zero()] * (3 * g)
     for j in range(3 * g - 1, -1, -1):
-        basis = _basis_u_poly(j)
-        lead = basis[j]
+        q, basis = _basis_int_poly(j)
+        lead = dict(basis)[j]
         top = by_degree.pop(j, None)
         if not top:
             continue
-        Fj = RingElement({(0, 0, hs): c / lead for hs, c in top.items()})
-        comps[j] = Fj
-        for e, b in basis.items():
+        comps[j] = RingElement.from_nums({(0, 0, hs): n * q for hs, n in top.items()}, den * lead)
+        # subtracting basis * F_j puts the rows over den * lead / k
+        k = gcd(lead, *top.values())
+        widen = lead // k
+        if widen != 1:
+            for row in by_degree.values():
+                for hs in row:
+                    row[hs] *= widen
+            den *= widen
+        for e, b in basis:
             if e == j:
                 continue
             row = by_degree.setdefault(e, {})
-            for (_u2f, _vf, hsf), c in Fj.terms.items():
-                s = row.get(hsf, Fraction(0)) - b * c
+            for hs, n in top.items():
+                s = row.get(hs, 0) - b * (n // k)
                 if s:
-                    row[hsf] = s
+                    row[hs] = s
                 else:
-                    row.pop(hsf, None)
+                    row.pop(hs, None)
     remaining = {e: row for e, row in by_degree.items() if row}
     if remaining:
         raise AssertionError(f"decomposition left a remainder at degrees {sorted(remaining)}")
@@ -177,49 +200,66 @@ def integrate_phi(g: int, B: BasisDecomp) -> RationalForm:
     """The t-integration producing the genus-g rational form, g >= 2."""
     if g < 2:
         raise ValueError("integrate_phi handles genus >= 2; genus one is the log form")
-    acc: dict[tuple[tuple[int, ...], int], Fraction] = {}
+    # every term is accumulated as an integer numerator over ``den``: the
+    # lcm of the component denominators times lcm(1..m+2g-2), m <= len(hs)
+    comps = B.components[2:]
+    m_max = max((len(hs) for Fj in comps for (_u2, _v, hs) in Fj.nums), default=0)
+    den_c = lcm(*(Fj.den for Fj in comps))
+    den_t = lcm(*range(1, m_max + 2 * g - 1))
 
-    def add_eta_power(alpha: tuple[int, ...], coeff: Fraction, s: int, base: int):
-        # coeff * eta_alpha * eta^s * (1-eta)^(-base), expanded via
-        # eta = 1 - (1-eta) into pure (1-eta) powers
-        for w in range(s + 1):
-            key = (alpha, base - w)
-            val = acc.get(key, Fraction(0)) + coeff * comb(s, w) * (-1) ** w
-            if val:
-                acc[key] = val
-            else:
-                acc.pop(key, None)
-
-    def integral_terms(alpha: tuple[int, ...], coeff: Fraction, m: int, extra_eta: int):
+    def profile(m: int, extra_eta: int) -> list[tuple[int, int]]:
+        # eta^extra_eta int_0^1 t^m (1 - eta t)^(-(m+2g-1)) dt over den_t as
+        # (k, numerator of (1-eta)^(-k)): each eta^(i+extra_eta) (1-eta)^(-(m+1+i))
+        # expanded via eta = 1 - (1-eta)
+        out: dict[int, int] = {}
         for i in range(2 * g - 2):
-            w = coeff * Fraction(comb(2 * g - 3, i), m + 1 + i)
-            add_eta_power(alpha, w, i + extra_eta, m + 1 + i)
+            w = comb(2 * g - 3, i) * (den_t // (m + 1 + i))
+            s = i + extra_eta
+            for t in range(s + 1):
+                k = m + 1 + i - t
+                out[k] = out.get(k, 0) + w * comb(s, t) * (-1) ** t
+        return list(out.items())
 
-    for (_u2, _v, hs), c in B[2].terms.items():
-        integral_terms(hs, c, len(hs), extra_eta=1)
+    profiles = {(m, x): profile(m, x) for m in range(m_max + 1) for x in (0, 1)}
+    # acc[alpha][k]: numerator of eta_alpha (1-eta)^(-k)
+    acc: dict[tuple[int, ...], dict[int, int]] = {}
+
+    def integral_terms(alpha: tuple[int, ...], num: int, m: int, extra_eta: int):
+        row = acc.setdefault(alpha, {})
+        for k, w in profiles[m, extra_eta]:
+            row[k] = row.get(k, 0) + num * w
+
+    f = den_c // B[2].den
+    for (_u2, _v, hs), n in B[2].nums.items():
+        integral_terms(hs, n * f, len(hs), extra_eta=1)
     for j in range(3, 3 * g):
-        for (_u2, _v, hs), c in B[j].terms.items():
+        f = den_c // B[j].den
+        for (_u2, _v, hs), n in B[j].nums.items():
             alpha = tuple(sorted(hs + (j - 2,)))
-            integral_terms(alpha, c, len(alpha) - 1, extra_eta=0)
+            integral_terms(alpha, n * f, len(alpha) - 1, extra_eta=0)
 
-    terms: dict[Partition, Fraction] = {}
-    constant = Fraction(0)
-    for (alpha, k), c in acc.items():
-        if alpha:
-            if k != len(alpha) + 2 * g - 2:
-                raise AssertionError(
-                    f"stray power (1-eta)^-{k} at eta_{alpha} (expected {len(alpha) + 2*g-2})"
-                )
-            terms[Partition(alpha)] = c
-        elif k == 2 * g - 2:
-            terms[Partition()] = c
-        elif k == 0:
-            constant = c
-        else:
-            raise AssertionError(f"stray constant-family power (1-eta)^-{k}")
-    if constant != -terms.get(Partition(), Fraction(0)):
+    terms: dict[Partition, int] = {}
+    constant = 0
+    for alpha, row in acc.items():
+        for k, c in row.items():
+            if not c:
+                continue
+            if alpha:
+                if k != len(alpha) + 2 * g - 2:
+                    raise AssertionError(
+                        f"stray power (1-eta)^-{k} at eta_{alpha} (expected {len(alpha) + 2*g-2})"
+                    )
+                terms[Partition(alpha)] = c
+            elif k == 2 * g - 2:
+                terms[Partition()] = c
+            elif k == 0:
+                constant = c
+            else:
+                raise AssertionError(f"stray constant-family power (1-eta)^-{k}")
+    if constant != -terms.get(Partition(), 0):
         raise AssertionError("constant term does not balance the empty-partition term")
-    return RationalForm(genus=g, terms=terms)
+    den = den_c * den_t
+    return RationalForm(genus=g, terms={a: Fraction(c, den) for a, c in terms.items()})
 
 
 def genus1_closed() -> LogForm:

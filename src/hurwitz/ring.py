@@ -6,12 +6,22 @@ Generators and their shorthand in this module:
     V   = (1 - eta)^(-1)
     H_k = eta_k (1 - eta)^(-1)      (k >= 1)
 
-A ring element is a finite Fraction-linear combination of monomials
-U^(u2/2) V^v H_{k1} H_{k2} ..., stored as a dict keyed by
-(u2, v, (k1 <= k2 <= ...)) with u2, v nonnegative integers (u2 counts
-half-units of the U exponent).  The honest ring R consists of elements
-with v = 0 and even u2; the weighted degree of an honest monomial is
-u2/2 + k1 + k2 + ... and R_d collects weighted degrees <= d.
+A ring element is a finite rational linear combination of monomials
+U^(u2/2) V^v H_{k1} H_{k2} ..., keyed by (u2, v, (k1 <= k2 <= ...)) with
+u2, v nonnegative integers (u2 counts half-units of the U exponent).  The
+honest ring R consists of elements with v = 0 and even u2; the weighted
+degree of an honest monomial is u2/2 + k1 + k2 + ... and R_d collects
+weighted degrees <= d.
+
+An element is stored as integer numerators over one common denominator:
+``nums`` maps each monomial to an int and ``den`` is a positive int, the
+coefficient of a monomial being nums[key] / den.  Every operation returns
+the canonical form: no zero numerator, gcd(den, *nums) == 1, and den == 1
+for zero.  A rational combination has exactly one such form, so ``==``
+compares ``nums`` and ``den`` and stays exact value equality.  The
+kernels (sums, products, shifts, the lift D and the transfer T) work on
+the ints and reduce once per result.  ``terms`` is the Fraction-valued
+read view; its Fractions are built on access and never stored.
 
 The y-dependent series are never stored as series; they are resolved on
 sight into U-polynomials times a half power of U:
@@ -42,22 +52,96 @@ verified on extra points.  T is linear over V and the H_k.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .combinat import central_binomial, rising
-from .polynomials import interpolate
 
 Key = tuple[int, int, tuple[int, ...]]
 
 ONE_KEY: Key = (0, 0, ())
 
 
-class RingElement:
-    """Immutable-by-convention exact linear combination of ring monomials."""
+class Terms(Mapping):
+    """Read-only view monomial -> Fraction coefficient of a RingElement."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: dict[Key, int], den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, key: Key) -> Fraction:
+        return Fraction(self._nums[key], self._den)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __contains__(self, key) -> bool:
+        return key in self._nums
+
+
+def _merge(hs: tuple[int, ...], extra: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted H-index tuple of the product H_hs H_extra."""
+    if not extra:
+        return hs
+    if not hs:
+        return extra
+    return tuple(sorted(hs + extra))
+
+
+def _element(nums: dict[Key, int], den: int) -> "RingElement":
+    """Wrap numerators over den that are already in canonical form."""
+    res = RingElement.__new__(RingElement)
+    res.nums = nums
+    res.den = den
+    return res
+
+
+def _reduced(nums: dict[Key, int], den: int) -> "RingElement":
+    """The canonical form of sum nums[k]/den for any nonzero int den; takes
+    ownership of ``nums``."""
+    for k in [k for k, n in nums.items() if not n]:
+        del nums[k]
+    if den < 0:
+        nums = {k: -n for k, n in nums.items()}
+        den = -den
+    g = gcd(den, *nums.values())
+    if g != 1:
+        nums = {k: n // g for k, n in nums.items()}
+        den //= g
+    return _element(nums, den)
+
+
+def _rows(x: "RingElement"):
+    """x as (den, rows), each row ((v, hs), ((u2, numerator), ...)) holding
+    the terms that share a V power and an H part."""
+    rows: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
+    for (u2, v, hs), n in x.nums.items():
+        rows.setdefault((v, hs), []).append((u2, n))
+    return x.den, tuple((vh, tuple(col)) for vh, col in rows.items())
+
+
+def _add_times(out: dict[Key, int], u2: int, v: int, hs, f: int, rows):
+    """out += f U^(u2/2) V^v H_hs * (the element with numerator ``rows``)."""
+    get = out.get
+    for (dv, dh), col in rows:
+        vv, merged = v + dv, _merge(hs, dh)
+        for du, c in col:
+            key = (u2 + du, vv, merged)
+            out[key] = get(key, 0) + f * c
+
+
+class RingElement:
+    """Immutable-by-convention exact linear combination of ring monomials,
+    as integer numerators ``nums`` over one denominator ``den``."""
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms=None):
         clean: dict[Key, Fraction] = {}
@@ -67,7 +151,15 @@ class RingElement:
             c = Fraction(c)
             if c:
                 clean[(u2, v, tuple(sorted(hs)))] = c
-        self.terms = clean
+        # reduced fractions over the lcm of their denominators are canonical
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.nums = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self.den = den
+
+    @property
+    def terms(self) -> Terms:
+        """The coefficients as Fractions, computed on access."""
+        return Terms(self.nums, self.den)
 
     # -- constructors -------------------------------------------------
 
@@ -90,94 +182,96 @@ class RingElement:
             {(2 * e + u2_shift, v, tuple(hs)): c for e, c in poly.items()}
         )
 
+    @classmethod
+    def from_nums(cls, nums: dict[Key, int], den: int) -> "RingElement":
+        """The element sum_k nums[k]/den (den a nonzero int), reduced; takes
+        ownership of ``nums``."""
+        return _reduced(nums, den)
+
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        res = RingElement.__new__(RingElement)
-        res.terms = out
-        return res
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = dict(self.nums) if fa == 1 else {k: n * fa for k, n in self.nums.items()}
+        get = out.get
+        for k, n in other.nums.items():
+            out[k] = get(k, 0) + n * fb
+        return _reduced(out, den)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         return self + other.scale(-1)
 
     def scale(self, c) -> "RingElement":
         c = Fraction(c)
-        res = RingElement.__new__(RingElement)
-        res.terms = {k: c * x for k, x in self.terms.items()} if c else {}
-        return res
+        p = c.numerator
+        return _reduced({k: p * n for k, n in self.nums.items()}, self.den * c.denominator)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
-        out: dict[Key, Fraction] = {}
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        for (u1, v1, h1), c1 in a.items():
-            for (u0, v0, h0), c0 in b.items():
-                key = (u1 + u0, v1 + v0, tuple(sorted(h1 + h0)))
-                s = out.get(key, Fraction(0)) + c1 * c0
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        res = RingElement.__new__(RingElement)
-        res.terms = out
-        return res
+        # group both sides by (V power, H part), so each pair of groups merges
+        # its H parts once and sums its U products under int keys
+        groups: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+        _, left_rows = _rows(self)
+        _, right_rows = _rows(other)
+        for (v1, h1), left in left_rows:
+            for (v0, h0), right in right_rows:
+                acc = groups.setdefault((v1 + v0, _merge(h1, h0)), {})
+                get = acc.get
+                for u1, c1 in left:
+                    for u0, c0 in right:
+                        u = u1 + u0
+                        acc[u] = get(u, 0) + c1 * c0
+        out = {(u, v, hs): n for (v, hs), acc in groups.items() for u, n in acc.items()}
+        return _reduced(out, self.den * other.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RingElement) and self.terms == other.terms
+        return (
+            isinstance(other, RingElement)
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __repr__(self) -> str:
-        return f"RingElement({len(self.terms)} terms)"
+        return f"RingElement({len(self.nums)} terms)"
 
     def shift_u2(self, du2: int) -> "RingElement":
         """Multiply by U^(du2/2); negative shifts must stay representable."""
         out = {}
-        for (u2, v, hs), c in self.terms.items():
+        for (u2, v, hs), n in self.nums.items():
             if u2 + du2 < 0:
                 raise ValueError("shift would create a negative U exponent")
-            out[(u2 + du2, v, hs)] = c
-        res = RingElement.__new__(RingElement)
-        res.terms = out
-        return res
+            out[(u2 + du2, v, hs)] = n
+        return _element(out, self.den)
 
     def shift_v(self, dv: int) -> "RingElement":
         """Multiply by V^dv; negative shifts must stay representable."""
         out = {}
-        for (u2, v, hs), c in self.terms.items():
+        for (u2, v, hs), n in self.nums.items():
             if v + dv < 0:
                 raise ValueError("shift would create a negative V exponent")
-            out[(u2, v + dv, hs)] = c
-        res = RingElement.__new__(RingElement)
-        res.terms = out
-        return res
+            out[(u2, v + dv, hs)] = n
+        return _element(out, self.den)
 
     # -- structure checks ----------------------------------------------
 
     def is_honest(self) -> bool:
         """True if the element lies in the ring proper: no V, integer U."""
-        return all(v == 0 and u2 % 2 == 0 for (u2, v, _hs) in self.terms)
+        return all(v == 0 and u2 % 2 == 0 for (u2, v, _hs) in self.nums)
 
     def weighted_degree(self) -> Fraction:
         """Max over monomials of u2/2 + sum of H indices (-1 for zero)."""
-        if not self.terms:
+        if not self.nums:
             return Fraction(-1)
-        return max(Fraction(u2, 2) + sum(hs) for (u2, _v, hs) in self.terms)
+        return Fraction(max(u2 + 2 * sum(hs) for (u2, _v, hs) in self.nums), 2)
 
     def in_ring(self, d: int) -> bool:
         return self.is_honest() and self.weighted_degree() <= d
 
     def u_degree2(self) -> int:
-        return max((u2 for (u2, _v, _hs) in self.terms), default=-1)
+        return max((u2 for (u2, _v, _hs) in self.nums), default=-1)
 
 
 # -- U-polynomial helpers ------------------------------------------------
@@ -217,19 +311,19 @@ _ETA_MINUS_GAMMA = RingElement({(3, 0, ()): Fraction(1), (1, 0, ()): Fraction(-1
 
 
 @lru_cache(maxsize=None)
-def _dv_factor() -> RingElement:
-    # D V / V = P_1(U) U^(1/2) V + (U-1) U^(1/2) V H_1
-    return _eta_y_element(1, 1) + _ETA_MINUS_GAMMA * RingElement.monomial(v=1, hs=(1,))
+def _dv_factor():
+    """D V / V = P_1(U) U^(1/2) V + (U-1) U^(1/2) V H_1, as _rows."""
+    return _rows(_eta_y_element(1, 1) + _ETA_MINUS_GAMMA * RingElement.monomial(v=1, hs=(1,)))
 
 
 @lru_cache(maxsize=None)
-def _dh_factor(j: int) -> RingElement:
-    # D H_j with the H_j factor removed where it survives
+def _dh_factor(j: int):
+    """D H_j with the H_j factor removed where it survives, as _rows."""
     keep = _eta_y_element(j + 1, 1)
     up = _ETA_MINUS_GAMMA * RingElement.monomial(v=1, hs=(j + 1,))
     same = _eta_y_element(1, 1, hs=(j,))
     prod = _ETA_MINUS_GAMMA * RingElement.monomial(v=1, hs=(j, 1))
-    return keep + up + same + prod
+    return _rows(keep + up + same + prod)
 
 
 def apply_delta1(F: RingElement, m: int = 0) -> RingElement:
@@ -238,21 +332,23 @@ def apply_delta1(F: RingElement, m: int = 0) -> RingElement:
         raise ValueError("m must be >= 0")
     if m:
         F = F.shift_v(m)
-    out = RingElement.zero()
-    for (u2, v, hs), c in F.terms.items():
-        base = RingElement.monomial(u2, v, hs, c)
+    du_den, du = _rows(_DU)
+    dv_den, dv = _dv_factor()
+    dh = {j: _dh_factor(j) for j in {j for (_u2, _v, hs) in F.nums for j in hs}}
+    # one denominator for every factor: (u2/2) D U, D V / V and the D H_j
+    den = lcm(2 * du_den, dv_den, *(d for d, _ in dh.values()))
+    out: dict[Key, int] = {}
+    for (u2, v, hs), n in F.nums.items():
         if u2:
-            out = out + base * _DU.scale(Fraction(u2, 2))
+            _add_times(out, u2, v, hs, n * u2 * (den // (2 * du_den)), du)
         if v:
-            out = out + base * _dv_factor().scale(v)
+            _add_times(out, u2, v, hs, n * v * (den // dv_den), dv)
         for j in set(hs):
-            mult = hs.count(j)
             stripped = list(hs)
             stripped.remove(j)
-            out = out + RingElement.monomial(u2, v, tuple(stripped), c).scale(
-                mult
-            ) * _dh_factor(j)
-    return out
+            d, rows = dh[j]
+            _add_times(out, u2, v, tuple(stripped), n * hs.count(j) * (den // d), rows)
+    return _reduced(out, F.den * den)
 
 
 def delta1_sq_H0() -> RingElement:
@@ -273,6 +369,21 @@ class ProjectionFitError(AssertionError):
     """The coefficient sequence failed to fit the eta_j pattern."""
 
 
+def _fit_from_one(values: list[Fraction]) -> dict[int, Fraction]:
+    """Coefficients {e: c_e} of the polynomial p of degree < n with
+    p(k) = values[k-1] for k = 1..n, by Newton forward differences."""
+    coeffs: dict[int, Fraction] = {}
+    falling = [1]  # (k-1)(k-2)...(k-r) as integer coefficients, lowest first
+    for r in range(len(values)):
+        step = values[0] / factorial(r)
+        for e, b in enumerate(falling):
+            if b:
+                coeffs[e] = coeffs.get(e, 0) + step * b
+        values = [y - x for x, y in zip(values, values[1:])]
+        falling = [x - (r + 1) * y for x, y in zip([0] + falling, falling + [0])]
+    return {e: c for e, c in coeffs.items() if c}
+
+
 @lru_cache(maxsize=None)
 def pi2_project(i: int) -> RingElement:
     """(1 - eta)^(-1) * projection of y^i (1-4y)^(-3/2-i) onto the series
@@ -291,15 +402,11 @@ def pi2_project(i: int) -> RingElement:
         m = k - i
         return 4**m * rising(Fraction(3, 2) + i, m) / factorial(m)
 
-    pts = [
-        ((Fraction(k),), a(k) / ((2 * k + 1) * central_binomial(k)))
-        for k in range(1, i + 2)
-    ]
-    poly = interpolate(pts, i)
+    coeffs = _fit_from_one([a(k) / ((2 * k + 1) * central_binomial(k)) for k in range(1, i + 2)])
     for k in range(i + 2, i + 5):
-        if poly((Fraction(k),)) * (2 * k + 1) * central_binomial(k) != a(k):
+        p_k = sum(c * k**e for e, c in coeffs.items())
+        if p_k * (2 * k + 1) * central_binomial(k) != a(k):
             raise ProjectionFitError(f"projection fit failed at i={i}, k={k}")
-    coeffs = {e[0]: c for e, c in poly.coeffs.items()}
     if i >= 1 and coeffs.get(0):
         raise ProjectionFitError(f"projection at i={i} has a spurious eta term")
     out = RingElement.zero()
@@ -343,14 +450,44 @@ def _t_on_u_power(e: int) -> RingElement:
     return out
 
 
+@lru_cache(maxsize=None)
+def _t_rows(e: int):
+    """T(U^e) as _rows."""
+    return _rows(_t_on_u_power(e))
+
+
 def apply_T(F: RingElement) -> RingElement:
     """T on an honest element (integer U exponents), linear over V, H_k."""
-    out = RingElement.zero()
-    for (u2, v, hs), c in F.terms.items():
+    groups: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
+    for (u2, v, hs), n in F.nums.items():
         if u2 % 2:
             raise ValueError("T is defined on integer U exponents only")
-        out = out + RingElement.monomial(0, v, hs, c) * _t_on_u_power(u2 // 2)
-    return out
+        groups.setdefault((v, hs), []).append((u2 // 2, n))
+    rows = {e: _t_rows(e) for items in groups.values() for e, _n in items}
+    den = lcm(*(d for d, _row in rows.values()))
+    out: dict[Key, int] = {}
+    get = out.get
+    for (v, hs), items in groups.items():
+        # combine the rows of the group's U powers, then attach V^v H_hs
+        cols: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+        for e, n in items:
+            d, row = rows[e]
+            f = n * (den // d)
+            for vh, col in row:
+                acc = cols.get(vh)
+                if acc is None:
+                    cols[vh] = {u2: f * c for u2, c in col}
+                    continue
+                acc_get = acc.get
+                for u2, c in col:
+                    acc[u2] = acc_get(u2, 0) + f * c
+        for (dv, dh), acc in cols.items():
+            vv, merged = v + dv, _merge(hs, dh)
+            for u2, s in acc.items():
+                if s:
+                    key = (u2, vv, merged)
+                    out[key] = get(key, 0) + s
+    return _reduced(out, F.den * den)
 
 
 def invert_one_minus_T(F: RingElement) -> RingElement:
@@ -358,16 +495,25 @@ def invert_one_minus_T(F: RingElement) -> RingElement:
 
     Post-verifies (1 - T)(result) == F exactly.
     """
-    total = F
+    # total accumulates in place, as numerators over ``den``
+    total, den = dict(F.nums), F.den
     current = F
     # T strictly lowers the U degree, so it dies after u_degree + 1 rounds
     for _ in range(F.u_degree2() // 2 + 2):
         current = apply_T(current)
         if not current:
             break
-        total = total + current
+        wider = lcm(den, current.den)
+        if wider != den:
+            f = wider // den
+            total = {k: n * f for k, n in total.items()}
+            den = wider
+        f = den // current.den
+        for k, n in current.nums.items():
+            total[k] = total.get(k, 0) + n * f
     else:
         raise AssertionError("T failed to nilpotate within the degree bound")
+    total = _reduced(total, den)
     if total - apply_T(total) != F:
         raise AssertionError("(1 - T) inverse verification failed")
     return total

@@ -172,14 +172,14 @@ def check_pipeline_table(g: int) -> tuple[bool, str]:
 
 
 def check_bernoulli_law() -> tuple[bool, str]:
-    """Pipeline constants equal -B_2g/(2g(2g-2)) for g = 2..6."""
+    """Pipeline constants equal -B_2g/(2g(2g-2)) for g = 2..7."""
     diffs = []
-    for g in range(2, 7):
+    for g in range(2, 8):
         got = rational_form(g).terms.get(Partition(), Fraction(0))
         want = bernoulli_constant(g)
         if got != want:
             diffs.append(f"g={g}: pipeline={got} bernoulli={want}")
-    return not diffs, "g=2..6; " + _diff_report(diffs)
+    return not diffs, "g=2..7; " + _diff_report(diffs)
 
 
 def check_matsumoto_novak() -> tuple[bool, str]:

@@ -20,7 +20,7 @@ CRITERIA = {
     4: ("genus-1 formula and log form vs join-cut slice, d<=6", ["genus1-formula"]),
     5: ("pipeline reproduces the genus-2 rational form", ["pipeline-genus2-table"]),
     6: ("pipeline reproduces the genus-3 rational form", ["pipeline-genus3-table"]),
-    7: ("Bernoulli constant law, g=2..6", ["bernoulli-law"]),
+    7: ("Bernoulli constant law, g=2..7", ["bernoulli-law"]),
     8: ("Matsumoto-Novak vs pipeline (g<=3, d<=6) and oracle (d<=5)", ["matsumoto-novak"]),
     9: ("scaling law between monotone and classical top coefficients", ["scaling-law"]),
     10: ("polynomiality interpolants verify on held-out partitions", ["polynomiality"]),

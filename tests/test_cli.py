@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from hurwitz import cli
 from hurwitz.cli import fmt_fraction, main, parse_partition
+from hurwitz.pipeline import GENUS_CAP
 from hurwitz.partitions import Partition
 
 
@@ -275,3 +277,17 @@ def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
     )
     assert code == 3 and out == ""
     assert err == "internal error: projection fit failed at i=1, k=2\n"
+
+
+def test_genus_cap_exits_2_before_the_recursion(capsys, monkeypatch):
+    def recursion(g):
+        raise AssertionError(f"the recursion ran for genus {g}")
+
+    monkeypatch.setattr(cli, "rational_form", recursion)
+    over = str(GENUS_CAP + 1)
+    for argv in (
+        ("compute", "--genus", over, "--partition", "2", "--method", "pipeline"),
+        ("rational-form", "--genus", over),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and f"cap is {GENUS_CAP}" in err and not out, argv

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import factorial
 
@@ -213,3 +214,42 @@ def test_decompose_rejects_dishonest_elements():
         decompose_basis(1, RingElement.monomial(u2=1))  # half power
     with pytest.raises(ValueError):
         decompose_basis(1, RingElement.monomial(u2=8))  # degree 4 > 2
+
+
+def _fingerprint(terms) -> str:
+    items = sorted((tuple(k), str(c)) for k, c in terms.items())
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+# SHA-256 of the sorted (key, str(coefficient)) lists of E_g and of the
+# genus-g rational form, computed with the Fraction-coefficient ring that
+# preceded the integer-numerator one; any changed coefficient changes them.
+FINGERPRINTS = {
+    2: ("366609dd03747bd5d19b0aca3366fba72b625f910f1d97cf50a9ce2b59336b6e",
+        "98a4064c69ed9ee425d7cbf2ac1993a4056d4fae177dae28b6ce49dec50d0a0c"),
+    3: ("acea4d6a9ffb3f54b882975c8926ee82d5495884b970626b8f28bd1180447ceb",
+        "e71bcdeae50a85d84af5a990ee413e156e154b5a2cc4dd0e66f2a4faef3efde7"),
+    4: ("8de205ad93fe4dffeb3acbd52a7b66d5bc137762e5ba54cd2000a994e043fa75",
+        "f99785676a6453c64a9d79c4be3989186624b276a5db9a6903f7795ef7f96156"),
+    5: ("54ce2b5656e1374ce02a808f29fdabf0da71ce4ad9bcb1210128f987f8aed552",
+        "b509a7a364e8d28888713dbd4cd0bd82e7d7528ea4ea03ba0d27c51555c003d6"),
+    6: ("eb8c1ecd1dd4adbc52a303ddf1d611dcef2f75e0e8088629e400155435e70a12",
+        "080824a19819ca3de59d4cad5a0011d8ad21017479a102c6a3db3b5e1a09cfd7"),
+}
+
+
+@pytest.mark.parametrize("g", sorted(FINGERPRINTS))
+def test_recursion_fingerprints_are_frozen(g):
+    assert (_fingerprint(normalized_delta1(g).terms), _fingerprint(rational_form(g).terms)) == FINGERPRINTS[g]
+
+
+def test_fingerprint_sees_one_changed_coefficient():
+    terms = dict(rational_form(2).terms)
+    alpha = next(iter(terms))
+    terms[alpha] += Fraction(1, 10**9)
+    assert _fingerprint(terms) != FINGERPRINTS[2][1]
+
+
+def test_genus7_lift_size():
+    # E_7 term count, the baseline measured before the integer ring core
+    assert len(normalized_delta1(7).terms) == 10347

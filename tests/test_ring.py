@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitz.ring import (
     ProjectionFitError,
@@ -120,3 +123,149 @@ def test_projection_fit_guard_exists():
     for i in range(1, 12):
         pi2_project(i)
     assert issubclass(ProjectionFitError, AssertionError)
+
+
+# -- reference laws: the integer kernels against plain Fraction dicts --------
+#
+# The reference works on {(u2, v, hs): Fraction} dicts with none of the
+# kernels' integer bookkeeping; each kernel result must equal it and be in
+# canonical form.
+
+COEFF = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+H_PARTS = st.lists(st.integers(1, 3), max_size=2).map(lambda hs: tuple(sorted(hs)))
+
+
+def ring_dicts(honest=False):
+    u2 = st.integers(0, 5).map(lambda e: 2 * e) if honest else st.integers(0, 9)
+    v = st.just(0) if honest else st.integers(0, 2)
+    return st.dictionaries(st.tuples(u2, v, H_PARTS), COEFF, max_size=5)
+
+
+def assert_canonical(x: RingElement):
+    assert x.den > 0
+    assert all(isinstance(n, int) and n for n in x.nums.values())
+    assert gcd(x.den, *x.nums.values()) == 1
+    assert x.nums or x.den == 1
+    assert all(list(hs) == sorted(hs) for (_u2, _v, hs) in x.nums)
+
+
+def clean(d):
+    return {k: c for k, c in d.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, Fraction(0)) + c
+    return clean(out)
+
+
+def ref_scale(a, c):
+    return clean({k: c * x for k, x in a.items()})
+
+
+def ref_mul(a, b):
+    out = {}
+    for (u1, v1, h1), c1 in a.items():
+        for (u0, v0, h0), c0 in b.items():
+            k = (u1 + u0, v1 + v0, tuple(sorted(h1 + h0)))
+            out[k] = out.get(k, Fraction(0)) + c1 * c0
+    return clean(out)
+
+
+def ref_upoly(poly, u2_shift=0, v=0, hs=()):
+    return clean({(2 * e + u2_shift, v, hs): Fraction(c) for e, c in poly.items()})
+
+
+def ref_eta_poly(j):
+    # P_0 = U, P_{j+1} = U(U-1) P_j' + (U-1) P_j / 2
+    p = {1: Fraction(1)}
+    for _ in range(j):
+        nxt = {}
+        for e, c in p.items():
+            for de, f in ((1, e * c + c / 2), (0, -e * c - c / 2)):
+                nxt[e + de] = nxt.get(e + de, Fraction(0)) + f
+        p = clean(nxt)
+    return p
+
+
+def ref_delta1(F, m):
+    """Product rule on each monomial U^(u2/2) V^(v+m) H_hs."""
+    half_u = ref_upoly({1: 1, 0: -1}, u2_shift=1, v=1)  # (U-1) U^(1/2) V
+    out = {}
+    for (u2, v, hs), c in F.items():
+        v += m
+        parts = []
+        if u2:  # D U^e = e (U-1)^2 U^(e+1/2) V
+            parts.append(ref_scale(ref_mul(ref_upoly({1: 1, 0: -1}), half_u), Fraction(u2, 2)))
+            parts[-1] = ref_mul(parts[-1], {(u2, v, hs): c})
+        if v:  # v V^(v-1) D V, D V = P_1 U^(1/2) V^2 + (U-1) U^(1/2) V^2 H_1
+            dv = ref_add(ref_upoly(ref_eta_poly(1), 1, 2), ref_mul(half_u, {(0, 1, (1,)): 1}))
+            parts.append(ref_mul(dv, {(u2, v - 1, hs): v * c}))
+        for i, j in enumerate(hs):  # D H_j in place of the i-th factor
+            rest = hs[:i] + hs[i + 1:]
+            dh = ref_upoly(ref_eta_poly(j + 1), 1, 1)
+            dh = ref_add(dh, ref_mul(half_u, {(0, 0, (j + 1,)): 1}))
+            dh = ref_add(dh, ref_upoly(ref_eta_poly(1), 1, 1, (j,)))
+            dh = ref_add(dh, ref_mul(half_u, {(0, 0, (1, j)): 1}))
+            parts.append(ref_mul(dh, {(u2, v, rest): c}))
+        for p in parts:
+            out = ref_add(out, p)
+    return out
+
+
+def ref_T(F):
+    """T(U^e) = sum_k C(e,k) 4^k T(Y^k), T(Y^k) = sum_{i<k} Y^(k-i) proj(i)."""
+    out = {}
+    for (u2, v, hs), c in F.items():
+        e = u2 // 2
+        for k in range(2, e + 1):
+            for i in range(1, k):
+                y_pow = {(2 * t, 0, ()): Fraction(comb(k - i, t) * (-1) ** (k - i - t), 4 ** (k - i))
+                         for t in range(k - i + 1)}
+                term = ref_mul(y_pow, dict(pi2_project(i).terms))
+                term = ref_mul(term, {(0, v, hs): c * comb(e, k) * 4**k})
+                out = ref_add(out, term)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_dicts(), ring_dicts(), COEFF)
+def test_arithmetic_laws_against_fraction_reference(a, b, c):
+    x, y = RingElement(a), RingElement(b)
+    for got, want in (
+        (x, clean(a)),
+        (x + y, ref_add(a, b)),
+        (x - y, ref_add(a, ref_scale(b, Fraction(-1)))),
+        (x * y, ref_mul(a, b)),
+        (x.scale(c), ref_scale(a, c)),
+        (x.shift_u2(2), {(u2 + 2, v, hs): q for (u2, v, hs), q in clean(a).items()}),
+        (x.shift_v(1), {(u2, v + 1, hs): q for (u2, v, hs), q in clean(a).items()}),
+    ):
+        assert_canonical(got)
+        assert got.terms == want
+        assert got == RingElement(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_dicts(), st.integers(0, 2))
+def test_delta1_against_fraction_reference(a, m):
+    got = apply_delta1(RingElement(a), m=m)
+    assert_canonical(got)
+    assert got.terms == ref_delta1(clean(a), m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_dicts(honest=True))
+def test_transfer_against_fraction_reference(a):
+    got = apply_T(RingElement(a))
+    assert_canonical(got)
+    assert got.terms == ref_T(clean(a))
+
+
+def test_terms_view_builds_fractions_on_access():
+    x = RingElement({(2, 0, (1,)): Fraction(2, 3), (0, 1, ()): Fraction(-1, 2)})
+    assert (x.den, x.nums) == (6, {(2, 0, (1,)): 4, (0, 1, ()): -3})
+    assert len(x.terms) == 2 and (0, 1, ()) in x.terms
+    assert x.terms == {(2, 0, (1,)): Fraction(2, 3), (0, 1, ()): Fraction(-1, 2)}
+    assert RingElement.zero().den == 1 and not RingElement.zero().terms
