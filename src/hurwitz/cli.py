@@ -47,6 +47,12 @@ METHODS = ("auto", "oracle", "joincut", "closed-form", "pipeline", "lagrange")
 # genus 3 on a 2-vCPU machine.
 EXTRACTION_CAP = 16
 
+# r cap of the join-cut route, r = 2g - 2 + len(alpha) + |alpha|: the largest
+# r measured whose cold solve_classical(9, r) finishes within 60 s on a 2-vCPU
+# Xeon VM (Python 3.11.7).  r = 600 / 640 / 680 / 700 took 34 / 43 / 48 /
+# 38-43 s cold, r = 720 took 52-62 s.  The monotone table takes about half.
+JOINCUT_R_CAP = 700
+
 
 class RangeError(Exception):
     """Query outside the supported range of the requested method."""
@@ -91,6 +97,10 @@ def compute_value(genus: int, alpha: Partition, classical: bool, method: str) ->
     if method == "joincut":
         if alpha.size > 9:
             raise RangeError(f"join-cut path caps |alpha| at 9, got {alpha.size}")
+        if r > JOINCUT_R_CAP:
+            raise RangeError(
+                f"join-cut path caps r = 2g-2+len+|alpha| at {JOINCUT_R_CAP}, got {r}"
+            )
         solver = solve_classical if classical else solve_monotone
         return method, Fraction(solver(alpha.size, r)[alpha, r])
 

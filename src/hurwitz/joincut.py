@@ -10,47 +10,69 @@ and differ on the left: the monotone equation reads
 (1/2t)(z dH/dz - z p_1) = R[H] with [z^0]H = 0, the classical one
 dH/dt = R[H] with [t^0]H = z p_1 (and a t^r/r! grading).
 
-Extracted coefficient recurrence (monotone).  Write the z^d t^r slice as
-sum_alpha c_r(alpha) p_alpha with c_r(alpha) = H^r(alpha)/d!.  Matching
-the coefficient of z^d t^r p_alpha on both sides gives, for every alpha
-of size d and r >= 0,
+Integer recurrence.  The series carry H^r(alpha)/d! (monotone) and
+H^r(alpha)/(d! r!) (classical) at z^d t^r p_alpha, d = |alpha|.  Matching
+the coefficient of z^d t^r p_alpha on both sides and multiplying through
+by d! (and by r! for classical) gives, for every alpha of size d and
+r >= 0, an identity between integers:
 
-    c_{r+1}(alpha) = (A + B + C) / d, where
+    monotone:   d H^{r+1}(alpha) = A + B + C
+    classical:  2 H^{r+1}(alpha) = A + B + C, where
 
     A = sum over ordered pairs (i, j) contained in alpha as a multiset
-        (i+j) m_{i+j}(beta) c_r(beta),          beta = alpha - {i,j} + {i+j}
+        (i+j) m_{i+j}(beta) H^r(beta),          beta = alpha - {i,j} + {i+j}
     B = sum over parts s of alpha and ordered (i, j) with i + j = s
-        i j m_i(beta) (m_j(beta) - [i==j]) c_r(beta),
+        i j m_i(beta) (m_j(beta) - [i==j]) H^r(beta),
                                                 beta = alpha - {s} + {i,j}
     C = sum over parts s of alpha, ordered (i, j) with i + j = s,
         ordered splits mu1 + mu2 = alpha - {s} and r' + r'' = r
-        i j m_i(beta1) m_j(beta2) c_{r'}(beta1) c_{r''}(beta2),
+        i j m_i(beta1) m_j(beta2) binom(d, |beta1|) [binom(r, r')]
+        H^{r'}(beta1) H^{r''}(beta2),
                          beta1 = mu1 + {i}, beta2 = mu2 + {j},
 
-with m_k() the multiplicity of the part k.  The t^0 slice is c_0((1)) = 1
-and zero elsewhere.  The same A, B, C drive the classical table on
-c~_r(alpha) = H^r(alpha)/(d! r!), with left side (r+1) c~_{r+1}(alpha).
+with m_k() the multiplicity of the part k and the bracketed binomial
+present for classical only.  The seed is H^0((1)) = 1, zero elsewhere.
+The divisor is d (monotone) or 2 (classical).  The quotient is exact,
+because H^{r+1}(alpha) counts factorizations; each division is a checked
+divmod, and a nonzero remainder (a wrong weight, never a valid input)
+raises AssertionError.
+
+Genus grading.  By Riemann-Hurwitz, H^r(alpha) vanishes unless
+r = 2g - 2 + |alpha| + len(alpha) for a genus g >= 0, so the solver keeps
+H_g(alpha) indexed by (alpha, g).  A source of A has one part fewer and
+the same genus, a source of B one part more and genus g - 1, and the two
+factors of C have genera g1 + g2 = g with |beta1|, |beta2| < d.  Filling
+the sizes in ascending order, each with r ascending, therefore reads only
+finished entries; C convolves over g1 = 0..g instead of every pair of
+t-slices, and no entry of the wrong parity or of negative genus is ever
+visited.  The sources of each alpha (with equal keys merged, and the two
+orders of a product pair folded into one) are built once per partition.
 
 The recurrence is property-tested against a literal forward evaluation of
-the PDE residual on truncated series (tests/test_joincut.py).
+the PDE residual on truncated series, and against the Fraction slice
+recurrence it replaced (tests/test_joincut.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb
 
 from .partitions import Partition, partitions, subpartitions
 
-Slice = dict[Partition, Fraction]
 
+@lru_cache(maxsize=None)
+def _plan(alpha: Partition) -> tuple[tuple, tuple]:
+    """The sources of alpha in the integer recurrence, equal keys merged.
 
-def _cut_join_linear(alpha: Partition, slice_r: Slice) -> Fraction:
-    """A + B of the recurrence (terms linear in the same slice)."""
-    total = Fraction(0)
+    Returns (linear, quadratic): linear holds (beta, weight) for A + B,
+    quadratic holds (beta1, beta2, weight) for C with binom(d, |beta1|)
+    folded into the weight, and each unordered pair {beta1, beta2} kept
+    once (the swapped term has the same weight, so it doubles it).
+    """
     mult = alpha.multiplicities()
+    linear: dict[Partition, int] = {}
     # A: merge two parts i, j of alpha into i+j in the source beta
     vals = sorted(mult)
     for pos, i in enumerate(vals):
@@ -58,68 +80,29 @@ def _cut_join_linear(alpha: Partition, slice_r: Slice) -> Fraction:
             if i == j and mult[i] < 2:
                 continue
             beta = alpha.remove(i).remove(j).add(i + j)
-            c = slice_r.get(beta)
-            if not c:
-                continue
             ways = 1 if i == j else 2  # ordered pairs (i,j) and (j,i)
-            total += ways * (i + j) * beta.multiplicities()[i + j] * c
+            linear[beta] = linear.get(beta, 0) + ways * (i + j) * beta.multiplicities()[i + j]
     # B: split one part s of alpha into i + j in the source beta
     for s in mult:
-        for i in range(1, s):
+        for i in range(1, s // 2 + 1):
             j = s - i
-            if i > j:
-                break
             beta = alpha.remove(s).add(i).add(j)
-            c = slice_r.get(beta)
-            if not c:
-                continue
             bm = beta.multiplicities()
-            if i == j:
-                total += i * j * bm[i] * (bm[i] - 1) * c
-            else:
-                total += 2 * i * j * bm[i] * bm[j] * c
-    return total
-
-
-def _cut_join_product(alpha: Partition, slices_lo: list[Slice]) -> Fraction:
-    """C of the recurrence: the quadratic term, convolved over t-slices.
-
-    slices_lo is the list of pairs (slice_r', slice_r'') to convolve, i.e.
-    the caller passes [(S_0, S_r), (S_1, S_{r-1}), ...] as a list of
-    2-tuples.
-    """
-    total = Fraction(0)
-    for s in set(alpha):
+            w = i * j * bm[i] * (bm[i] - 1) if i == j else 2 * i * j * bm[i] * bm[j]
+            linear[beta] = linear.get(beta, 0) + w
+    # C: cut one part s into i + j, one on each factor
+    quadratic: dict[tuple[Partition, Partition], int] = {}
+    for s in mult:
         rest = alpha.remove(s)
+        splits = [pair for n in range(rest.size + 1) for pair in subpartitions(rest, n)]
         for i in range(1, s):
             j = s - i
-            for mu1, mu2 in _splits(rest):
-                beta1 = mu1.add(i)
-                beta2 = mu2.add(j)
-                w = (
-                    i
-                    * j
-                    * beta1.multiplicities()[i]
-                    * beta2.multiplicities()[j]
-                )
-                for s1, s2 in slices_lo:
-                    c1 = s1.get(beta1)
-                    if not c1:
-                        continue
-                    c2 = s2.get(beta2)
-                    if not c2:
-                        continue
-                    total += w * c1 * c2
-    return total
-
-
-@lru_cache(maxsize=None)
-def _splits(alpha: Partition) -> tuple[tuple[Partition, Partition], ...]:
-    """All ordered multiset splits mu1 + mu2 = alpha."""
-    out = []
-    for size in range(alpha.size + 1):
-        out.extend(subpartitions(alpha, size))
-    return tuple(out)
+            for mu1, mu2 in splits:
+                beta1, beta2 = mu1.add(i), mu2.add(j)
+                w = i * j * beta1.multiplicities()[i] * beta2.multiplicities()[j]
+                key = (beta1, beta2) if beta1 <= beta2 else (beta2, beta1)
+                quadratic[key] = quadratic.get(key, 0) + w * comb(alpha.size, beta1.size)
+    return tuple(linear.items()), tuple((b1, b2, w) for (b1, b2), w in quadratic.items())
 
 
 @dataclass
@@ -148,32 +131,50 @@ class TruncatedH:
 
 
 def _solve(D: int, R: int, monotone: bool) -> TruncatedH:
-    alphas = [a for d in range(1, D + 1) for a in partitions(d)]
-    # t^0 slice: the one-point seed for both families
-    slices: list[Slice] = [{Partition((1,)): Fraction(1)}]
-    for r in range(R):
-        new: Slice = {}
-        pair_plan = [(slices[rp], slices[r - rp]) for rp in range(r + 1)]
-        for alpha in alphas:
-            lin = _cut_join_linear(alpha, slices[r])
-            quad = _cut_join_product(alpha, pair_plan)
-            if monotone:
-                val = (lin + quad) / alpha.size
-            else:
-                val = (lin + quad) / (2 * (r + 1))
-            if val:
-                new[alpha] = val
-        slices.append(new)
+    # by_genus[alpha][g] = H_g(alpha), for every g whose r is at most R
+    by_genus: dict[Partition, list[int]] = {}
+    binoms = [] if monotone else [[comb(r, k) for k in range(r + 1)] for r in range(R)]
+    for d in range(1, D + 1):
+        divisor = d if monotone else 2
+        rows = []
+        for alpha in partitions(d):
+            by_genus[alpha] = []
+        for alpha in partitions(d):
+            linear, quadratic = _plan(alpha)
+            lin = [(by_genus[b], 0 if len(b) < len(alpha) else 1, w) for b, w in linear]
+            quad = [(by_genus[b1], by_genus[b2], b1.size + len(b1) - 2, w) for b1, b2, w in quadratic]
+            rows.append((alpha, d + len(alpha) - 2, by_genus[alpha], lin, quad))
+        for r in range(d - 1, R + 1):
+            for alpha, r0, out, lin, quad in rows:
+                if r < r0 or (r - r0) % 2:
+                    continue
+                g = (r - r0) // 2
+                if r == 0:
+                    out.append(1)  # the seed H_0((1))
+                    continue
+                total = 0
+                for v, dg, w in lin:
+                    if g >= dg:
+                        total += w * v[g - dg]
+                if monotone:
+                    for v1, v2, _, w in quad:
+                        total += w * sum(v1[g1] * v2[g - g1] for g1 in range(g + 1))
+                else:
+                    row = binoms[r - 1]  # binom(r - 1, r') with r' = 2 g1 + r0(beta1)
+                    for v1, v2, c1, w in quad:
+                        total += w * sum(row[2 * g1 + c1] * v1[g1] * v2[g - g1] for g1 in range(g + 1))
+                h, rem = divmod(total, divisor)
+                if rem:
+                    raise AssertionError(f"non-integral count at {tuple(alpha)}, r={r}: {total}/{divisor}")
+                out.append(h)
     table = TruncatedH(D, R, monotone)
-    for r, sl in enumerate(slices):
-        for alpha, c in sl.items():
-            h = c * factorial(alpha.size)
-            if not monotone:
-                h *= factorial(r)
-            if h.denominator != 1:
-                raise AssertionError(f"non-integral count at {tuple(alpha)}, r={r}: {h}")
-            if h:
-                table.counts[(alpha, r)] = h.numerator
+    alphas = [(a, a.size + len(a) - 2) for d in range(1, D + 1) for a in partitions(d)]
+    for r in range(R + 1):
+        for alpha, r0 in alphas:
+            if r >= r0 and (r - r0) % 2 == 0:
+                h = by_genus[alpha][(r - r0) // 2]
+                if h:
+                    table.counts[(alpha, r)] = h
     return table
 
 

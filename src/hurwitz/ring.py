@@ -148,9 +148,10 @@ class RingElement:
         for (u2, v, hs), c in (terms or {}).items():
             if u2 < 0 or v < 0:
                 raise ValueError("negative exponents are not representable")
-            c = Fraction(c)
-            if c:
-                clean[(u2, v, tuple(sorted(hs)))] = c
+            # keys that differ only in the order of their H indices add up
+            key = (u2, v, tuple(sorted(hs)))
+            clean[key] = clean.get(key, 0) + Fraction(c)
+        clean = {k: c for k, c in clean.items() if c}
         # reduced fractions over the lcm of their denominators are canonical
         den = lcm(*(c.denominator for c in clean.values()))
         self.nums = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}

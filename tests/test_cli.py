@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hurwitz import cli
-from hurwitz.cli import fmt_fraction, main, parse_partition
+from hurwitz.cli import JOINCUT_R_CAP, fmt_fraction, main, parse_partition
 from hurwitz.pipeline import GENUS_CAP
 from hurwitz.partitions import Partition
 
@@ -291,3 +291,25 @@ def test_genus_cap_exits_2_before_the_recursion(capsys, monkeypatch):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and f"cap is {GENUS_CAP}" in err and not out, argv
+
+
+def test_joincut_r_cap_exits_2_before_the_solver(capsys, monkeypatch):
+    def solver(D, R):
+        raise AssertionError(f"the solver ran for R={R}")
+
+    monkeypatch.setattr(cli, "solve_classical", solver)
+    monkeypatch.setattr(cli, "solve_monotone", solver)
+    seen = set()
+    for parts in ("2", "1,1"):
+        for g in range(JOINCUT_R_CAP // 2 - 2, JOINCUT_R_CAP // 2 + 2):
+            r = 2 * g + len(parts.split(","))
+            for flags in (("--method", "joincut"), ("--classical", "--method", "joincut"), ("--classical",)):
+                argv = ("compute", "--genus", str(g), "--partition", parts, *flags)
+                code, out, err = run_cli(capsys, *argv)
+                assert not out, argv
+                if r > JOINCUT_R_CAP:
+                    assert code == 2 and f"at {JOINCUT_R_CAP}, got {r}" in err, argv
+                else:
+                    assert code == 3 and f"the solver ran for R={r}" in err, argv
+                seen.add(r - JOINCUT_R_CAP)
+    assert {0, 1} <= seen

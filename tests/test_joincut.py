@@ -6,7 +6,7 @@ import pytest
 from hurwitz.closedforms import classical_genus0, monotone_genus0
 from hurwitz.joincut import TruncatedH, solve_classical, solve_monotone
 from hurwitz.oracle import count_classical_transitive, count_monotone_transitive
-from hurwitz.partitions import Partition, partitions
+from hurwitz.partitions import Partition, partitions, subpartitions
 from hurwitz.series import MSeries
 
 
@@ -132,3 +132,97 @@ def test_classical_pde_residual_literal():
         rhs = _rhs_literal(slices, r, D)
         lhs = slices[r + 1].scale(r + 1)
         assert lhs == rhs, f"classical residual nonzero at t^{r}"
+
+
+# -- Fraction slice reference -----------------------------------------------
+#
+# The earlier form of the solver, kept here as an independent reference: the
+# same A, B, C recurrence on Fraction slices c_r(alpha) = H^r(alpha)/d!
+# (and /r! for classical), every t-slice pair convolved, the integers read
+# off at the end.
+
+
+def _ref_linear(alpha, slice_r):
+    total = Fraction(0)
+    mult = alpha.multiplicities()
+    vals = sorted(mult)
+    for pos, i in enumerate(vals):
+        for j in vals[pos:]:
+            if i == j and mult[i] < 2:
+                continue
+            beta = alpha.remove(i).remove(j).add(i + j)
+            c = slice_r.get(beta)
+            if c:
+                ways = 1 if i == j else 2
+                total += ways * (i + j) * beta.multiplicities()[i + j] * c
+    for s in mult:
+        for i in range(1, s // 2 + 1):
+            j = s - i
+            beta = alpha.remove(s).add(i).add(j)
+            c = slice_r.get(beta)
+            if not c:
+                continue
+            bm = beta.multiplicities()
+            if i == j:
+                total += i * j * bm[i] * (bm[i] - 1) * c
+            else:
+                total += 2 * i * j * bm[i] * bm[j] * c
+    return total
+
+
+def _ref_product(alpha, slice_pairs):
+    total = Fraction(0)
+    for s in set(alpha):
+        rest = alpha.remove(s)
+        splits = [pair for n in range(rest.size + 1) for pair in subpartitions(rest, n)]
+        for i in range(1, s):
+            j = s - i
+            for mu1, mu2 in splits:
+                beta1, beta2 = mu1.add(i), mu2.add(j)
+                w = i * j * beta1.multiplicities()[i] * beta2.multiplicities()[j]
+                for s1, s2 in slice_pairs:
+                    c1, c2 = s1.get(beta1), s2.get(beta2)
+                    if c1 and c2:
+                        total += w * c1 * c2
+    return total
+
+
+def _reference_counts(D, R, monotone):
+    alphas = [a for d in range(1, D + 1) for a in partitions(d)]
+    slices = [{Partition((1,)): Fraction(1)}]
+    for r in range(R):
+        pairs = [(slices[rp], slices[r - rp]) for rp in range(r + 1)]
+        new = {}
+        for alpha in alphas:
+            total = _ref_linear(alpha, slices[r]) + _ref_product(alpha, pairs)
+            val = total / alpha.size if monotone else total / (2 * (r + 1))
+            if val:
+                new[alpha] = val
+        slices.append(new)
+    counts = {}
+    for r, sl in enumerate(slices):
+        for alpha, c in sl.items():
+            h = c * factorial(alpha.size) * (1 if monotone else factorial(r))
+            assert h.denominator == 1
+            counts[(alpha, r)] = h.numerator
+    return counts
+
+
+def test_integer_solver_matches_fraction_reference():
+    for solve, monotone in ((solve_monotone, True), (solve_classical, False)):
+        table = solve(7, 14)
+        want = _reference_counts(7, 14, monotone)
+        assert table.counts == want
+        assert all(type(h) is int for h in table.counts.values())
+
+
+def test_tables_of_different_truncations_agree_on_overlap():
+    for solve in (solve_monotone, solve_classical):
+        wide, deep = solve(8, 9), solve(5, 16)
+        D, R = 5, 9
+
+        def overlap(table):
+            return {(a, r): h for (a, r), h in table.counts.items() if a.size <= D and r <= R}
+
+        assert overlap(wide) == overlap(deep) == solve(D, R).counts
+        assert len(overlap(wide)) > 20

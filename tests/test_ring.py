@@ -269,3 +269,17 @@ def test_terms_view_builds_fractions_on_access():
     assert len(x.terms) == 2 and (0, 1, ()) in x.terms
     assert x.terms == {(2, 0, (1,)): Fraction(2, 3), (0, 1, ()): Fraction(-1, 2)}
     assert RingElement.zero().den == 1 and not RingElement.zero().terms
+
+
+def test_keys_differing_in_h_order_are_summed():
+    x = RingElement({(0, 0, (1, 2)): 1, (0, 0, (2, 1)): 1})
+    assert_canonical(x)
+    assert x.terms == {(0, 0, (1, 2)): 2}
+    y = RingElement({(1, 0, (3, 1, 2)): Fraction(1, 3), (1, 0, (2, 3, 1)): Fraction(1, 6)})
+    assert_canonical(y)
+    assert y.terms == {(1, 0, (1, 2, 3)): Fraction(1, 2)}
+    # a pair that cancels leaves no term behind, next to one that stays
+    z = RingElement({(0, 1, (1, 2)): 3, (0, 1, (2, 1)): -3, (2, 0, ()): Fraction(1, 2)})
+    assert_canonical(z)
+    assert z == RingElement.monomial(u2=2, coeff=Fraction(1, 2)) and z.den == 2
+    assert RingElement({(0, 0, (1, 2)): 1, (0, 0, (2, 1)): -1}) == RingElement.zero()
