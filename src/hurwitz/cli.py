@@ -71,12 +71,22 @@ def parse_partition(text: str) -> Partition:
         raise RangeError(f"invalid partition {text!r}: {exc}") from exc
 
 
-def _auto_method(genus: int, classical: bool) -> str:
+# The auto rule, measured cold (one `compute --timing` process per query,
+# elapsed_ms, 2-vCPU VM).  Monotone genus >= 4 goes to join-cut, which is at
+# least as fast as the pipeline at every |alpha| <= 9: g=5 (2,1) 0.3-0.5 ms
+# against 207-224 ms, g=9 (2) 0.3 ms against 15.7-18.6 s, g=4 (3,3,3) 13-19 ms
+# against 55-75 ms.  Genus 2 and 3 keep lagrange: at |alpha| = 9 it takes 4-15
+# ms against join-cut's 9-21 ms, most of it cold plan building, so single cold
+# queries would get slower there.
+def _auto_method(genus: int, alpha: Partition, r: int, classical: bool) -> str:
     if genus <= 1:
         return "closed-form"
     if genus in (2, 3):
         return "lagrange"
-    return "joincut" if classical else "pipeline"
+    # classical genus >= 4 has no other route; out of range, join-cut exits 2
+    if classical or (alpha.size <= 9 and r <= JOINCUT_R_CAP):
+        return "joincut"
+    return "pipeline"
 
 
 def compute_value(genus: int, alpha: Partition, classical: bool, method: str) -> tuple[str, Fraction]:
@@ -84,9 +94,9 @@ def compute_value(genus: int, alpha: Partition, classical: bool, method: str) ->
         raise RangeError("genus must be >= 0")
     if alpha.size < 1:
         raise RangeError("the partition must be nonempty")
-    if method == "auto":
-        method = _auto_method(genus, classical)
     r = 2 * genus - 2 + alpha.length + alpha.size
+    if method == "auto":
+        method = _auto_method(genus, alpha, r, classical)
     if r < 0:
         return method, Fraction(0)
 

@@ -46,7 +46,8 @@ the sizes in ascending order, each with r ascending, therefore reads only
 finished entries; C convolves over g1 = 0..g instead of every pair of
 t-slices, and no entry of the wrong parity or of negative genus is ever
 visited.  The sources of each alpha (with equal keys merged, and the two
-orders of a product pair folded into one) are built once per partition.
+orders of a product pair folded into one) are built once per partition,
+on plain tuples, with each split of alpha - {s} enumerated once.
 
 The recurrence is property-tested against a literal forward evaluation of
 the PDE residual on truncated series, and against the Fraction slice
@@ -57,9 +58,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from math import comb
 
-from .partitions import Partition, partitions, subpartitions
+from .partitions import Partition, partitions
+
+
+def _with(parts: tuple, k: int) -> tuple:
+    """The weakly decreasing tuple ``parts`` with one more part ``k``."""
+    pos = 0
+    while pos < len(parts) and parts[pos] > k:
+        pos += 1
+    return parts[:pos] + (k,) + parts[pos:]
+
+
+def _without(parts: tuple, k: int) -> tuple:
+    """The weakly decreasing tuple ``parts`` with one part ``k`` fewer."""
+    pos = parts.index(k)
+    return parts[:pos] + parts[pos + 1 :]
 
 
 @lru_cache(maxsize=None)
@@ -69,40 +85,54 @@ def _plan(alpha: Partition) -> tuple[tuple, tuple]:
     Returns (linear, quadratic): linear holds (beta, weight) for A + B,
     quadratic holds (beta1, beta2, weight) for C with binom(d, |beta1|)
     folded into the weight, and each unordered pair {beta1, beta2} kept
-    once (the swapped term has the same weight, so it doubles it).
+    once (the swapped term has the same weight, so it doubles it).  The
+    sources are built as plain weakly decreasing tuples and wrapped in
+    Partition once, at the end.
     """
-    mult = alpha.multiplicities()
-    linear: dict[Partition, int] = {}
+    parts = tuple(alpha)
+    d = sum(parts)
+    vals = sorted(set(parts), reverse=True)
+    linear: dict[tuple, int] = {}
     # A: merge two parts i, j of alpha into i+j in the source beta
-    vals = sorted(mult)
     for pos, i in enumerate(vals):
         for j in vals[pos:]:
-            if i == j and mult[i] < 2:
+            if i == j and parts.count(i) < 2:
                 continue
-            beta = alpha.remove(i).remove(j).add(i + j)
+            beta = _with(_without(_without(parts, i), j), i + j)
             ways = 1 if i == j else 2  # ordered pairs (i,j) and (j,i)
-            linear[beta] = linear.get(beta, 0) + ways * (i + j) * beta.multiplicities()[i + j]
+            linear[beta] = linear.get(beta, 0) + ways * (i + j) * beta.count(i + j)
     # B: split one part s of alpha into i + j in the source beta
-    for s in mult:
+    for s in vals:
+        rest = _without(parts, s)
         for i in range(1, s // 2 + 1):
             j = s - i
-            beta = alpha.remove(s).add(i).add(j)
-            bm = beta.multiplicities()
-            w = i * j * bm[i] * (bm[i] - 1) if i == j else 2 * i * j * bm[i] * bm[j]
+            beta = _with(_with(rest, i), j)
+            mi = beta.count(i)
+            w = i * j * mi * (mi - 1) if i == j else 2 * i * j * mi * beta.count(j)
             linear[beta] = linear.get(beta, 0) + w
-    # C: cut one part s into i + j, one on each factor
-    quadratic: dict[tuple[Partition, Partition], int] = {}
-    for s in mult:
-        rest = alpha.remove(s)
-        splits = [pair for n in range(rest.size + 1) for pair in subpartitions(rest, n)]
-        for i in range(1, s):
-            j = s - i
-            for mu1, mu2 in splits:
-                beta1, beta2 = mu1.add(i), mu2.add(j)
-                w = i * j * beta1.multiplicities()[i] * beta2.multiplicities()[j]
+    # C: cut one part s into i + j, one on each factor; each split
+    # mu1 + mu2 = alpha - {s} is made once, from a choice of multiplicities
+    quadratic: dict[tuple, int] = {}
+    for s in vals:
+        rest = _without(parts, s)
+        rvals = sorted(set(rest), reverse=True)
+        rmult = [rest.count(v) for v in rvals]
+        for choice in product(*(range(m + 1) for m in rmult)):
+            mu1 = tuple(v for v, c in zip(rvals, choice) for _ in range(c))
+            mu2 = tuple(v for v, c, m in zip(rvals, choice, rmult) for _ in range(m - c))
+            d1 = sum(mu1)
+            for i in range(1, s):
+                j = s - i
+                beta1, beta2 = _with(mu1, i), _with(mu2, j)
+                w = i * j * beta1.count(i) * beta2.count(j) * comb(d, d1 + i)
                 key = (beta1, beta2) if beta1 <= beta2 else (beta2, beta1)
-                quadratic[key] = quadratic.get(key, 0) + w * comb(alpha.size, beta1.size)
-    return tuple(linear.items()), tuple((b1, b2, w) for (b1, b2), w in quadratic.items())
+                quadratic[key] = quadratic.get(key, 0) + w
+    # every key is already a weakly decreasing tuple of positive parts
+    wrap = tuple.__new__
+    return (
+        tuple((wrap(Partition, b), w) for b, w in linear.items()),
+        tuple((wrap(Partition, b1), wrap(Partition, b2), w) for (b1, b2), w in quadratic.items()),
+    )
 
 
 @dataclass

@@ -135,31 +135,35 @@ def _dfs_tables(d: int, rmax: int) -> dict:
     Every prefix of a monotone sequence is monotone, so one DFS tree
     enumerates all lengths at once.  rho is the inverse of the product and
     transitivity is connectivity of the transposition edges (the group they
-    generate contains rho).
+    generate contains rho).  Edges only merge components, so each node
+    carries the component label of every point, and the number of
+    components, down from its parent.  Sequences are tallied by product and
+    sorted into cycle types at the end.
     """
     if d > DFS_MAX_POINTS:
         raise ResourceLimitError(f"DFS oracle refuses d={d} > {DFS_MAX_POINTS}")
-    table: dict[tuple[Partition, int], int] = {}
+    by_product: dict[tuple[tuple[int, ...], int], int] = {}
 
-    def record(prod, edges, depth):
-        if d == 1 or _connected(d, edges):
-            key = (cycle_type(prod), depth)
-            table[key] = table.get(key, 0) + 1
-
-    def descend(prod, edges, depth, min_b):
-        record(prod, edges, depth)
+    def descend(prod, label, components, depth, min_b):
+        if components == 1:
+            key = (prod, depth)
+            by_product[key] = by_product.get(key, 0) + 1
         if depth == rmax:
             return
         for b in range(min_b, d):
             for a in range(b):
-                descend(
-                    compose(prod, transposition(d, a, b)),
-                    edges + ((a, b),),
-                    depth + 1,
-                    b,
-                )
+                la, lb = label[a], label[b]
+                if la == lb:
+                    merged, left = label, components
+                else:
+                    merged, left = tuple(la if x == lb else x for x in label), components - 1
+                descend(compose(prod, transposition(d, a, b)), merged, left, depth + 1, b)
 
-    descend(identity(d), (), 0, 1)
+    descend(identity(d), tuple(range(d)), d, 0, 1)
+    table: dict[tuple[Partition, int], int] = {}
+    for (prod, depth), n in by_product.items():
+        key = (cycle_type(prod), depth)
+        table[key] = table.get(key, 0) + n
     return table
 
 

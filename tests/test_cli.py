@@ -313,3 +313,75 @@ def test_joincut_r_cap_exits_2_before_the_solver(capsys, monkeypatch):
                     assert code == 3 and f"the solver ran for R={r}" in err, argv
                 seen.add(r - JOINCUT_R_CAP)
     assert {0, 1} <= seen
+
+
+# -- the auto rule ------------------------------------------------------------
+#
+# (genus, alpha, classical, route auto must pick); the r rows sit on either
+# side of JOINCUT_R_CAP: (1,1) at g = cap/2 - 1 has r = cap, (2) at g = cap/2
+# has r = cap + 1.
+_AT_CAP, _OVER_CAP = JOINCUT_R_CAP // 2 - 1, JOINCUT_R_CAP // 2
+AUTO_RULE = [
+    *[(g, (2, 1), c, "closed-form") for g in (0, 1) for c in (False, True)],
+    *[(g, (2, 1), c, "lagrange") for g in (2, 3) for c in (False, True)],
+    *[(g, (2, 1), c, "joincut") for g in (4, 5) for c in (False, True)],
+    (2, (3, 3, 2, 1), False, "lagrange"),
+    (3, (1,) * 10, True, "lagrange"),
+    (4, (3, 3, 3), False, "joincut"),
+    (5, (1,) * 9, True, "joincut"),
+    (4, (4, 3, 3), False, "pipeline"),
+    (4, (4, 3, 3), True, "joincut"),  # exits 2 naming the |alpha| bound
+    (11, (2,), False, "joincut"),  # past GENUS_CAP, so only join-cut answers it
+    (_AT_CAP, (1, 1), False, "joincut"),
+    (_AT_CAP, (1, 1), True, "joincut"),
+    (_OVER_CAP, (2,), False, "pipeline"),  # exits 2 naming the genus cap
+    (_OVER_CAP, (2,), True, "joincut"),  # exits 2 naming the r bound
+]
+
+
+@pytest.mark.parametrize("genus, parts, classical, route", AUTO_RULE)
+def test_auto_rule(genus, parts, classical, route):
+    alpha = Partition(parts)
+    r = 2 * genus - 2 + alpha.length + alpha.size
+    assert cli._auto_method(genus, alpha, r, classical) == route
+
+
+def test_auto_answers_by_its_route(capsys):
+    refusals = {
+        (4, (4, 3, 3), True): "join-cut path caps |alpha| at 9, got 10",
+        (_OVER_CAP, (2,), False): f"pipeline genus cap is {GENUS_CAP}",
+        (_OVER_CAP, (2,), True): f"caps r = 2g-2+len+|alpha| at {JOINCUT_R_CAP}, got {JOINCUT_R_CAP + 1}",
+    }
+    for genus, parts, classical, route in AUTO_RULE:
+        if (genus, classical) == (_AT_CAP, True):
+            continue  # a cold classical table at r = cap takes seconds
+        argv = ["compute", "--genus", str(genus), "--partition", ",".join(map(str, parts))]
+        argv += ["--classical"] * classical
+        code, out, err = run_cli(capsys, *argv)
+        refusal = refusals.get((genus, parts, classical))
+        if refusal:
+            assert code == 2 and not out and refusal in err, argv
+            continue
+        assert code == 0, (argv, err)
+        record = json.loads(out)
+        assert record["method"] == route, argv
+        code, out, _ = run_cli(capsys, *argv, "--method", route)
+        assert code == 0 and json.loads(out) == record, argv
+
+
+def test_pipeline_matches_joincut_on_rerouted_strata():
+    # auto answers monotone genus >= 4, |alpha| <= 9 by join-cut; the pipeline
+    # stays an independent check there: one shape per length band (lengths
+    # spread evenly from 1 to d) at |alpha| = 7, 8, 9
+    from hurwitz.joincut import solve_monotone
+    from hurwitz.partitions import partitions
+
+    for g in (4, 5):
+        for d in (7, 8, 9):
+            for band in range(4):
+                length = 1 + round(band * (d - 1) / 3)
+                alpha = next(p for p in partitions(d) if len(p) == length)
+                r = 2 * g - 2 + length + d
+                method, value = cli.compute_value(g, alpha, False, "pipeline")
+                assert method == "pipeline"
+                assert value == solve_monotone(d, r)[alpha, r], (g, alpha)

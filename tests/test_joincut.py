@@ -1,10 +1,11 @@
+import hashlib
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from hurwitz.closedforms import classical_genus0, monotone_genus0
-from hurwitz.joincut import TruncatedH, solve_classical, solve_monotone
+from hurwitz.joincut import TruncatedH, _plan, solve_classical, solve_monotone
 from hurwitz.oracle import count_classical_transitive, count_monotone_transitive
 from hurwitz.partitions import Partition, partitions, subpartitions
 from hurwitz.series import MSeries
@@ -226,3 +227,68 @@ def test_tables_of_different_truncations_agree_on_overlap():
 
         assert overlap(wide) == overlap(deep) == solve(D, R).counts
         assert len(overlap(wide)) > 20
+
+
+# -- Partition-based plan reference ------------------------------------------
+#
+# The earlier form of _plan, kept here as a reference: every source made by
+# Partition.remove/add, the splits of alpha - {s} walked once per size.
+
+
+def _reference_plan(alpha):
+    mult = alpha.multiplicities()
+    linear = {}
+    vals = sorted(mult)
+    for pos, i in enumerate(vals):
+        for j in vals[pos:]:
+            if i == j and mult[i] < 2:
+                continue
+            beta = alpha.remove(i).remove(j).add(i + j)
+            ways = 1 if i == j else 2
+            linear[beta] = linear.get(beta, 0) + ways * (i + j) * beta.multiplicities()[i + j]
+    for s in mult:
+        for i in range(1, s // 2 + 1):
+            j = s - i
+            beta = alpha.remove(s).add(i).add(j)
+            bm = beta.multiplicities()
+            w = i * j * bm[i] * (bm[i] - 1) if i == j else 2 * i * j * bm[i] * bm[j]
+            linear[beta] = linear.get(beta, 0) + w
+    quadratic = {}
+    for s in mult:
+        rest = alpha.remove(s)
+        splits = [pair for n in range(rest.size + 1) for pair in subpartitions(rest, n)]
+        for i in range(1, s):
+            j = s - i
+            for mu1, mu2 in splits:
+                beta1, beta2 = mu1.add(i), mu2.add(j)
+                w = i * j * beta1.multiplicities()[i] * beta2.multiplicities()[j]
+                key = (beta1, beta2) if beta1 <= beta2 else (beta2, beta1)
+                quadratic[key] = quadratic.get(key, 0) + w * comb(alpha.size, beta1.size)
+    return linear, quadratic
+
+
+def test_plans_match_partition_reference():
+    for d in range(1, 11):
+        for alpha in partitions(d):
+            linear, quadratic = _plan(alpha)
+            want_linear, want_quadratic = _reference_plan(alpha)
+            assert dict(linear) == want_linear, alpha
+            assert {(b1, b2): w for b1, b2, w in quadratic} == want_quadratic, alpha
+            assert len(quadratic) == len(want_quadratic), alpha
+            sources = [b for b, _ in linear] + [b for b1, b2, _ in quadratic for b in (b1, b2)]
+            assert all(type(b) is Partition and b == Partition(b) for b in sources), alpha
+
+
+# SHA-256 of the (alpha, r, H) items of solve_*(9, 26).counts, in order, as
+# computed by the Partition-based plans
+COUNTS_9_26 = {
+    solve_monotone: "6881715defd4a16f92ce87ad10da1246aecd31ff54939507b94adab2f654276b",
+    solve_classical: "c99446b89ed8baa9f7aa860079a268118a8ffd4f5dcbfc054617e8e97690e02a",
+}
+
+
+def test_counts_at_9_26_unchanged():
+    for solve, digest in COUNTS_9_26.items():
+        items = [(tuple(a), r, h) for (a, r), h in solve(9, 26).counts.items()]
+        assert len(items) == 890
+        assert hashlib.sha256(repr(items).encode()).hexdigest() == digest, solve.__name__
