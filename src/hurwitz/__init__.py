@@ -30,11 +30,8 @@ from .inversion import (
 from .joincut import TruncatedH, solve_classical, solve_monotone
 from .oracle import (
     CountTable,
-    FactorQuery,
     ResourceLimitError,
     count_classical_transitive,
-    count_monotone_all,
-    count_monotone_double,
     count_monotone_transitive,
 )
 from .partitions import Partition, aut_order, partitions
@@ -43,7 +40,6 @@ from .pipeline import (
     genus1_closed,
     integrate_phi,
     rational_form,
-    solve_genus,
 )
 from .polynomials import PolynomialQ, interpolate
 from .series import MSeries
@@ -62,13 +58,10 @@ __all__ = [
     "bernoulli",
     "PolynomialQ",
     "interpolate",
-    "FactorQuery",
     "CountTable",
     "ResourceLimitError",
     "count_monotone_transitive",
     "count_classical_transitive",
-    "count_monotone_all",
-    "count_monotone_double",
     "TruncatedH",
     "solve_monotone",
     "solve_classical",
@@ -84,7 +77,6 @@ __all__ = [
     "RationalForm",
     "genus1_closed",
     "rational_form",
-    "solve_genus",
     "decompose_basis",
     "integrate_phi",
     "monotone_genus0",

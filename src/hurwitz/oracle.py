@@ -24,9 +24,7 @@ Two independent monotone implementations are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations as iter_permutations
 from math import comb
 
 from .partitions import Partition, partitions, subpartitions
@@ -73,55 +71,6 @@ def transposition(n: int, a: int, b: int) -> tuple[int, ...]:
     img = list(range(n))
     img[a], img[b] = img[b], img[a]
     return tuple(img)
-
-
-@lru_cache(maxsize=None)
-def conjugacy_class(n: int, alpha: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    alpha = Partition(alpha)
-    if alpha.size != n:
-        raise ValueError(f"{alpha} is not a partition of {n}")
-    return tuple(p for p in iter_permutations(range(n)) if cycle_type(p) == alpha)
-
-
-def _connected(n: int, edges, extra_cycles=()) -> bool:
-    """Union-find connectivity of transposition edges plus whole cycles."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for a, b in edges:
-        union(a, b)
-    for cyc in extra_cycles:
-        for i in range(1, len(cyc)):
-            union(cyc[0], cyc[i])
-    root = find(0)
-    return all(find(x) == root for x in range(n))
-
-
-def _cycles(p: tuple[int, ...]) -> list[list[int]]:
-    n = len(p)
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cyc.append(x)
-            x = p[x]
-        out.append(cyc)
-    return out
 
 
 # -- route 1: depth-first enumeration (monotone) -----------------------
@@ -308,81 +257,6 @@ def count_classical_transitive(alpha, r: int) -> int:
         )
     table = _transitive_from_totals(alpha.size, r, False)
     return table.get((alpha, r), 0)
-
-
-def count_monotone_all(d: int, r: int) -> dict[Partition, int]:
-    """Monotone sequence counts without transitivity, keyed by the cycle
-    type of the product (equivalently of its inverse), for all alpha of d."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    tot = _monotone_totals(d, r)
-    return {alpha: tot.get((alpha, r), 0) for alpha in partitions(d)}
-
-
-def count_monotone_double(alpha, beta, r: int) -> int:
-    """Transitive monotone tuples (rho, sigma, tau_1..tau_r) with rho of
-    type alpha, sigma of type beta and rho sigma tau_1 ... tau_r = id."""
-    alpha = Partition(alpha)
-    beta = Partition(beta)
-    if alpha.size != beta.size:
-        raise ValueError(f"|alpha| = {alpha.size} != |beta| = {beta.size}")
-    d = alpha.size
-    if d > 5 or r > 8:
-        raise ResourceLimitError(f"double oracle refuses d={d}, r={r} (d<=5, r<=8)")
-    rhos = conjugacy_class(d, alpha)
-    inverses = {p: tuple(sorted(range(d), key=lambda x: p[x])) for p in rhos}
-    total = 0
-
-    def visit(prod, edges, depth, min_b):
-        nonlocal total
-        if depth == r:
-            prod_inv = tuple(sorted(range(d), key=lambda x: prod[x]))
-            for rho in rhos:
-                sigma = compose(inverses[rho], prod_inv)
-                if cycle_type(sigma) != beta:
-                    continue
-                if _connected(d, edges, _cycles(rho)):
-                    total += 1
-            return
-        for b in range(min_b, d):
-            for a in range(b):
-                visit(compose(prod, transposition(d, a, b)), edges + ((a, b),), depth + 1, b)
-
-    visit(identity(d), (), 0, 1)
-    return total
-
-
-@dataclass(frozen=True)
-class FactorQuery:
-    """A counting query: cycle type(s), transposition count, and flavour.
-
-    beta = None means no second constraint (the single-number case,
-    equivalent to beta = 1^d)."""
-
-    alpha: Partition
-    r: int
-    beta: Partition | None = None
-    monotone: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Partition(self.alpha))
-        if self.beta is not None:
-            object.__setattr__(self, "beta", Partition(self.beta))
-            if self.alpha.size != self.beta.size:
-                raise ValueError(
-                    f"|alpha| = {self.alpha.size} != |beta| = {self.beta.size}"
-                )
-        if self.r < 0:
-            raise ValueError("r must be >= 0")
-
-    def count(self) -> int:
-        if self.beta is not None:
-            if not self.monotone:
-                raise ValueError("double counting is implemented monotone-only")
-            return count_monotone_double(self.alpha, self.beta, self.r)
-        if self.monotone:
-            return count_monotone_transitive(self.alpha, self.r)
-        return count_classical_transitive(self.alpha, self.r)
 
 
 class CountTable:

@@ -92,16 +92,6 @@ def delta1_element(g: int) -> RingElement:
     return normalized_delta1(g).shift_u2(1).shift_v(2 * g - 1)
 
 
-def solve_genus(g: int, lower=None) -> RingElement:
-    """D H_g from the recursion; ``lower`` optionally supplies
-    [D H_1, ..., D H_{g-1}] and is checked against the cached solutions."""
-    if lower is not None:
-        expected = [delta1_element(gp) for gp in range(1, g)]
-        if list(lower) != expected:
-            raise ValueError("supplied lower-genus lifts disagree with the recursion")
-    return delta1_element(g)
-
-
 @dataclass(frozen=True)
 class BasisDecomp:
     """Components F_0..F_{3g-1} of E_g against the triangular basis."""

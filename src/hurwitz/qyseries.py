@@ -6,7 +6,10 @@ y2-degree): it supplies only that grading (the key join of
 (q monomial, y1 degree, y2 degree), its q-weight and the bounds
 (wq, w1, w2)) and the y-operations MSeries has no version of; cleaning,
 +, -, *, ==, truncation, the q-derivative, powers and substitution are
-the MSeries code.
+the MSeries code.  Like every series of that kernel a BiSeries holds
+integer numerators over one denominator in canonical form, and the
+y-operations here work on the numerators and reduce once per result with
+the kernel's own normaliser, not the ring's.
 
 This module is the series-level oracle for the algebraic operator ring:
 everything here is defined directly from the operator formulas
@@ -20,8 +23,11 @@ everything here is defined directly from the operator formulas
 
 with no reference to the ring representation, so agreement between the
 two is a genuine two-route check.  That is why `ring.RingElement` keeps
-its own arithmetic instead of joining this kernel: the literal-vs-ring
-check only means something while its two sides share no arithmetic code.
+its own arithmetic instead of joining this kernel, and why the two
+normalise their numerators with separate code although both use the same
+canonical form: the literal-vs-ring check only means something while its
+two sides share no arithmetic code, since a defect in shared code would
+show on both sides alike.
 
 The same container also hosts the original-coordinate lift
 sum_k k x1^k d/dp_k (an MSeries slice embedded with an extra catalytic
@@ -31,14 +37,11 @@ the naming of the variables differs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from math import factorial
 
-from .combinat import rising
 from .inversion import aux_series
 from .ring import RingElement
-from .series import MSeries, _key
+from .series import MSeries, _canonical, _key
 
 QKey = tuple[tuple[int, ...], int, int]  # (q monomial, y1 degree, y2 degree)
 
@@ -103,46 +106,49 @@ class BiSeries(MSeries):
     __add__ = MSeries.__add__
 
     def __repr__(self) -> str:
-        return f"BiSeries(wq={self.wq}, w1={self.w1}, w2={self.w2}, {len(self.coeffs)} terms)"
+        return f"BiSeries(wq={self.wq}, w1={self.w1}, w2={self.w2}, {len(self.nums)} terms)"
 
     # -- what MSeries has no version of ----------------------------------
 
     @classmethod
     def from_mseries(cls, F: MSeries, wq: int, w1: int, w2: int) -> "BiSeries":
-        return cls(wq, w1, w2, {(m, 0, 0): c for m, c in F.coeffs.items()})
+        out = cls(wq, w1, w2)
+        bounds, fits = out.bounds, out._fits
+        nums = {(m, 0, 0): n for m, n in F.nums.items() if fits((m, 0, 0), bounds)}
+        out.nums, out.den = _canonical(nums, F.den)
+        return out
 
     @classmethod
     def y_binomial(cls, numer2: int, wq: int, w1: int, w2: int, var=1) -> "BiSeries":
         """(1 - 4 y_var)^(numer2 / 2) expanded in the chosen y variable."""
-        s = Fraction(-numer2, 2)
         cap = w1 if var == 1 else w2
-        out = {}
+        nums = {}
+        c = 1
         for m in range(cap + 1):
-            c = 4**m * rising(s, m) / factorial(m)
+            if m:
+                # c_m = 4^m (s)_m / m! for s = -numer2/2, so c_m m =
+                # c_(m-1) 2 (2m - 2 - numer2); c_m is an integer (no odd
+                # prime divides a denominator of binom(s, m), and 2 divides
+                # them at most 2m - 1 times), so the division is exact
+                c = c * 2 * (2 * m - 2 - numer2) // m
             if c:
-                key = ((), m, 0) if var == 1 else ((), 0, m)
-                out[key] = c
-        return cls(wq, w1, w2, out)
+                nums[((), m, 0) if var == 1 else ((), 0, m)] = c
+        out = cls(wq, w1, w2)
+        out.nums = nums
+        return out
 
     def dy(self, var: int) -> "BiSeries":
-        out: dict[QKey, Fraction] = {}
-        for (mono, a, b), c in self.coeffs.items():
+        out: dict[QKey, int] = {}
+        for (mono, a, b), n in self.nums.items():
             deg = a if var == 1 else b
-            if not deg:
-                continue
-            key = (mono, a - 1, b) if var == 1 else (mono, a, b - 1)
-            s = out.get(key, Fraction(0)) + deg * c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return self._new(self.bounds, out)
+            if deg:
+                # lowering one y-degree is injective on the keys that hold it
+                out[(mono, a - 1, b) if var == 1 else (mono, a, b - 1)] = deg * n
+        return self._new(self.bounds, *_canonical(out, self.den))
 
     def y2_coefficient(self, k: int) -> "BiSeries":
-        return self._new(
-            self.bounds,
-            {(mono, a, 0): c for (mono, a, b), c in self.coeffs.items() if b == k},
-        )
+        nums = {(mono, a, 0): n for (mono, a, b), n in self.nums.items() if b == k}
+        return self._new(self.bounds, *_canonical(nums, self.den))
 
     def substitute(self, qmap: dict[int, MSeries], yscale: MSeries) -> "BiSeries":
         """q_k -> qmap[k] and y1 -> y1 * yscale (a constant-term-1 series of
@@ -154,11 +160,11 @@ class BiSeries(MSeries):
 
         yscale_pow = cache(embed(yscale).pow)
 
-        def term_of(key: QKey, c: Fraction) -> BiSeries:
+        def term_of(key: QKey, n: int) -> BiSeries:
             _mono, a, b = key
             if b:
                 raise ValueError("substitution is defined for y2-free series")
-            return BiSeries(*bounds, {((), a, 0): c}) * yscale_pow(a)
+            return BiSeries(*bounds, {((), a, 0): n}) * yscale_pow(a)
 
         return self._substitute(qmap, embed, term_of)
 
@@ -172,27 +178,25 @@ def prefactor(wq: int, w1: int, w2: int) -> BiSeries:
     v = BiSeries.from_mseries(
         (MSeries.constant(1, wq) - eta).inverse(), wq, w1, w2
     )
-    y1 = BiSeries(wq, w1, w2, {((), 1, 0): Fraction(4)})
+    y1 = BiSeries(wq, w1, w2, {((), 1, 0): 4})
     return y1 * BiSeries.y_binomial(-3, wq, w1, w2) * v
 
 
 def lift_literal(G: BiSeries) -> BiSeries:
     """The transformed-coordinate lifting operator, term by term."""
     wq, w1, w2 = G.wq, G.w1, G.w2
+    derivatives = [(k, G.derivative(k)) for k in range(1, wq + 1)]
+    derivatives = [(k, d) for k, d in derivatives if not d.is_zero()]
     out = BiSeries(wq, w1, w2)
-    for k in range(1, wq + 1):
-        d = G.derivative(k)
-        if d.coeffs:
-            yk = BiSeries(wq, w1, w2, {((), k, 0): Fraction(k)})
-            out = out + yk * d
+    for k, d in derivatives:
+        yk = BiSeries(wq, w1, w2, {((), k, 0): k})
+        out = out + yk * d
     euler = BiSeries(wq, w1, w2)
-    for k in range(1, wq + 1):
-        d = G.derivative(k)
-        if d.coeffs:
-            qk = BiSeries(wq, w1, w2, {((k,), 0, 0): Fraction(k)})
-            euler = euler + qk * d
-    y1dy1 = BiSeries(wq, w1, w2, {((), 1, 0): Fraction(1)}) * G.dy(1)
-    y2dy2 = BiSeries(wq, w1, w2, {((), 0, 1): Fraction(1)}) * G.dy(2)
+    for k, d in derivatives:
+        qk = BiSeries(wq, w1, w2, {((k,), 0, 0): k})
+        euler = euler + qk * d
+    y1dy1 = BiSeries(wq, w1, w2, {((), 1, 0): 1}) * G.dy(1)
+    y2dy2 = BiSeries(wq, w1, w2, {((), 0, 1): 1}) * G.dy(2)
     return out + prefactor(wq, w1, w2) * (euler + y1dy1 + y2dy2)
 
 
@@ -202,29 +206,25 @@ def lift_px(G: BiSeries) -> BiSeries:
     out = BiSeries(wq, w1, w2)
     for k in range(1, wq + 1):
         d = G.derivative(k)
-        if d.coeffs:
-            xk = BiSeries(wq, w1, w2, {((), k, 0): Fraction(k)})
+        if not d.is_zero():
+            xk = BiSeries(wq, w1, w2, {((), k, 0): k})
             out = out + xk * d
     return out
 
 
 def split_1_to_2(F: BiSeries) -> BiSeries:
     """(y2 F(y1) - y1 F(y2)) / (y1 - y2) + F(0) for a y2-free series."""
-    out: dict[QKey, Fraction] = {}
-    for (mono, n, b), c in F.coeffs.items():
+    out: dict[QKey, int] = {}
+    for (mono, n, b), c in F.nums.items():
         if b:
             raise ValueError("split expects a y2-free series")
-        # y1^n maps to sum_{i=1}^{n-1} y1^i y2^(n-i); constants and y1 die
+        # y1^n maps to sum_{i=1}^{n-1} y1^i y2^(n-i); constants and y1 die;
+        # (mono, i, n - i) determines n, so no two terms meet
         for i in range(1, n):
             if i > F.w1 or n - i > F.w2:
                 continue
-            key = (mono, i, n - i)
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return F._new(F.bounds, out)
+            out[(mono, i, n - i)] = c
+    return F._new(F.bounds, *_canonical(out, F.den))
 
 
 def project_2(M: BiSeries) -> BiSeries:
@@ -232,8 +232,8 @@ def project_2(M: BiSeries) -> BiSeries:
     out = M.y2_coefficient(0)
     for k in range(1, M.wq + 1):
         piece = M.y2_coefficient(k)
-        if piece.coeffs:
-            qk = BiSeries(M.wq, M.w1, M.w2, {((k,), 0, 0): Fraction(1)})
+        if not piece.is_zero():
+            qk = BiSeries(M.wq, M.w1, M.w2, {((k,), 0, 0): 1})
             out = out + qk * piece
     return out
 
@@ -242,7 +242,7 @@ def transfer_literal(F: BiSeries) -> BiSeries:
     """T as literally composed from split, the y2 weight, and projection."""
     wq, w1, w2 = F.wq, F.w1, F.w2
     one_minus_4y1 = BiSeries(
-        wq, w1, w2, {((), 0, 0): Fraction(1), ((), 1, 0): Fraction(-4)}
+        wq, w1, w2, {((), 0, 0): 1, ((), 1, 0): -4}
     )
     inner = split_1_to_2(one_minus_4y1 * F)
     inner = BiSeries.y_binomial(-3, wq, w1, w2, var=2) * inner

@@ -1,4 +1,5 @@
-"""Truncated sparse formal power series over Fraction: the one graded kernel.
+"""Truncated sparse formal power series with integer numerators over one
+denominator: the one graded kernel.
 
 An `MSeries` lives in Q[[v_1, v_2, ...]] for one indexed family of
 variables (the p's or the q's -- the engine is basis-agnostic) and is
@@ -8,6 +9,17 @@ partitions and the weight of a monomial is the size of its partition.
 Everything is truncated at a fixed maximum weight; binary operations
 truncate eagerly to the meet of the two bounds (for weights, their
 minimum).
+
+A series is stored as integer numerators over one common denominator:
+``nums`` maps each key to an int and ``den`` is a positive int, the
+coefficient of a key being nums[key] / den.  Every operation returns the
+canonical form: no zero numerator, gcd(den, *nums) == 1, and den == 1 for
+zero.  A rational series has exactly one such form, so ``==`` stays exact
+value equality.  The kernels work on the ints and reduce once per result:
+a product's numerators are sums of n1 * n2 over den1 * den2, and a sum is
+taken over the lcm of the two denominators.  ``coeffs`` is the
+Fraction-valued read view; its Fractions are built on access and never
+stored.
 
 The arithmetic here (cleaning, +, -, scale, *, ==, truncate, the
 q-derivative, pow, inverse, exp, log and the power-cached substitution
@@ -20,20 +32,23 @@ y1-degree, y2-degree): it overrides those hooks to add two catalytic
 y-degrees, and so shares all of this code.  `DivisorSeries` keeps only the
 monomials that divide one fixed monomial q_alpha.
 
-`ring.RingElement` stays outside this kernel on purpose.  The literal
-q/y-series operators of `qyseries` are checked against the ring operators,
-and that check only means something while its two sides use independent
-arithmetic; the ring's coefficient representation is also free to change
-on its own.
+`ring.RingElement` stays outside this kernel on purpose, and so does its
+normaliser: this module keeps its own `_canonical` although
+`ring._reduced` does the same job.  The literal q/y-series operators of
+`qyseries` are checked against the ring operators, and that check only
+means something while its two sides use independent arithmetic: a defect
+in a shared normaliser would corrupt both sides alike and still pass.
+The ring's coefficient representation is also free to change on its own.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, gcd, lcm
 from operator import itemgetter
 
 
@@ -41,10 +56,46 @@ def _key(mono) -> tuple[int, ...]:
     return tuple(sorted(mono, reverse=True))
 
 
+def _canonical(nums: dict, den: int) -> tuple[dict, int]:
+    """The canonical form of the numerators ``nums`` over a positive int
+    ``den``: no zero numerator, gcd(den, *nums) == 1, den == 1 for zero.
+    Takes ownership of ``nums``."""
+    for k in [k for k, n in nums.items() if not n]:
+        del nums[k]
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: n // g for k, n in nums.items()}
+            den //= g
+    return nums, den
+
+
+class Coeffs(Mapping):
+    """Read-only view key -> Fraction coefficient of a series."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: dict, den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, key) -> Fraction:
+        return Fraction(self._nums[key], self._den)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __contains__(self, key) -> bool:
+        return key in self._nums
+
+
 class MSeries:
     """Weight-truncated power series; immutable by convention."""
 
-    __slots__ = ("max_weight", "coeffs")
+    __slots__ = ("max_weight", "nums", "den")
 
     _ONE = ()  # the key of the constant term
 
@@ -52,16 +103,26 @@ class MSeries:
         if max_weight < 0:
             raise ValueError("max_weight must be >= 0")
         self.max_weight = max_weight
-        bounds = self.bounds
-        clean = {}
-        for key, c in (coeffs or {}).items():
-            key = self._canon(key)
-            if not self._fits(key, bounds):
-                continue
-            c = Fraction(c)
-            if c:
-                clean[key] = c
-        self.coeffs = clean
+        self.nums: dict = {}
+        self.den = 1
+        if coeffs:
+            bounds = self.bounds
+            clean: dict = {}
+            for key, c in coeffs.items():
+                key = self._canon(key)
+                if self._fits(key, bounds):
+                    # keys that differ only in the order of their parts add up
+                    clean[key] = clean.get(key, 0) + Fraction(c)
+            clean = {k: c for k, c in clean.items() if c}
+            # reduced fractions over the lcm of their denominators are canonical
+            den = lcm(*(c.denominator for c in clean.values()))
+            self.nums = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+            self.den = den
+
+    @property
+    def coeffs(self) -> Coeffs:
+        """The coefficients as Fractions, computed on access."""
+        return Coeffs(self.nums, self.den)
 
     # -- the grading ---------------------------------------------------
 
@@ -116,53 +177,57 @@ class MSeries:
 
     @classmethod
     def constant(cls, value, *bounds) -> "MSeries":
-        return cls(*bounds, {cls._ONE: Fraction(value)})
+        value = Fraction(value)
+        out = cls(*bounds)
+        if value:
+            out.nums = {cls._ONE: value.numerator}
+            out.den = value.denominator
+        return out
 
     @classmethod
     def variable(cls, k: int, max_weight: int) -> "MSeries":
-        return cls(max_weight, {(k,): Fraction(1)})
+        return cls(max_weight, {(k,): 1})
 
     @classmethod
     def linear(cls, coeff_of_index, *bounds) -> "MSeries":
         """Series sum_k c(k) v_k with c given by a callable on k."""
-        return cls(
-            *bounds,
-            {(k,): Fraction(coeff_of_index(k)) for k in range(1, cls._cap(bounds) + 1)},
-        )
+        return cls(*bounds, {(k,): coeff_of_index(k) for k in range(1, cls._cap(bounds) + 1)})
 
-    def _new(self, bounds, coeffs: dict) -> "MSeries":
-        """A series of this type from already clean coefficients."""
+    def _new(self, bounds, nums: dict, den: int = 1) -> "MSeries":
+        """A series of this type from numerators in canonical form."""
         out = type(self)(*bounds)
-        out.coeffs = coeffs
+        out.nums = nums
+        out.den = den
         return out
 
     # -- basic queries -----------------------------------------------
 
     def __getitem__(self, key) -> Fraction:
-        return self.coeffs.get(self._canon(key), Fraction(0))
+        return Fraction(self.nums.get(self._canon(key), 0), self.den)
 
     def coefficient(self, alpha) -> Fraction:
         """[v_alpha] of the series (alpha any partition-like iterable)."""
         return self[alpha]
 
     def constant_term(self) -> Fraction:
-        return self.coeffs.get(self._ONE, Fraction(0))
+        return Fraction(self.nums.get(self._ONE, 0), self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)
             and self.bounds == other.bounds
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
         raise TypeError(f"{type(self).__name__} is not hashable")
 
     def __repr__(self) -> str:
-        n = len(self.coeffs)
+        n = len(self.nums)
         return f"MSeries(weight<={self.max_weight}, {n} terms)"
 
     # -- arithmetic ---------------------------------------------------
@@ -175,11 +240,11 @@ class MSeries:
         return self._meet_bounds(self.bounds, other.bounds)
 
     def _within(self, bounds) -> dict:
-        """A copy of the coefficients that fit ``bounds``."""
+        """A copy of the numerators of the terms that fit ``bounds``."""
         if bounds == self.bounds:
-            return dict(self.coeffs)
+            return dict(self.nums)
         fits = self._fits
-        return {k: c for k, c in self.coeffs.items() if fits(k, bounds)}
+        return {k: n for k, n in self.nums.items() if fits(k, bounds)}
 
     def truncate(self, *bounds) -> "MSeries":
         if (
@@ -190,26 +255,28 @@ class MSeries:
                 f"cannot truncate bounds {self.bounds} to {bounds} (coefficients "
                 "beyond a truncation are unknown)"
             )
-        return self._new(bounds, self._within(bounds))
+        return self._new(bounds, *_canonical(self._within(bounds), self.den))
 
     def __add__(self, other) -> "MSeries":
         if not isinstance(other, MSeries):
             return self + self.constant(other, *self.bounds)
         bounds = self._meet(other)
+        den = lcm(self.den, other.den)
         out = self._within(bounds)
-        theirs = other.coeffs if other.bounds == bounds else other._within(bounds)
-        for key, c in theirs.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return self._new(bounds, out)
+        f = den // self.den
+        if f != 1:
+            out = {k: n * f for k, n in out.items()}
+        theirs = other.nums if other.bounds == bounds else other._within(bounds)
+        f = den // other.den
+        get = out.get
+        for key, n in theirs.items():
+            out[key] = get(key, 0) + n * f
+        return self._new(bounds, *_canonical(out, den))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MSeries":
-        return self._new(self.bounds, {k: -c for k, c in self.coeffs.items()})
+        return self._new(self.bounds, {k: -n for k, n in self.nums.items()}, self.den)
 
     def __sub__(self, other) -> "MSeries":
         if not isinstance(other, MSeries):
@@ -223,7 +290,9 @@ class MSeries:
         value = Fraction(value)
         if not value:
             return self._new(self.bounds, {})
-        return self._new(self.bounds, {k: value * c for k, c in self.coeffs.items()})
+        p = value.numerator
+        nums = {k: p * n for k, n in self.nums.items()}
+        return self._new(self.bounds, *_canonical(nums, self.den * value.denominator))
 
     def __mul__(self, other) -> "MSeries":
         if not isinstance(other, MSeries):
@@ -233,30 +302,23 @@ class MSeries:
         weight, join = self._weight, self._join
         # iterate the smaller operand outside; the inner one, sorted by
         # weight once, is cut at the first term that no longer fits
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
         if len(a) > len(b):
             a, b = b, a
-        inner = sorted(((weight(k), k, c) for k, c in b.items()), key=itemgetter(0))
+        inner = sorted(((weight(k), k, n) for k, n in b.items()), key=itemgetter(0))
         out: dict = {}
-        for k1, c1 in a.items():
+        get = out.get
+        for k1, n1 in a.items():
             room = cap - weight(k1)
             if room < 0:
                 continue
-            for w2, k2, c2 in inner:
+            for w2, k2, n2 in inner:
                 if w2 > room:
                     break
                 key = join(k1, k2, bounds)
-                if key is None:
-                    continue
-                if key in out:
-                    s = out[key] + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-                else:
-                    out[key] = c1 * c2
-        return self._new(bounds, out)
+                if key is not None:
+                    out[key] = get(key, 0) + n1 * n2
+        return self._new(bounds, *_canonical(out, self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -280,7 +342,7 @@ class MSeries:
             raise ZeroDivisionError("series has zero constant term")
         # 1/(c0 (1 + t)) with t = self/c0 - 1 of positive degree: an
         # alternating geometric sum, exact after _depth(bounds) terms.
-        t = self.scale(Fraction(1) / c0) - 1
+        t = self.scale(1 / c0) - 1
         out = self.constant(1, *self.bounds)
         power = out
         sign = 1
@@ -290,25 +352,21 @@ class MSeries:
             if power.is_zero():
                 break
             out = out + power.scale(sign)
-        return out.scale(Fraction(1) / c0)
+        return out.scale(1 / c0)
 
     def derivative(self, k: int) -> "MSeries":
         """Partial derivative with respect to the index-k variable."""
         out: dict = {}
-        for key, c in self.coeffs.items():
+        for key, n in self.nums.items():
             mono = self._q(key)
             m = mono.count(k)
             if m == 0:
                 continue
             rest = list(mono)
             rest.remove(k)
-            key = self._with_q(key, tuple(rest))
-            s = out.get(key, Fraction(0)) + m * c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return self._new(self.bounds, out)
+            # removing one v_k is injective on the keys that hold one
+            out[self._with_q(key, tuple(rest))] = m * n
+        return self._new(self.bounds, *_canonical(out, self.den))
 
     def substitute(self, images: dict[int, "MSeries"]) -> "MSeries":
         """Replace each variable v_k by images[k]; indices without an image
@@ -317,18 +375,19 @@ class MSeries:
         unsound."""
         w = self.max_weight
         return self._substitute(
-            images, lambda img: img.truncate(w), lambda key, c: MSeries.constant(c, w)
+            images, lambda img: img.truncate(w), lambda key, n: MSeries.constant(n, w)
         )
 
     def _substitute(self, images, embed, term_of) -> "MSeries":
-        """Sum over the terms of term_of(key, c) times images[k]^e for each
-        part k of multiplicity e in the key's q-monomial.  ``embed`` carries
-        an image into this series' type and bounds; each (k, e) power is
-        computed once."""
+        """Sum over the terms of term_of(key, n) times images[k]^e for each
+        part k of multiplicity e in the key's q-monomial, over the
+        denominator: n is the key's numerator.  ``embed`` carries an image
+        into this series' type and bounds; each (k, e) power is computed
+        once."""
         cache: dict = {}
         total = self.zero(*self.bounds)
-        for key, c in self.coeffs.items():
-            term = term_of(key, c)
+        for key, n in self.nums.items():
+            term = term_of(key, n)
             mono = self._q(key)
             for k in sorted(set(mono)):
                 e = mono.count(k)
@@ -339,7 +398,7 @@ class MSeries:
                     cache[k, e] = embed(img).pow(e)
                 term = term * cache[k, e]
             total = total + term
-        return total
+        return total.scale(Fraction(1, self.den))
 
     def exp(self) -> "MSeries":
         """exp of a constant-free series."""
@@ -427,4 +486,4 @@ class DivisorSeries(MSeries):
         return len(bounds[0])
 
     def __repr__(self) -> str:
-        return f"DivisorSeries(alpha={self.alpha}, {len(self.coeffs)} terms)"
+        return f"DivisorSeries(alpha={self.alpha}, {len(self.nums)} terms)"

@@ -30,11 +30,7 @@ from .inversion import (
     monotone_from_rational_form,
 )
 from .joincut import solve_classical, solve_monotone
-from .oracle import (
-    count_monotone_transitive,
-    count_monotone_transitive_dfs,
-    CountTable,
-)
+from .oracle import _dfs_tables, count_monotone_transitive, CountTable
 from .partitions import Partition, partitions
 from .pipeline import (
     decompose_basis,
@@ -69,11 +65,13 @@ def check_oracle_dfs_vs_dp() -> tuple[bool, str]:
     diffs = []
     total = 0
     for d in range(1, 6):
+        # one enumeration per d: the DFS tree to depth 8 counts every r <= 8
+        dfs_table = _dfs_tables(d, 8)
         for alpha in partitions(d):
             for r in range(9):
                 total += 1
                 dp = count_monotone_transitive(alpha, r)
-                dfs = count_monotone_transitive_dfs(alpha, r)
+                dfs = dfs_table.get((alpha, r), 0)
                 if dp != dfs:
                     diffs.append(f"{tuple(alpha)},r={r}: dp={dp} dfs={dfs}")
     return not diffs, f"{total} cases; " + _diff_report(diffs)

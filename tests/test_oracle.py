@@ -4,11 +4,8 @@ import pytest
 
 from hurwitz.oracle import (
     CountTable,
-    FactorQuery,
     ResourceLimitError,
     count_classical_transitive,
-    count_monotone_all,
-    count_monotone_double,
     count_monotone_transitive,
     count_monotone_transitive_dfs,
     _monotone_totals,
@@ -28,32 +25,6 @@ def test_classical_examples():
     assert count_classical_transitive((2,), 1) == 1
     assert count_classical_transitive((3,), 2) == 6
     assert count_classical_transitive((1, 1), 2) == 1
-
-
-def test_monotone_all_examples():
-    assert count_monotone_all(1, 0) == {Partition((1,)): 1}
-    assert count_monotone_all(2, 2) == {Partition((2,)): 0, Partition((1, 1)): 1}
-    assert count_monotone_all(2, 1) == {Partition((2,)): 1, Partition((1, 1)): 0}
-
-
-def test_double_examples():
-    assert count_monotone_double((2,), (2,), 0) == 1
-    assert count_monotone_double((2,), (1, 1), 1) == 1
-
-
-def test_double_reduces_to_single_for_trivial_beta():
-    for d in range(1, 5):
-        ones = [1] * d
-        for alpha in partitions(d):
-            for r in range(5):
-                assert count_monotone_double(alpha, ones, r) == count_monotone_transitive(
-                    alpha, r
-                ), (alpha, r)
-
-
-def test_double_size_mismatch():
-    with pytest.raises(ValueError):
-        count_monotone_double((2,), (1, 1, 1), 1)
 
 
 def test_dfs_agrees_with_dp_small():
@@ -113,15 +84,3 @@ def test_count_table_invariants():
 def test_resource_guard():
     with pytest.raises(ResourceLimitError):
         count_monotone_transitive(tuple([1] * 9), 2)
-    with pytest.raises(ResourceLimitError):
-        count_monotone_double((3, 3), (3, 3), 1)
-
-
-def test_factor_query_dispatch():
-    assert FactorQuery((3,), 2).count() == 4
-    assert FactorQuery((3,), 2, monotone=False).count() == 6
-    assert FactorQuery((2,), 1, beta=(1, 1)).count() == 1
-    with pytest.raises(ValueError):
-        FactorQuery((2,), 1, beta=(1, 1, 1))
-    with pytest.raises(ValueError):
-        FactorQuery((2,), -1)

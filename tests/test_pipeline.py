@@ -18,7 +18,6 @@ from hurwitz.pipeline import (
     normalized_delta1,
     rational_form,
     recompose_basis,
-    solve_genus,
 )
 from hurwitz.qyseries import BiSeries, expand_ring_element, lift_px
 from hurwitz.ring import RingElement
@@ -31,13 +30,6 @@ H1 = RingElement.monomial(hs=(1,))
 def test_genus1_normalized_lift():
     assert normalized_delta1(1) == Y * Y + (Y * H1).scale(Fraction(1, 6))
     assert normalized_delta1(1).in_ring(2)
-
-
-def test_solve_genus_checks_supplied_lower_lifts():
-    lower = [delta1_element(1)]
-    assert solve_genus(2, lower) == delta1_element(2)
-    with pytest.raises(ValueError):
-        solve_genus(2, [delta1_element(1).scale(2)])
 
 
 def test_genus1_decomposition_components():

@@ -1,6 +1,12 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_series import KINDS, assert_matches, clean, ref
+
+from hurwitz.combinat import rising
 
 from hurwitz.inversion import aux_series
 from hurwitz.qyseries import (
@@ -104,3 +110,64 @@ def test_pi2_projection_against_literal_series():
         literal = v * literal.truncate(wq, 0, 0)
         algebraic = expand_ring_element(pi2_project(i), wq, 0)
         assert literal.coeffs == algebraic.coeffs, i
+
+
+# -- the y-operations against plain Fraction dicts (see test_series) ----------
+
+
+def ref_dy(a, var):
+    out = {}
+    for (mono, p, q), c in a.items():
+        deg = p if var == 1 else q
+        if deg:
+            key = (mono, p - 1, q) if var == 1 else (mono, p, q - 1)
+            out[key] = out.get(key, 0) + deg * c
+    return clean(out)
+
+
+def ref_split(a, bounds):
+    out = {}
+    for (mono, n, _), c in a.items():  # a y2-free series
+        for i in range(1, n):
+            key = (mono, i, n - i)
+            if BiSeries._fits(key, bounds):
+                out[key] = out.get(key, 0) + c
+    return clean(out)
+
+
+def ref_project(a, bounds):
+    out = {}
+    for (mono, p, q), c in a.items():
+        key = (tuple(sorted(mono + (q,) * (q > 0), reverse=True)), p, 0)
+        if BiSeries._fits(key, bounds):
+            out[key] = out.get(key, 0) + c
+    return clean(out)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_y_operations_against_fraction_reference(data):
+    s = data.draw(KINDS[1])
+    _, bounds, a = ref(s)
+    k = data.draw(st.integers(0, 2))
+    free = {key: c for key, c in a.items() if key[2] == 0}
+    for got, want in (
+        (s.dy(1), ref_dy(a, 1)),
+        (s.dy(2), ref_dy(a, 2)),
+        (s.y2_coefficient(k), {(m, p, 0): c for (m, p, q), c in a.items() if q == k}),
+        (split_1_to_2(BiSeries(*bounds, free)), ref_split(free, bounds)),
+        (project_2(s), ref_project(a, bounds)),
+    ):
+        assert_matches(got, (BiSeries, bounds, want))
+
+
+def test_y_binomial_against_fraction_formula():
+    for numer2 in range(-9, 8):
+        for var in (1, 2):
+            got = BiSeries.y_binomial(numer2, 1, 7, 7, var=var)
+            want = {
+                ((), m, 0) if var == 1 else ((), 0, m): 4**m * rising(Fraction(-numer2, 2), m)
+                / factorial(m)
+                for m in range(8)
+            }
+            assert_matches(got, (BiSeries, (1, 7, 7), clean(want)))

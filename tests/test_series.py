@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -180,3 +181,159 @@ def test_truncate_cannot_extend():
         with pytest.raises(ValueError):
             ds.truncate(wider)
     assert ds.truncate((1,)) == DivisorSeries((1,), {(1,): 1})
+
+
+# -- reference laws: the integer kernel against plain Fraction dicts ---------
+#
+# A reference value is (type, bounds, {key: Fraction}) with none of the
+# kernel's integer bookkeeping.  It reads the grading only through whether
+# a key fits the bounds and the meet of two bounds; product keys are formed
+# here, and pow, inverse, exp and log are sums of powers run until the
+# power vanishes.  Every kernel result must equal it and be canonical.
+
+
+def assert_canonical(s):
+    assert s.den > 0
+    assert all(isinstance(n, int) and n for n in s.nums.values())
+    assert gcd(s.den, *s.nums.values()) == 1  # so den == 1 for zero
+
+
+def ref(s):
+    return type(s), s.bounds, {k: Fraction(n, s.den) for k, n in s.nums.items()}
+
+
+def clean(d):
+    return {k: c for k, c in d.items() if c}
+
+
+def ref_add(x, y):
+    kind, bx, a = x
+    bounds = kind._meet_bounds(bx, y[1])
+    out = {}
+    for d in (a, y[2]):
+        for k, c in d.items():
+            if kind._fits(k, bounds):
+                out[k] = out.get(k, 0) + c
+    return kind, bounds, clean(out)
+
+
+def ref_scale(x, c):
+    kind, bounds, a = x
+    return kind, bounds, clean({k: c * v for k, v in a.items()})
+
+
+def product_key(kind, k1, k2):
+    if kind is BiSeries:
+        return (tuple(sorted(k1[0] + k2[0], reverse=True)), k1[1] + k2[1], k1[2] + k2[2])
+    return tuple(sorted(k1 + k2, reverse=True))
+
+
+def ref_mul(x, y):
+    kind, bx, a = x
+    bounds = kind._meet_bounds(bx, y[1])
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in y[2].items():
+            k = product_key(kind, k1, k2)
+            if kind._fits(k, bounds):
+                out[k] = out.get(k, 0) + c1 * c2
+    return kind, bounds, clean(out)
+
+
+def ref_one(x):
+    return x[0], x[1], {x[0]._ONE: Fraction(1)}
+
+
+def ref_power_sum(x, coeff):
+    """sum_m coeff(m) x^m for a constant-free x, nilpotent under truncation."""
+    out, power, m = ref_scale(ref_one(x), coeff(0)), ref_one(x), 0
+    while True:
+        power, m = ref_mul(power, x), m + 1
+        if not power[2]:
+            return out
+        out = ref_add(out, ref_scale(power, coeff(m)))
+
+
+def ref_inverse(x):
+    kind, bounds, a = x
+    c0 = a[kind._ONE]
+    t = kind, bounds, clean({**{k: v / c0 for k, v in a.items()}, kind._ONE: 0})
+    return ref_scale(ref_power_sum(t, lambda m: (-1) ** m), 1 / c0)
+
+
+def ref_pow(x, n):
+    if n < 0:
+        return ref_pow(ref_inverse(x), -n)
+    out = ref_one(x)
+    for _ in range(n):
+        out = ref_mul(out, x)
+    return out
+
+
+def ref_derivative(x, k):
+    kind, bounds, a = x
+    out = {}
+    for key, c in a.items():
+        mono = key[0] if kind is BiSeries else key
+        if k in mono:
+            rest = list(mono)
+            rest.remove(k)
+            new = (tuple(rest), key[1], key[2]) if kind is BiSeries else tuple(rest)
+            out[new] = out.get(new, 0) + mono.count(k) * c
+    return kind, bounds, clean(out)
+
+
+def assert_matches(got, want):
+    kind, bounds, coeffs = want
+    assert_canonical(got)
+    assert type(got) is kind and got.bounds == bounds
+    assert dict(got.coeffs) == coeffs
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_kernel_against_fraction_reference(data):
+    for kind in KINDS:
+        a, b = data.draw(kind), data.draw(kind)
+        c = data.draw(COEFF)
+        n = data.draw(st.integers(-3, 3))
+        k = data.draw(st.integers(1, 4))
+        x, y = ref(a), ref(b)
+        one = type(a)._ONE
+        c0 = data.draw(COEFF.filter(bool))
+        unit = type(a)(*a.bounds, {**x[2], one: c0})
+        free = type(a)(*a.bounds, {m: v for m, v in x[2].items() if m != one})
+        assert_matches(a, x)
+        for got, want in (
+            (a + b, ref_add(x, y)),
+            (a - b, ref_add(x, ref_scale(y, -1))),
+            (a.scale(c), ref_scale(x, c)),
+            (a * c, ref_scale(x, c)),
+            (a * b, ref_mul(x, y)),
+            (a.pow(abs(n)), ref_pow(x, abs(n))),
+            (unit.inverse(), ref_inverse(ref(unit))),
+            (unit.pow(n), ref_pow(ref(unit), n)),
+            (a.derivative(k), ref_derivative(x, k)),
+            (free.exp(), ref_power_sum(ref(free), lambda m: Fraction(1, factorial(m)))),
+            (free.log_geometric(), ref_power_sum(ref(free), lambda m: Fraction(1, m) if m else 0)),
+        ):
+            assert_matches(got, want)
+
+
+def test_coeffs_view_builds_fractions_on_access():
+    s = MSeries(3, {(2, 1): Fraction(2, 3), (1,): Fraction(-1, 2), (): 0})
+    assert (s.den, s.nums) == (6, {(2, 1): 4, (1,): -3})
+    assert len(s.coeffs) == 2 and (1,) in s.coeffs and () not in s.coeffs
+    assert s.coeffs == {(2, 1): Fraction(2, 3), (1,): Fraction(-1, 2)}
+    assert (s - s).den == 1 and not (s - s).coeffs
+    assert (s.scale(6).den, s.scale(6).nums) == (1, {(2, 1): 4, (1,): -3})
+    assert (s.scale(Fraction(3, 2)).den, s.scale(Fraction(3, 2)).nums) == (4, {(2, 1): 4, (1,): -3})
+
+
+def test_keys_differing_in_part_order_are_summed():
+    s = MSeries(3, {(1, 2): Fraction(1, 3), (2, 1): Fraction(1, 6), (1,): 1, (): 0})
+    assert_canonical(s)
+    assert s.coeffs == {(2, 1): Fraction(1, 2), (1,): 1}
+    bi = BiSeries(3, 1, 1, {((1, 2), 1, 0): 2, ((2, 1), 1, 0): -2, ((1,), 0, 1): 1})
+    assert bi == BiSeries(3, 1, 1, {((1,), 0, 1): 1})
+    assert DivisorSeries((2, 1), {(1, 2): 1, (2, 1): 1}).coeffs == {(2, 1): 2}

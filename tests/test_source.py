@@ -15,3 +15,32 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The short names of the hurwitz modules a source file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"hurwitz.{base}" if base else "hurwitz"
+            if base == "hurwitz":  # from . import ring
+                modules = [f"hurwitz.{alias.name}" for alias in node.names]
+            else:
+                modules = [base]
+        else:
+            continue
+        found.update(m.split(".")[1] for m in modules if m.startswith("hurwitz."))
+    return found
+
+
+def test_series_kernel_and_ring_stay_independent():
+    # the literal q/y-series operators are checked against the ring
+    # operators; that check means something only while the two sides
+    # share no arithmetic, normaliser included
+    package = Path(hurwitz.__file__).parent
+    assert "ring" not in _package_imports(package / "series.py")
+    assert not {"series", "qyseries"} & _package_imports(package / "ring.py")
