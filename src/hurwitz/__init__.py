@@ -29,10 +29,10 @@ from .inversion import (
 )
 from .joincut import TruncatedH, solve_classical, solve_monotone
 from .oracle import (
-    CountTable,
     ResourceLimitError,
     count_classical_transitive,
     count_monotone_transitive,
+    transitive_counts,
 )
 from .partitions import Partition, aut_order, partitions
 from .pipeline import (
@@ -58,10 +58,10 @@ __all__ = [
     "bernoulli",
     "PolynomialQ",
     "interpolate",
-    "CountTable",
     "ResourceLimitError",
     "count_monotone_transitive",
     "count_classical_transitive",
+    "transitive_counts",
     "TruncatedH",
     "solve_monotone",
     "solve_classical",

@@ -24,11 +24,11 @@ onto Q[q] / (monomials not dividing q_alpha), a ring homomorphism that
 commutes with +, *, pow, inverse, exp and log.  So `lagrange_extract` and
 `classical_extract` project F onto the divisors of alpha
 (`series.DivisorSeries`) and build their kernel there, and the
-`*_from_*_form` functions expand the form there directly, through the same
-expander as `expand_rational_form`.  Every coefficient the quotient keeps
-is the exact coefficient of the full series, so the extracted values are
-exact; for alpha = (6, 6) the quotient has 3 monomials where weight 12 has
-272.  Whole series (`expand_rational_form`, `expand_log_form`, the p/q
+`*_from_*_form` functions expand the form there directly (every expander
+takes the unit series `one` of the grading it works in).  Every
+coefficient the quotient keeps is the exact coefficient of the full series,
+so the extracted values are exact; for alpha = (6, 6) the quotient has 3
+monomials where weight 12 has 272.  Whole series (`expand_rational_form`, `expand_log_form`, the p/q
 conversions) stay truncated by weight.
 
 The q (resp. r) basis is canonical internally; conversion back to p is a
@@ -62,13 +62,9 @@ class AuxSeries:
         return self.eta_k[j - 1]
 
 
-def aux_series(max_weight: int, j_max: int = 0) -> AuxSeries:
-    """gamma, eta and eta_1..eta_{j_max} as q-series of the given weight."""
-    return _aux_series(MSeries.constant(1, max_weight), j_max)
-
-
-def _aux_series(one: MSeries, j_max: int) -> AuxSeries:
-    """gamma, eta and eta_1..eta_{j_max} in the grading of the series one."""
+def aux_series(one: MSeries, j_max: int = 0) -> AuxSeries:
+    """gamma, eta and eta_1..eta_{j_max} in the grading of the series one
+    (``MSeries.constant(1, w)`` for q-series of weight w)."""
     bounds = one.bounds
     gamma = one.linear(central_binomial, *bounds)
     eta = one.linear(lambda k: (2 * k + 1) * central_binomial(k), *bounds)
@@ -94,7 +90,7 @@ def lagrange_extract(F: MSeries, alpha) -> Fraction:
     if d == 0:
         return F.constant_term()
     one = DivisorSeries.constant(1, alpha)
-    aux = _aux_series(one, 0)
+    aux = aux_series(one, 0)
     kernel = (one - aux.eta) * (one - aux.gamma).pow(-(2 * d + 1))
     return (kernel * Fa)[alpha]
 
@@ -107,7 +103,7 @@ def classical_extract(F: MSeries, alpha) -> Fraction:
     if d == 0:
         return F.constant_term()
     one = DivisorSeries.constant(1, alpha)
-    aux = _classical_aux_series(one, 0)
+    aux = classical_aux_series(one, 0)
     kernel = aux.delta.scale(d).exp() * (one - aux.phi)
     return (kernel * Fa)[alpha]
 
@@ -126,12 +122,7 @@ class ClassicalAux:
         return self.phi_k[j - 1]
 
 
-def classical_aux_series(max_weight: int, j_max: int = 0) -> ClassicalAux:
-    """delta, phi and phi_1..phi_{j_max} as r-series of the given weight."""
-    return _classical_aux_series(MSeries.constant(1, max_weight), j_max)
-
-
-def _classical_aux_series(one: MSeries, j_max: int) -> ClassicalAux:
+def classical_aux_series(one: MSeries, j_max: int = 0) -> ClassicalAux:
     """delta, phi and phi_1..phi_{j_max} in the grading of the series one."""
     bounds = one.bounds
     delta = one.linear(lambda k: Fraction(k**k, factorial(k)), *bounds)
@@ -143,32 +134,24 @@ def _classical_aux_series(one: MSeries, j_max: int) -> ClassicalAux:
     return ClassicalAux(delta, phi, phis)
 
 
-def expand_log_form(form: LogForm, max_weight: int) -> MSeries:
-    """q-series of a log(1/(1-eta)), log(1/(1-gamma)) combination."""
-    return _expand_log_form(form, MSeries.constant(1, max_weight))
-
-
-def _expand_log_form(form: LogForm, one: MSeries) -> MSeries:
-    """The series of a log form in the grading of the series one."""
-    aux = _aux_series(one, 0)
+def expand_log_form(form: LogForm, one: MSeries) -> MSeries:
+    """q-series of a log(1/(1-eta)), log(1/(1-gamma)) combination, in the
+    grading of the series one."""
+    aux = aux_series(one, 0)
     return aux.eta.log_geometric().scale(form.coeff_eta) + aux.gamma.log_geometric().scale(
         form.coeff_gamma
     )
 
 
-def expand_rational_form(form: RationalForm, max_weight: int) -> MSeries:
-    """Series of a rational form in its own basis (q monotone, r classical)."""
-    return _expand_rational_form(form, MSeries.constant(1, max_weight))
-
-
-def _expand_rational_form(form: RationalForm, one: MSeries) -> MSeries:
-    """The series of a rational form in the grading of the series one."""
+def expand_rational_form(form: RationalForm, one: MSeries) -> MSeries:
+    """Series of a rational form in its own basis (q monotone, r classical),
+    in the grading of the series one."""
     j_max = max((max(a) for a in form.terms if a), default=0)
     if form.classical:
-        caux = _classical_aux_series(one, j_max)
+        caux = classical_aux_series(one, j_max)
         base, series_j = caux.phi, caux.phi_j
     else:
-        maux = _aux_series(one, j_max)
+        maux = aux_series(one, j_max)
         base, series_j = maux.eta, maux.eta_j
     inv = (one - base).inverse()
     inv_pows = [one]
@@ -195,14 +178,14 @@ def _expand_rational_form(form: RationalForm, one: MSeries) -> MSeries:
 def monotone_from_log_form(form: LogForm, alpha) -> Fraction:
     """H_1(alpha) = d! [p_alpha] of the expanded log form."""
     alpha = Partition(alpha)
-    series = _expand_log_form(form, DivisorSeries.constant(1, alpha))
+    series = expand_log_form(form, DivisorSeries.constant(1, alpha))
     return factorial(alpha.size) * lagrange_extract(series, alpha)
 
 
 def monotone_from_rational_form(form: RationalForm, alpha) -> Fraction:
     """H_g(alpha) = d! [p_alpha] of the expanded rational form."""
     alpha = Partition(alpha)
-    series = _expand_rational_form(form, DivisorSeries.constant(1, alpha))
+    series = expand_rational_form(form, DivisorSeries.constant(1, alpha))
     return factorial(alpha.size) * lagrange_extract(series, alpha)
 
 
@@ -210,7 +193,7 @@ def classical_from_rational_form(form: RationalForm, alpha) -> Fraction:
     """Classical H_g(alpha) = d! r! [p_alpha] of the expanded form."""
     alpha = Partition(alpha)
     r = 2 * form.genus - 2 + alpha.length + alpha.size
-    series = _expand_rational_form(form, DivisorSeries.constant(1, alpha))
+    series = expand_rational_form(form, DivisorSeries.constant(1, alpha))
     return factorial(alpha.size) * factorial(r) * classical_extract(series, alpha)
 
 
@@ -250,7 +233,7 @@ def q_series_to_p(F: MSeries) -> MSeries:
 def p_series_to_q(F: MSeries) -> MSeries:
     """Convert a p-basis series to the q basis via p_j = q_j (1-gamma)^{2j}."""
     w = F.max_weight
-    gq = aux_series(w).gamma
+    gq = aux_series(MSeries.constant(1, w)).gamma
     one_minus = MSeries.constant(1, w) - gq
     images = {
         k: MSeries.variable(k, w) * one_minus.pow(2 * k) for k in range(1, w + 1)

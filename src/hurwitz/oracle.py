@@ -25,11 +25,17 @@ Two independent monotone implementations are provided:
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .partitions import Partition, partitions, subpartitions
 
 DP_MAX_POINTS = 8
+# Bound on d!*r^2: the monotone DP steps its up to d! permutations through
+# every pair of lengths r' <= r, and the inclusion-exclusion is quadratic in r.
+# Cold tables at the edge (one process each, 2-vCPU VM): monotone (d, r) =
+# (8, 12) 30-37 s, (7, 33) 33-34 s, (6, 89) 28 s, (5, 219) 27 s, (4, 491) 20 s;
+# classical (8, 12) 10 s, (7, 33) 4 s.  Monotone (8, 14), one step over, 53 s.
+DP_MAX_WORK = factorial(8) * 12**2
 DFS_MAX_POINTS = 6
 
 
@@ -77,7 +83,7 @@ def transposition(n: int, a: int, b: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _dfs_tables(d: int, rmax: int) -> dict:
+def dfs_tables(d: int, rmax: int) -> dict:
     """Transitive monotone counts for every (alpha, r), r <= rmax, by
     exhaustive depth-first enumeration of monotone sequences.
 
@@ -116,12 +122,6 @@ def _dfs_tables(d: int, rmax: int) -> dict:
     return table
 
 
-def count_monotone_transitive_dfs(alpha, r: int) -> int:
-    """Independent DFS implementation of count_monotone_transitive."""
-    alpha = Partition(alpha)
-    return _dfs_tables(alpha.size, r).get((alpha, r), 0)
-
-
 # -- route 2: DP totals + set-partition inclusion-exclusion ------------
 
 
@@ -133,8 +133,6 @@ def _monotone_totals(n: int, rmax: int) -> dict:
     monotone sequence is, for b = 2..n in order, an ordered block of
     transpositions (a b) with a < b.
     """
-    if n > DP_MAX_POINTS:
-        raise ResourceLimitError(f"DP oracle refuses d={n} > {DP_MAX_POINTS}")
     states = {(identity(n), 0): 1}
     for b in range(1, n):
         frontier = states
@@ -163,32 +161,30 @@ def _monotone_totals(n: int, rmax: int) -> dict:
 @lru_cache(maxsize=None)
 def _classical_totals(n: int, rmax: int) -> dict:
     """Non-transitive classical counts on n points: (type(product), r) -> count."""
-    if n > DP_MAX_POINTS:
-        raise ResourceLimitError(f"DP oracle refuses d={n} > {DP_MAX_POINTS}")
     taus = [transposition(n, a, b) for b in range(1, n) for a in range(b)]
     layer = {identity(n): 1}
     out: dict[tuple[Partition, int], int] = {}
-
-    def flush(layer, r):
+    for r in range(rmax + 1):
+        if r:
+            nxt: dict = {}
+            for p, cnt in layer.items():
+                for t in taus:
+                    q = compose(p, t)
+                    nxt[q] = nxt.get(q, 0) + cnt
+            layer = nxt
         for p, cnt in layer.items():
             key = (cycle_type(p), r)
             out[key] = out.get(key, 0) + cnt
-
-    flush(layer, 0)
-    for r in range(1, rmax + 1):
-        nxt: dict = {}
-        for p, cnt in layer.items():
-            for t in taus:
-                q = compose(p, t)
-                nxt[q] = nxt.get(q, 0) + cnt
-        layer = nxt
-        flush(layer, r)
     return out
 
 
 @lru_cache(maxsize=None)
-def _transitive_from_totals(d: int, rmax: int, monotone: bool) -> dict:
-    """Invert the orbit decomposition: totals -> transitive counts.
+def transitive_counts(d: int, rmax: int, monotone: bool) -> dict:
+    """Transitive counts (alpha, r) -> int for every |alpha| <= d, r <= rmax,
+    by inverting the orbit decomposition of the non-transitive totals.  A
+    negative count, or a nonzero one off Riemann-Hurwitz, raises
+    AssertionError; d > DP_MAX_POINTS or d!*rmax^2 > DP_MAX_WORK raises
+    ResourceLimitError before any work.
 
     A sequence on {1..d} splits over its orbit set partition into transitive
     pieces.  Fixing the block containing the point 1 (size n', type beta',
@@ -201,6 +197,13 @@ def _transitive_from_totals(d: int, rmax: int, monotone: bool) -> dict:
     blocks are distinct, so exactly one merge is monotone) and C(r, r')
     classically.  Solving for the n' = d term yields T_d.
     """
+    if d > DP_MAX_POINTS:
+        raise ResourceLimitError(f"DP oracle refuses d={d} > {DP_MAX_POINTS}")
+    if factorial(d) * rmax * rmax > DP_MAX_WORK:
+        raise ResourceLimitError(
+            f"DP oracle caps d!*r^2 at {DP_MAX_WORK}, got d={d}, r={rmax}: "
+            f"{factorial(d) * rmax * rmax}"
+        )
     totals = _monotone_totals if monotone else _classical_totals
     trans: dict[tuple[Partition, int], int] = {}
     for n in range(1, d + 1):
@@ -223,60 +226,32 @@ def _transitive_from_totals(d: int, rmax: int, monotone: bool) -> dict:
                                 ways *= comb(r, rsub)
                             val -= ways * t * a
                 trans[(alpha, r)] = val
+                # a count lives at r = 2g - 2 + |alpha| + len(alpha), g >= 0
+                excess = r + 2 - n - len(alpha)
+                if val < 0 or (val and (excess < 0 or excess % 2)):
+                    raise AssertionError(
+                        f"count {val} at {tuple(alpha)}, r={r} is negative or off Riemann-Hurwitz"
+                    )
     return trans
 
 
 # -- public operations --------------------------------------------------
 
 
-def count_monotone_transitive(alpha, r: int) -> int:
-    """Number of transitive monotone factorizations of type (alpha, r)."""
+def _count(alpha, r: int, monotone: bool) -> int:
     alpha = Partition(alpha)
     if alpha.size < 1:
         raise ValueError("alpha must be a partition of d >= 1")
     if r < 0:
         raise ValueError("r must be >= 0")
-    if alpha.size > DP_MAX_POINTS:
-        raise ResourceLimitError(
-            f"DP oracle refuses d={alpha.size} > {DP_MAX_POINTS}"
-        )
-    table = _transitive_from_totals(alpha.size, r, True)
-    return table.get((alpha, r), 0)
+    return transitive_counts(alpha.size, r, monotone).get((alpha, r), 0)
+
+
+def count_monotone_transitive(alpha, r: int) -> int:
+    """Number of transitive monotone factorizations of type (alpha, r)."""
+    return _count(alpha, r, True)
 
 
 def count_classical_transitive(alpha, r: int) -> int:
     """Number of transitive factorizations of type (alpha, r), monotone or not."""
-    alpha = Partition(alpha)
-    if alpha.size < 1:
-        raise ValueError("alpha must be a partition of d >= 1")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if alpha.size > DP_MAX_POINTS:
-        raise ResourceLimitError(
-            f"DP oracle refuses d={alpha.size} > {DP_MAX_POINTS}"
-        )
-    table = _transitive_from_totals(alpha.size, r, False)
-    return table.get((alpha, r), 0)
-
-
-class CountTable:
-    """Exact counts (alpha, r) -> int for all alpha of size <= d, r <= rmax."""
-
-    def __init__(self, d: int, rmax: int, monotone: bool = True):
-        self.d = d
-        self.rmax = rmax
-        self.monotone = monotone
-        self.counts: dict[tuple[Partition, int], int] = {}
-        for n in range(1, d + 1):
-            table = _transitive_from_totals(n, rmax, monotone)
-            for (alpha, r), v in table.items():
-                if v < 0:
-                    raise AssertionError(f"negative count at {(alpha, r)}")
-                if monotone and r < alpha.size - len(alpha) and v != 0:
-                    raise AssertionError(f"sub-genus-0 count nonzero at {(alpha, r)}")
-                if v:
-                    self.counts[(alpha, r)] = v
-
-    def __getitem__(self, key) -> int:
-        alpha, r = key
-        return self.counts.get((Partition(alpha), r), 0)
+    return _count(alpha, r, False)

@@ -174,10 +174,8 @@ class BiSeries(MSeries):
 
 def prefactor(wq: int, w1: int, w2: int) -> BiSeries:
     """4 y1 (1-4y1)^(-3/2) (1-eta)^(-1) as a concrete series."""
-    eta = aux_series(wq).eta
-    v = BiSeries.from_mseries(
-        (MSeries.constant(1, wq) - eta).inverse(), wq, w1, w2
-    )
+    one = MSeries.constant(1, wq)
+    v = BiSeries.from_mseries((one - aux_series(one).eta).inverse(), wq, w1, w2)
     y1 = BiSeries(wq, w1, w2, {((), 1, 0): 4})
     return y1 * BiSeries.y_binomial(-3, wq, w1, w2) * v
 
@@ -246,8 +244,8 @@ def transfer_literal(F: BiSeries) -> BiSeries:
     )
     inner = split_1_to_2(one_minus_4y1 * F)
     inner = BiSeries.y_binomial(-3, wq, w1, w2, var=2) * inner
-    eta = aux_series(wq).eta
-    v = BiSeries.from_mseries((MSeries.constant(1, wq) - eta).inverse(), wq, w1, w2)
+    one = MSeries.constant(1, wq)
+    v = BiSeries.from_mseries((one - aux_series(one).eta).inverse(), wq, w1, w2)
     return v * project_2(inner)
 
 
@@ -256,8 +254,9 @@ def transfer_literal(F: BiSeries) -> BiSeries:
 
 def expand_ring_element(E: RingElement, wq: int, w1: int, w2: int = 0) -> BiSeries:
     """Concrete (q, y1)-series of a ring element."""
-    aux = aux_series(wq, j_max=max((max(hs) for (_, _, hs) in E.terms if hs), default=0))
-    v_series = (MSeries.constant(1, wq) - aux.eta).inverse()
+    one = MSeries.constant(1, wq)
+    aux = aux_series(one, j_max=max((max(hs) for (_, _, hs) in E.terms if hs), default=0))
+    v_series = (one - aux.eta).inverse()
     out = BiSeries(wq, w1, w2)
     qcache: dict[tuple[int, tuple[int, ...]], MSeries] = {}
     for (u2, v, hs), c in E.terms.items():

@@ -9,6 +9,7 @@ construction.
 from __future__ import annotations
 
 import random
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,8 +31,8 @@ from .inversion import (
     monotone_from_rational_form,
 )
 from .joincut import solve_classical, solve_monotone
-from .oracle import _dfs_tables, count_monotone_transitive, CountTable
-from .partitions import Partition, partitions
+from .oracle import count_monotone_transitive, dfs_tables, transitive_counts
+from .partitions import partitions
 from .pipeline import (
     decompose_basis,
     genus1_closed,
@@ -60,157 +61,128 @@ def _diff_report(diffs: list[str], limit: int = 5) -> str:
     return f"{len(diffs)} mismatches: {shown}{more}"
 
 
+def _compare(what: str, rows) -> tuple[bool, str]:
+    """Exact comparison of rows (label, route a, value a, route b, value b).
+
+    The detail is `what`, with {n} standing for the number of distinct
+    labels, then either "all values equal" or the mismatches, each naming
+    both routes and both values.
+    """
+    rows = list(rows)
+    diffs = [f"{label}: {ra}={a} {rb}={b}" for label, ra, a, rb, b in rows if a != b]
+    n = len({row[0] for row in rows})
+    return not diffs, f"{what.format(n=n)}; " + _diff_report(diffs)
+
+
+def _notes(notes: list[str], diffs: list[str]) -> tuple[bool, str]:
+    """Pass/fail and detail of a check that reports notes, not value pairs."""
+    return not diffs, "; ".join(notes + ([_diff_report(diffs)] if diffs else []))
+
+
 def check_oracle_dfs_vs_dp() -> tuple[bool, str]:
     """Two independent monotone counters agree for d <= 5, r <= 8."""
-    diffs = []
-    total = 0
-    for d in range(1, 6):
-        # one enumeration per d: the DFS tree to depth 8 counts every r <= 8
-        dfs_table = _dfs_tables(d, 8)
-        for alpha in partitions(d):
-            for r in range(9):
-                total += 1
-                dp = count_monotone_transitive(alpha, r)
-                dfs = dfs_table.get((alpha, r), 0)
-                if dp != dfs:
-                    diffs.append(f"{tuple(alpha)},r={r}: dp={dp} dfs={dfs}")
-    return not diffs, f"{total} cases; " + _diff_report(diffs)
+    dp = transitive_counts(5, 8, True)
+    # one enumeration per d: the DFS tree to depth 8 counts every r <= 8
+    dfs = {key: n for d in range(1, 6) for key, n in dfs_tables(d, 8).items()}
+    return _compare("{n} cases", (
+        (f"{tuple(alpha)},r={r}", "dp", dp[alpha, r], "dfs", dfs.get((alpha, r), 0))
+        for d in range(1, 6)
+        for alpha in partitions(d)
+        for r in range(9)
+    ))
 
 
 def check_joincut_vs_oracle(monotone: bool, dmax: int, rmax: int) -> tuple[bool, str]:
     """The join-cut table of one family equals the oracle for d <= dmax,
     r <= rmax."""
-    solve = solve_monotone if monotone else solve_classical
-    table = solve(dmax, rmax)
-    oracle = CountTable(dmax, rmax, monotone=monotone)
-    diffs = []
-    total = 0
-    for d in range(1, dmax + 1):
-        for alpha in partitions(d):
-            for r in range(rmax + 1):
-                total += 1
-                if table[alpha, r] != oracle[alpha, r]:
-                    diffs.append(
-                        f"{tuple(alpha)},r={r}: joincut={table[alpha, r]} oracle={oracle[alpha, r]}"
-                    )
-    return not diffs, f"{total} cases; " + _diff_report(diffs)
+    table = (solve_monotone if monotone else solve_classical)(dmax, rmax)
+    oracle = transitive_counts(dmax, rmax, monotone)
+    return _compare("{n} cases", (
+        (f"{tuple(alpha)},r={r}", "joincut", table[alpha, r], "oracle", oracle[alpha, r])
+        for d in range(1, dmax + 1)
+        for alpha in partitions(d)
+        for r in range(rmax + 1)
+    ))
 
 
 def check_genus0_formula() -> tuple[bool, str]:
     """Genus-0 product formula equals the join-cut slice for d <= 8."""
     table = solve_monotone(8, 14)
-    diffs = []
-    total = 0
-    for d in range(1, 9):
-        for alpha in partitions(d):
-            total += 1
-            got = monotone_genus0(alpha)
-            want = table.genus_value(0, alpha)
-            if got != want:
-                diffs.append(f"{tuple(alpha)}: formula={got} joincut={want}")
-    return not diffs, f"{total} partitions; " + _diff_report(diffs)
+    return _compare("{n} partitions", (
+        (tuple(alpha), "formula", monotone_genus0(alpha), "joincut", table.genus_value(0, alpha))
+        for d in range(1, 9)
+        for alpha in partitions(d)
+    ))
 
 
 def check_genus1_formula() -> tuple[bool, str]:
     """Genus-1 formula and the log form both match join-cut for d <= 6."""
     table = solve_monotone(6, 12)
     log_form = genus1_closed()
-    diffs = []
-    total = 0
-    for d in range(1, 7):
-        for alpha in partitions(d):
-            total += 1
-            want = table.genus_value(1, alpha)
-            got_formula = monotone_genus1(alpha)
-            got_log = monotone_from_log_form(log_form, alpha)
-            if got_formula != want:
-                diffs.append(f"{tuple(alpha)}: formula={got_formula} joincut={want}")
-            if got_log != want:
-                diffs.append(f"{tuple(alpha)}: logform={got_log} joincut={want}")
-    return not diffs, f"{total} partitions x 2 routes; " + _diff_report(diffs)
+    return _compare("{n} partitions x 2 routes", (
+        (tuple(alpha), route, fn(alpha), "joincut", table.genus_value(1, alpha))
+        for d in range(1, 7)
+        for alpha in partitions(d)
+        for route, fn in (
+            ("formula", monotone_genus1),
+            ("logform", partial(monotone_from_log_form, log_form)),
+        )
+    ))
 
 
 def check_classical_formulas() -> tuple[bool, str]:
     """Classical genus-0/1 formulas and the checked-in classical tables
     all reproduce the classical join-cut numbers for d <= 5."""
     table = solve_classical(5, 16)
-    forms = {g: paper_form(g, classical=True) for g in (2, 3)}
-    diffs = []
-    total = 0
-    for d in range(1, 6):
-        for alpha in partitions(d):
-            total += 1
-            want0 = table.genus_value(0, alpha)
-            want1 = table.genus_value(1, alpha)
-            if classical_genus0(alpha) != want0:
-                diffs.append(f"g0 {tuple(alpha)}")
-            if classical_genus1(alpha) != want1:
-                diffs.append(f"g1 {tuple(alpha)}")
-            for g in (2, 3):
-                got = classical_from_rational_form(forms[g], alpha)
-                want = table.genus_value(g, alpha)
-                if got != want:
-                    diffs.append(f"g{g} {tuple(alpha)}: table={got} joincut={want}")
-    return not diffs, f"{total} partitions x 4 genera; " + _diff_report(diffs)
+    routes = {0: ("formula", classical_genus0), 1: ("formula", classical_genus1)}
+    for g in (2, 3):
+        routes[g] = ("table", partial(classical_from_rational_form, paper_form(g, classical=True)))
+    return _compare("{n} partitions x 4 genera", (
+        (tuple(alpha), f"g{g} {route}", fn(alpha), "joincut", table.genus_value(g, alpha))
+        for d in range(1, 6)
+        for alpha in partitions(d)
+        for g, (route, fn) in routes.items()
+    ))
 
 
 def check_pipeline_table(g: int) -> tuple[bool, str]:
     """Pipeline genus-g coefficients equal the published table."""
     got = rational_form(g)
     want = paper_form(g)
-    diffs = []
-    keys = set(got.terms) | set(want.terms)
-    for a in sorted(keys, key=lambda a: (a.size, a)):
-        g_, w_ = got.coefficient(a), want.coefficient(a)
-        if g_ != w_:
-            diffs.append(f"{tuple(a)}: pipeline={g_} table={w_}")
-    if got.constant != want.constant:
-        diffs.append(f"constant: pipeline={got.constant} table={want.constant}")
-    return not diffs, f"{len(keys)} coefficients + constant; " + _diff_report(diffs)
+    keys = sorted(set(got.terms) | set(want.terms), key=lambda a: (a.size, a))
+    rows = [(tuple(a), "pipeline", got.coefficient(a), "table", want.coefficient(a)) for a in keys]
+    rows.append(("constant", "pipeline", got.constant, "table", want.constant))
+    return _compare(f"{len(keys)} coefficients + constant", rows)
 
 
 def check_bernoulli_law() -> tuple[bool, str]:
     """Pipeline constants equal -B_2g/(2g(2g-2)) for g = 2..7."""
-    diffs = []
-    for g in range(2, 8):
-        got = rational_form(g).terms.get(Partition(), Fraction(0))
-        want = bernoulli_constant(g)
-        if got != want:
-            diffs.append(f"g={g}: pipeline={got} bernoulli={want}")
-    return not diffs, "g=2..7; " + _diff_report(diffs)
+    return _compare("g=2..7", (
+        (f"g={g}", "pipeline", rational_form(g).coefficient(()), "bernoulli", bernoulli_constant(g))
+        for g in range(2, 8)
+    ))
 
 
 def check_matsumoto_novak() -> tuple[bool, str]:
     """Single-cycle formula vs pipeline (g <= 3, d <= 6) and oracle (d <= 5)."""
-    diffs = []
-    total = 0
-    log_form = genus1_closed()
+    pipeline = {1: partial(monotone_from_log_form, genus1_closed())}
+    pipeline.update({g: partial(monotone_from_rational_form, rational_form(g)) for g in (2, 3)})
+    rows = []
     for g in range(1, 4):
-        form = rational_form(g) if g >= 2 else None
         for d in range(1, 7):
-            total += 1
-            want = mn_single_cycle(g, d)
-            if g == 1:
-                got = monotone_from_log_form(log_form, (d,))
-            else:
-                got = monotone_from_rational_form(form, (d,))
-            if got != want:
-                diffs.append(f"g={g},d={d}: pipeline={got} formula={want}")
+            label, want = f"g={g},d={d}", mn_single_cycle(g, d)
+            rows.append((label, "pipeline", pipeline[g]((d,)), "formula", want))
             if d <= 5:
-                r = 2 * g - 2 + 1 + d
-                ocount = count_monotone_transitive((d,), r)
-                if ocount != want:
-                    diffs.append(f"g={g},d={d}: oracle={ocount} formula={want}")
-    return not diffs, f"{total} (g,d) pairs; " + _diff_report(diffs)
+                oracle = count_monotone_transitive((d,), 2 * g - 1 + d)
+                rows.append((label, "oracle", oracle, "formula", want))
+    return _compare("{n} (g,d) pairs", rows)
 
 
 def check_scaling_law() -> tuple[bool, str]:
     """c_{g,alpha} = 2^(3g-3) a_{g,alpha} on |alpha| = 3g-3 for g = 2, 3."""
-    diffs = []
-    for g in (2, 3):
-        if not scaling_check(g):
-            diffs.append(f"g={g}: scaling failed")
-    return not diffs, "g=2,3 top coefficients; " + _diff_report(diffs)
+    return _compare("g=2,3 top coefficients", (
+        (f"g={g}", "scaling_check", scaling_check(g), "expected", True) for g in (2, 3)
+    ))
 
 
 def check_polynomiality() -> tuple[bool, str]:
@@ -224,25 +196,20 @@ def check_polynomiality() -> tuple[bool, str]:
             degrees.append(f"({g},{ell}):deg{poly.degree}")
         except Exception as exc:  # verification failure is the failure mode
             diffs.append(f"(g={g},ell={ell}): {exc}")
-    return not diffs, "; ".join(degrees) + ("; " if diffs else "") + (
-        _diff_report(diffs) if diffs else ""
-    )
+    return _notes(degrees, diffs)
 
 
 def check_operator_series_oracle() -> tuple[bool, str]:
     """Algebraic lift/transfer agree with the literal operators on 20
-    randomized small ring elements (q-weight <= 4)."""
+    randomized small ring elements (q-weight <= 4), coefficient by
+    coefficient."""
     wq, w1 = 4, 6
     rng = random.Random(20240811)
 
-    def region(series, cap_q, cap_y):
-        return {
-            k: v
-            for k, v in series.coeffs.items()
-            if sum(k[0]) <= cap_q and k[1] <= cap_y
-        }
+    def region(series):
+        return {k: v for k, v in series.coeffs.items() if sum(k[0]) <= wq and k[1] <= w1}
 
-    diffs = []
+    rows = []
     for trial in range(20):
         terms = {}
         for _ in range(rng.randint(1, 3)):
@@ -251,18 +218,22 @@ def check_operator_series_oracle() -> tuple[bool, str]:
             hs = tuple(sorted(rng.choice([(), (1,), (2,), (1, 1), (3,)])))
             terms[(u2, v, hs)] = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
         elem = RingElement(terms)
-        alg = expand_ring_element(apply_delta1(elem), wq, w1)
-        lit = lift_literal(expand_ring_element(elem, wq + w1, w1))
-        if region(alg, wq, w1) != region(lit, wq, w1):
-            diffs.append(f"lift trial {trial}")
         honest = RingElement(
             {(u2 - u2 % 2, 0, hs): c for (u2, v, hs), c in terms.items()}
         )
-        alg_t = expand_ring_element(apply_T(honest), wq, w1)
-        lit_t = transfer_literal(expand_ring_element(honest, wq, w1 + wq, w2=wq))
-        if region(alg_t, wq, w1) != region(lit_t, wq, w1):
-            diffs.append(f"transfer trial {trial}")
-    return not diffs, "20 random elements x 2 operators; " + _diff_report(diffs)
+        pairs = (
+            ("lift", expand_ring_element(apply_delta1(elem), wq, w1),
+             lift_literal(expand_ring_element(elem, wq + w1, w1))),
+            ("transfer", expand_ring_element(apply_T(honest), wq, w1),
+             transfer_literal(expand_ring_element(honest, wq, w1 + wq, w2=wq))),
+        )
+        for name, alg, lit in pairs:
+            alg, lit = region(alg), region(lit)
+            rows.extend(
+                (f"{name} trial {trial} {k}", "algebraic", alg.get(k, 0), "literal", lit.get(k, 0))
+                for k in sorted(alg.keys() | lit.keys())
+            )
+    return _compare("20 random elements x 2 operators", rows)
 
 
 def check_structural_assertions() -> tuple[bool, str]:
@@ -282,9 +253,7 @@ def check_structural_assertions() -> tuple[bool, str]:
             notes.append(f"g={g}:deg{elem.weighted_degree()}")
         except AssertionError as exc:
             diffs.append(f"g={g}: {exc}")
-    return not diffs, "; ".join(notes) + ("; " if diffs else "") + (
-        _diff_report(diffs) if diffs else ""
-    )
+    return _notes(notes, diffs)
 
 
 CHECKS = {
@@ -329,8 +298,19 @@ SUITES = {
 SUITES["all"] = sorted(CHECKS)
 
 
+def _clear_caches() -> None:
+    """Empty every lru_cache of the package, so that each check is timed
+    cold whichever checks ran before it in this process."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hurwitz":
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
 def run_check(name: str) -> CheckResult:
     fn = CHECKS[name]
+    _clear_caches()
     start = time.perf_counter()
     try:
         passed, detail = fn()

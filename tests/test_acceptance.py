@@ -29,6 +29,25 @@ CRITERIA = {
 }
 
 
+# the PASS detail of every check, word for word: `hurwitz verify` prints it
+EQUAL = "all values equal"
+DETAILS = {
+    "oracle-dfs-vs-dp": f"162 cases; {EQUAL}",
+    "joincut-monotone-vs-oracle": f"319 cases; {EQUAL}",
+    "joincut-classical-vs-oracle": f"162 cases; {EQUAL}",
+    "genus0-formula": f"66 partitions; {EQUAL}",
+    "genus1-formula": f"29 partitions x 2 routes; {EQUAL}",
+    "pipeline-genus2-table": f"7 coefficients + constant; {EQUAL}",
+    "pipeline-genus3-table": f"30 coefficients + constant; {EQUAL}",
+    "bernoulli-law": f"g=2..7; {EQUAL}",
+    "matsumoto-novak": f"18 (g,d) pairs; {EQUAL}",
+    "scaling-law": f"g=2,3 top coefficients; {EQUAL}",
+    "polynomiality": "(0,3):deg0; (0,4):deg1; (1,1):deg1; (1,2):deg2; (2,1):deg4; (2,2):deg5",
+    "operator-series-oracle": f"20 random elements x 2 operators; {EQUAL}",
+    "structural-assertions": "g=1:deg2; g=2:deg5; g=3:deg8; g=4:deg11",
+}
+
+
 def _run(number: int):
     label, names = CRITERIA[number]
     results = [run_check(name) for name in names]
@@ -36,6 +55,8 @@ def _run(number: int):
     detail = "; ".join(f"{r.name}: {r.detail}" for r in results)
     print(f"{'PASS' if passed else 'FAIL'} criterion {number}: {label} -- {detail}")
     assert passed, detail
+    for r in results:
+        assert r.detail == DETAILS[r.name], r.name
 
 
 def test_criterion_01_oracle_cross_validation():

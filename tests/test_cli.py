@@ -315,6 +315,38 @@ def test_joincut_r_cap_exits_2_before_the_solver(capsys, monkeypatch):
     assert {0, 1} <= seen
 
 
+def test_oracle_work_cap_exits_2_before_the_oracle(capsys, monkeypatch):
+    from math import factorial, isqrt
+
+    from hurwitz import oracle
+
+    def totals(n, rmax):
+        raise AssertionError(f"the oracle ran for r={rmax}")
+
+    monkeypatch.setattr(oracle, "_monotone_totals", totals)
+    monkeypatch.setattr(oracle, "_classical_totals", totals)
+    oracle.transitive_counts.cache_clear()
+    seen = set()
+    for parts in ("4,4", "3,3", "2,1", "1"):
+        d, ell = sum(map(int, parts.split(","))), len(parts.split(","))
+        last = (isqrt(oracle.DP_MAX_WORK // factorial(d)) - d - ell + 2) // 2
+        for g in range(last - 1, last + 3):
+            r = 2 * g - 2 + ell + d
+            for flags in ((), ("--classical",)):
+                argv = ("compute", "--genus", str(g), "--partition", parts, "--method", "oracle")
+                code, out, err = run_cli(capsys, *argv, *flags)
+                assert not out, argv
+                if factorial(d) * r * r > oracle.DP_MAX_WORK:
+                    assert code == 2 and f"d!*r^2 at {oracle.DP_MAX_WORK}, got d={d}, r={r}" in err
+                else:
+                    assert code == 3 and f"the oracle ran for r={r}" in err, argv
+                seen.add(code)
+    assert seen == {2, 3}
+    argv = ("compute", "--genus", "5", "--partition", "4,4", "--method", "oracle")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "d!*r^2" in err
+
+
 # -- the auto rule ------------------------------------------------------------
 #
 # (genus, alpha, classical, route auto must pick); the r rows sit on either

@@ -27,7 +27,7 @@ from hurwitz.tables import paper_form
 
 
 def test_aux_series_coefficients():
-    aux = aux_series(4, 3)
+    aux = aux_series(MSeries.constant(1, 4), 3)
     assert aux.gamma[(1,)] == 2
     assert aux.eta[(2,)] == 30
     assert aux.eta_j(3)[(1,)] == 6
@@ -36,7 +36,7 @@ def test_aux_series_coefficients():
 
 
 def test_classical_aux_series_coefficients():
-    aux = classical_aux_series(3, 2)
+    aux = classical_aux_series(MSeries.constant(1, 3), 2)
     assert aux.delta[(2,)] == 2          # 2^2/2!
     assert aux.phi[(3,)] == Fraction(27, 2)  # 3^4/3!
     assert aux.phi_j(1)[(1,)] == 1
@@ -58,7 +58,7 @@ def test_gamma_in_p_leaves_no_reference_cycles():
 
 
 def test_lagrange_extract_examples():
-    aux = aux_series(3)
+    aux = aux_series(MSeries.constant(1, 3))
     # [p_1] gamma = 2, computed through the q-side extraction
     assert lagrange_extract(aux.gamma, (1,)) == 2
     # constants have no positive-weight p coefficients
@@ -73,7 +73,7 @@ def test_lagrange_extract_examples():
 
 
 def test_log_form_extractions():
-    series = expand_log_form(genus1_closed(), 4)
+    series = expand_log_form(genus1_closed(), MSeries.constant(1, 4))
     # the eta and gamma linear terms cancel exactly at q_1
     assert series[(1,)] == 0
     assert lagrange_extract(series, (1,)) == 0
@@ -90,7 +90,7 @@ def test_log_form_matches_joincut_genus1():
 
 def test_rational_form_expansion_properties():
     form = paper_form(2)
-    series = expand_rational_form(form, 4)
+    series = expand_rational_form(form, MSeries.constant(1, 4))
     assert series.constant_term() == 0
     assert factorial(1) * lagrange_extract(series, (1,)) == 0
     assert factorial(2) * lagrange_extract(series, (2,)) == 1

@@ -2,14 +2,14 @@ from math import comb
 
 import pytest
 
+from hurwitz import oracle
 from hurwitz.oracle import (
-    CountTable,
     ResourceLimitError,
     count_classical_transitive,
     count_monotone_transitive,
-    count_monotone_transitive_dfs,
+    dfs_tables,
+    transitive_counts,
     _monotone_totals,
-    _transitive_from_totals,
 )
 from hurwitz.partitions import Partition, partitions, subpartitions
 
@@ -32,9 +32,8 @@ def test_dfs_agrees_with_dp_small():
     for d in range(1, 5):
         for alpha in partitions(d):
             for r in range(7):
-                assert count_monotone_transitive(alpha, r) == count_monotone_transitive_dfs(
-                    alpha, r
-                ), (alpha, r)
+                dfs = dfs_tables(d, r).get((alpha, r), 0)
+                assert count_monotone_transitive(alpha, r) == dfs, (alpha, r)
 
 
 def test_monotone_at_most_classical_and_parity():
@@ -54,7 +53,7 @@ def test_orbit_decomposition_reconstructs_totals():
     rmax = 6
     for d in range(1, 6):
         totals = _monotone_totals(d, rmax)
-        trans = _transitive_from_totals(d, rmax, True)
+        trans = transitive_counts(d, rmax, True)
         for alpha in partitions(d):
             for r in range(rmax + 1):
                 rebuilt = trans.get((alpha, r), 0)
@@ -64,7 +63,7 @@ def test_orbit_decomposition_reconstructs_totals():
                         for rsub in range(r + 1):
                             rebuilt += (
                                 comb(d - 1, nsub - 1)
-                                * _transitive_from_totals(nsub, rmax, True).get(
+                                * transitive_counts(nsub, rmax, True).get(
                                     (beta, rsub), 0
                                 )
                                 * rest.get((delta, r - rsub), 0)
@@ -72,13 +71,31 @@ def test_orbit_decomposition_reconstructs_totals():
                 assert rebuilt == totals.get((alpha, r), 0), (alpha, r)
 
 
-def test_count_table_invariants():
-    table = CountTable(4, 6, monotone=True)
-    assert table[(3,), 2] == 4
-    assert all(v >= 0 for v in table.counts.values())
-    # below genus zero everything vanishes
-    for (alpha, r), v in table.counts.items():
-        assert r >= alpha.size - len(alpha)
+def test_transitive_counts_invariants():
+    for monotone in (True, False):
+        table = transitive_counts(4, 6, monotone)
+        assert table[Partition((3,)), 2] == (4 if monotone else 6)
+        assert all(v >= 0 for v in table.values())
+        # nonzero only at r = 2g - 2 + |alpha| + len(alpha) with g >= 0
+        for (alpha, r), v in table.items():
+            excess = r + 2 - alpha.size - len(alpha)
+            assert not v or (excess >= 0 and excess % 2 == 0), (alpha, r)
+
+
+def test_transitive_counts_refuses_a_count_off_riemann_hurwitz(monkeypatch):
+    def totals(n, rmax):
+        out = dict(_monotone_totals(n, rmax))
+        if n == 1:
+            out[Partition((1,)), 1] = 1  # no transposition acts on one point
+        return out
+
+    monkeypatch.setattr(oracle, "_monotone_totals", totals)
+    transitive_counts.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="off Riemann-Hurwitz"):
+            transitive_counts(1, 1, True)
+    finally:
+        transitive_counts.cache_clear()
 
 
 def test_resource_guard():

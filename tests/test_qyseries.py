@@ -54,8 +54,8 @@ def test_expand_ring_element_basic():
     # V expands to the geometric series of eta
     v = RingElement.monomial(v=1)
     series = expand_ring_element(v, 2, 0)
-    eta = aux_series(2).eta
-    expect = (MSeries.constant(1, 2) - eta).inverse()
+    one = MSeries.constant(1, 2)
+    expect = (one - aux_series(one).eta).inverse()
     assert series.coeffs == {(m, 0, 0): c for m, c in expect.coeffs.items()}
 
 
@@ -105,8 +105,8 @@ def test_pi2_projection_against_literal_series():
         y2_pow = BiSeries(wq, 0, wq + i, {((), 0, i): Fraction(1)})
         binom = BiSeries.y_binomial(-3 - 2 * i, wq, 0, wq + i, var=2)
         literal = project_2(y2_pow * binom)
-        eta = aux_series(wq).eta
-        v = BiSeries.from_mseries((MSeries.constant(1, wq) - eta).inverse(), wq, 0, 0)
+        one = MSeries.constant(1, wq)
+        v = BiSeries.from_mseries((one - aux_series(one).eta).inverse(), wq, 0, 0)
         literal = v * literal.truncate(wq, 0, 0)
         algebraic = expand_ring_element(pi2_project(i), wq, 0)
         assert literal.coeffs == algebraic.coeffs, i

@@ -44,3 +44,19 @@ def test_series_kernel_and_ring_stay_independent():
     package = Path(hurwitz.__file__).parent
     assert "ring" not in _package_imports(package / "series.py")
     assert not {"series", "qyseries"} & _package_imports(package / "ring.py")
+
+
+def test_cli_and_verify_import_no_private_names():
+    # the front ends use each route through its public names only
+    package = Path(hurwitz.__file__).parent
+    for name in ("cli.py", "verify.py"):
+        tree = ast.parse((package / name).read_text())
+        private = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("hurwitz"))
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert not private, (name, private)

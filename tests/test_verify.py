@@ -1,0 +1,32 @@
+from hurwitz import verify
+from hurwitz.closedforms import classical_genus0
+from hurwitz.partitions import Partition
+from hurwitz.pipeline import rational_form
+
+
+def test_a_mismatch_names_both_values(monkeypatch):
+    want = classical_genus0(Partition((3,)))
+
+    def planted(alpha):
+        return classical_genus0(alpha) + (alpha == Partition((3,)))
+
+    monkeypatch.setattr(verify, "classical_genus0", planted)
+    result = verify.run_check("classical-formulas")
+    assert not result.passed
+    assert result.detail == (
+        f"18 partitions x 4 genera; 1 mismatches: (3,): g0 formula={want + 1} joincut={want}"
+    )
+
+
+def test_each_check_starts_with_cold_caches(monkeypatch):
+    seen = []
+
+    def probe():
+        seen.append(rational_form.cache_info().currsize)
+        return True, ""
+
+    monkeypatch.setitem(verify.CHECKS, "probe", probe)
+    verify.run_check("bernoulli-law")
+    assert rational_form.cache_info().currsize > 0
+    verify.run_check("probe")
+    assert seen == [0]
