@@ -53,6 +53,13 @@ EXTRACTION_CAP = 16
 # 38-43 s cold, r = 720 took 52-62 s.  The monotone table takes about half.
 JOINCUT_R_CAP = 700
 
+# r cap of the closed-form route.  The single-cycle formula costs about d*g^2
+# big-rational steps; cold (one process each, 2-vCPU VM) its slowest shapes,
+# g = 120..150, took 32-37 s at r = 360, 41-45 s at 380, 47-53 s at 399.  The
+# genus-1 formulas at 1^(r/2) took 18 s at r = 360.  Values there stay under
+# 2,000 digits, far from Python's 4,300-digit limit on printing an int.
+CLOSED_FORM_R_CAP = 360
+
 
 class RangeError(Exception):
     """Query outside the supported range of the requested method."""
@@ -115,6 +122,10 @@ def compute_value(genus: int, alpha: Partition, classical: bool, method: str) ->
         return method, Fraction(solver(alpha.size, r)[alpha, r])
 
     if method == "closed-form":
+        if r > CLOSED_FORM_R_CAP:
+            raise RangeError(
+                f"closed-form path caps r = 2g-2+len+|alpha| at {CLOSED_FORM_R_CAP}, got {r}"
+            )
         if classical:
             if genus == 0:
                 return method, classical_genus0(alpha)

@@ -13,8 +13,8 @@ Two independent monotone implementations are provided:
 
 * a depth-first enumeration of monotone sequences (rho is forced, being the
   inverse of the product of the transpositions), and
-* a dynamic program over (permutation, last maximum) states that counts
-  sequences without the transitivity condition, followed by an
+* a dynamic program over blocks of transpositions (_layered_totals) that
+  counts sequences without the transitivity condition, followed by an
   inclusion-exclusion over the orbit set partition.  Disjoint-support
   monotone sequences merge in exactly one monotone interleaving (their
   b-values are disjoint sets), so the reduction needs no interleaving
@@ -30,11 +30,10 @@ from math import comb, factorial
 from .partitions import Partition, partitions, subpartitions
 
 DP_MAX_POINTS = 8
-# Bound on d!*r^2: the monotone DP steps its up to d! permutations through
-# every pair of lengths r' <= r, and the inclusion-exclusion is quadratic in r.
-# Cold tables at the edge (one process each, 2-vCPU VM): monotone (d, r) =
-# (8, 12) 30-37 s, (7, 33) 33-34 s, (6, 89) 28 s, (5, 219) 27 s, (4, 491) 20 s;
-# classical (8, 12) 10 s, (7, 33) 4 s.  Monotone (8, 14), one step over, 53 s.
+# Bound on d!*r^2: the DP extends up to d! permutations through r layers per
+# block, and the inclusion-exclusion is quadratic in r.  Cold tables at the
+# edge (one process each, 2-vCPU VM): classical (d, r) = (8, 12) 12-13 s,
+# (7, 33) 3-5 s; monotone (8, 12) 4 s, (7, 33) 2 s, (6, 89) 0.6-0.7 s.
 DP_MAX_WORK = factorial(8) * 12**2
 DFS_MAX_POINTS = 6
 
@@ -125,57 +124,40 @@ def dfs_tables(d: int, rmax: int) -> dict:
 # -- route 2: DP totals + set-partition inclusion-exclusion ------------
 
 
-@lru_cache(maxsize=None)
-def _monotone_totals(n: int, rmax: int) -> dict:
-    """Non-transitive monotone counts on n points: (type(product), r) -> count.
+def _layered_totals(n: int, rmax: int, blocks) -> dict:
+    """Non-transitive counts on n points, (type(product), r) -> count, of the
+    sequences made of a run of transpositions from each block in turn.
 
-    DP over states (permutation, r) processed in layers of constant b: a
-    monotone sequence is, for b = 2..n in order, an ordered block of
-    transpositions (a b) with a < b.
+    layers[r] maps each product of r transpositions to its count.  A block
+    extends the layers in place with r ascending, so that layers[r - 1]
+    already holds the runs from this block that the next t may follow.
     """
-    states = {(identity(n), 0): 1}
-    for b in range(1, n):
-        frontier = states
-        acc = dict(states)
-        for _ in range(rmax):
-            nxt: dict = {}
-            for (p, r), cnt in frontier.items():
-                if r == rmax:
-                    continue
-                for a in range(b):
-                    key = (compose(p, transposition(n, a, b)), r + 1)
-                    nxt[key] = nxt.get(key, 0) + cnt
-            if not nxt:
-                break
-            for key, cnt in nxt.items():
-                acc[key] = acc.get(key, 0) + cnt
-            frontier = nxt
-        states = acc
-    out: dict[tuple[Partition, int], int] = {}
-    for (p, r), cnt in states.items():
-        key = (cycle_type(p), r)
-        out[key] = out.get(key, 0) + cnt
-    return out
-
-
-@lru_cache(maxsize=None)
-def _classical_totals(n: int, rmax: int) -> dict:
-    """Non-transitive classical counts on n points: (type(product), r) -> count."""
-    taus = [transposition(n, a, b) for b in range(1, n) for a in range(b)]
-    layer = {identity(n): 1}
-    out: dict[tuple[Partition, int], int] = {}
-    for r in range(rmax + 1):
-        if r:
-            nxt: dict = {}
-            for p, cnt in layer.items():
-                for t in taus:
+    layers = [{identity(n): 1}] + [{} for _ in range(rmax)]
+    for block in blocks:
+        for r in range(1, rmax + 1):
+            layer = layers[r]
+            for p, cnt in layers[r - 1].items():
+                for t in block:
                     q = compose(p, t)
-                    nxt[q] = nxt.get(q, 0) + cnt
-            layer = nxt
+                    layer[q] = layer.get(q, 0) + cnt
+    out: dict[tuple[Partition, int], int] = {}
+    for r, layer in enumerate(layers):
         for p, cnt in layer.items():
             key = (cycle_type(p), r)
             out[key] = out.get(key, 0) + cnt
     return out
+
+
+@lru_cache(maxsize=None)
+def _monotone_totals(n: int, rmax: int) -> dict:
+    """h_r(J_2, ..., J_n) with J_b = sum_{a<b} (a b): one block per b, in order."""
+    return _layered_totals(n, rmax, [[transposition(n, a, b) for a in range(b)] for b in range(1, n)])
+
+
+@lru_cache(maxsize=None)
+def _classical_totals(n: int, rmax: int) -> dict:
+    """(J_2 + ... + J_n)^r: one block of every transposition."""
+    return _layered_totals(n, rmax, [[transposition(n, a, b) for b in range(1, n) for a in range(b)]])
 
 
 @lru_cache(maxsize=None)
@@ -209,22 +191,20 @@ def transitive_counts(d: int, rmax: int, monotone: bool) -> dict:
     for n in range(1, d + 1):
         tot = totals(n, rmax)
         for alpha in partitions(n):
-            for r in range(rmax + 1):
-                val = tot.get((alpha, r), 0)
-                for nsub in range(1, n):
-                    rest = totals(n - nsub, rmax)
-                    for beta, delta in subpartitions(alpha, nsub):
-                        for rsub in range(r + 1):
-                            t = trans.get((beta, rsub), 0)
-                            if not t:
-                                continue
+            row = [tot.get((alpha, r), 0) for r in range(rmax + 1)]
+            for nsub in range(1, n):
+                rest = totals(n - nsub, rmax)
+                ways = comb(n - 1, nsub - 1)
+                for beta, delta in subpartitions(alpha, nsub):
+                    for rsub in range(rmax + 1):
+                        t = trans.get((beta, rsub), 0)
+                        if not t:
+                            continue
+                        for r in range(rsub, rmax + 1):
                             a = rest.get((delta, r - rsub), 0)
-                            if not a:
-                                continue
-                            ways = comb(n - 1, nsub - 1)
-                            if not monotone:
-                                ways *= comb(r, rsub)
-                            val -= ways * t * a
+                            if a:
+                                row[r] -= ways * (1 if monotone else comb(r, rsub)) * t * a
+            for r, val in enumerate(row):
                 trans[(alpha, r)] = val
                 # a count lives at r = 2g - 2 + |alpha| + len(alpha), g >= 0
                 excess = r + 2 - n - len(alpha)

@@ -100,11 +100,3 @@ def subpartitions(alpha, size: int):
             comp.extend([v] * (m - c))
         yield Partition(sub), Partition(comp)
 
-
-def multiset_diff(alpha, beta) -> Partition:
-    """Multiset difference alpha - beta; beta must be contained in alpha."""
-    remaining = Counter(alpha)
-    remaining.subtract(Counter(beta))
-    if any(m < 0 for m in remaining.values()):
-        raise ValueError(f"{tuple(beta)} is not a sub-multiset of {tuple(alpha)}")
-    return Partition(remaining.elements())

@@ -172,12 +172,16 @@ class BiSeries(MSeries):
 # -- the literal operators ------------------------------------------------
 
 
+def _one_minus_eta_inverse(wq: int, w1: int, w2: int) -> BiSeries:
+    """(1-eta)^(-1), a series in q alone."""
+    one = MSeries.constant(1, wq)
+    return BiSeries.from_mseries((one - aux_series(one).eta).inverse(), wq, w1, w2)
+
+
 def prefactor(wq: int, w1: int, w2: int) -> BiSeries:
     """4 y1 (1-4y1)^(-3/2) (1-eta)^(-1) as a concrete series."""
-    one = MSeries.constant(1, wq)
-    v = BiSeries.from_mseries((one - aux_series(one).eta).inverse(), wq, w1, w2)
     y1 = BiSeries(wq, w1, w2, {((), 1, 0): 4})
-    return y1 * BiSeries.y_binomial(-3, wq, w1, w2) * v
+    return y1 * BiSeries.y_binomial(-3, wq, w1, w2) * _one_minus_eta_inverse(wq, w1, w2)
 
 
 def lift_literal(G: BiSeries) -> BiSeries:
@@ -244,9 +248,7 @@ def transfer_literal(F: BiSeries) -> BiSeries:
     )
     inner = split_1_to_2(one_minus_4y1 * F)
     inner = BiSeries.y_binomial(-3, wq, w1, w2, var=2) * inner
-    one = MSeries.constant(1, wq)
-    v = BiSeries.from_mseries((one - aux_series(one).eta).inverse(), wq, w1, w2)
-    return v * project_2(inner)
+    return _one_minus_eta_inverse(wq, w1, w2) * project_2(inner)
 
 
 # -- expanding ring elements into series -----------------------------------

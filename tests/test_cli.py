@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hurwitz import cli
-from hurwitz.cli import JOINCUT_R_CAP, fmt_fraction, main, parse_partition
+from hurwitz.cli import CLOSED_FORM_R_CAP, JOINCUT_R_CAP, fmt_fraction, main, parse_partition
 from hurwitz.pipeline import GENUS_CAP
 from hurwitz.partitions import Partition
 
@@ -313,6 +313,35 @@ def test_joincut_r_cap_exits_2_before_the_solver(capsys, monkeypatch):
                     assert code == 3 and f"the solver ran for R={r}" in err, argv
                 seen.add(r - JOINCUT_R_CAP)
     assert {0, 1} <= seen
+
+
+def test_closed_form_r_cap_exits_2_before_the_formula(capsys, monkeypatch):
+    cap = CLOSED_FORM_R_CAP
+    # at the cap a value of about 1,600 digits prints; one over, nothing runs
+    code, out, _ = run_cli(capsys, "compute", "--genus", "0", "--partition", str(cap + 1), "--classical")
+    assert code == 0 and len(json.loads(out)["value"]) > 1500
+
+    def formula(*args):
+        raise AssertionError(f"the formula ran for {args}")
+
+    for name in ("monotone_genus0", "monotone_genus1", "classical_genus0", "classical_genus1", "mn_single_cycle"):
+        monkeypatch.setattr(cli, name, formula)
+    for r in (cap, cap + 1):
+        for g in (0, 1, 7):
+            d = r + 1 - 2 * g  # a single part: r = 2g - 1 + d
+            flagsets = [("--method", "closed-form")]
+            if g <= 1:  # the classical formulas, and auto's closed-form choice
+                flagsets += [("--classical", "--method", "closed-form"), ()]
+            for flags in flagsets:
+                argv = ("compute", "--genus", str(g), "--partition", str(d), *flags)
+                code, out, err = run_cli(capsys, *argv)
+                assert not out, argv
+                if r > cap:
+                    assert code == 2 and f"caps r = 2g-2+len+|alpha| at {cap}, got {r}" in err, argv
+                else:
+                    assert code == 3 and "the formula ran" in err, argv
+    code, _, err = run_cli(capsys, "compute", "--genus", "30", "--partition", "3000", "--method", "closed-form")
+    assert code == 2 and f"at {cap}, got 3059" in err
 
 
 def test_oracle_work_cap_exits_2_before_the_oracle(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import hashlib
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -9,6 +11,7 @@ from hurwitz.oracle import (
     count_monotone_transitive,
     dfs_tables,
     transitive_counts,
+    _classical_totals,
     _monotone_totals,
 )
 from hurwitz.partitions import Partition, partitions, subpartitions
@@ -45,6 +48,49 @@ def test_monotone_at_most_classical_and_parity():
                 assert mono <= full
                 if (r - (d - len(alpha))) % 2:
                     assert mono == 0 and full == 0
+
+
+def _brute_totals(n, rmax, monotone):
+    """(cycle type of the product, r) -> count over every transposition
+    sequence of length <= rmax on n points, monotone ones only if asked."""
+    taus = list(combinations(range(n), 2))
+    out = {}
+    for r in range(rmax + 1):
+        for seq in product(taus, repeat=r):
+            if monotone and any(s[1] > t[1] for s, t in zip(seq, seq[1:])):
+                continue
+            img = list(range(n))
+            for a, b in seq:
+                img[a], img[b] = img[b], img[a]
+            lengths, seen = [], set()
+            for start in range(n):
+                x, length = start, 0
+                while x not in seen:
+                    seen.add(x)
+                    x, length = img[x], length + 1
+                if length:
+                    lengths.append(length)
+            key = (Partition(lengths), r)
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
+def test_block_dp_totals_match_brute_force():
+    for n in range(1, 5):
+        assert _monotone_totals(n, 5) == _brute_totals(n, 5, True), n
+        assert _classical_totals(n, 5) == _brute_totals(n, 5, False), n
+
+
+def test_transitive_tables_match_frozen_digests():
+    # SHA-256 of the sorted (alpha, r, count) rows of transitive_counts(6, 14),
+    # as the separate monotone and classical DPs before the block DP gave them
+    expected = {
+        True: "fcb4baffecf878581262dc991d1201ac7d10d4abba7587c5fc2d4649ad35fc71",
+        False: "02c936ff3521f800be58a874cc35d271c0cf8060f62fcf3e7a598374b94966f0",
+    }
+    for monotone, digest in expected.items():
+        rows = sorted((tuple(a), r, v) for (a, r), v in transitive_counts(6, 14, monotone).items())
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, monotone
 
 
 def test_orbit_decomposition_reconstructs_totals():

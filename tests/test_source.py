@@ -60,3 +60,11 @@ def test_cli_and_verify_import_no_private_names():
             if alias.name.startswith("_")
         ]
         assert not private, (name, private)
+
+
+def test_counting_routes_share_only_partitions():
+    # the oracle and join-cut check each other only while neither uses
+    # the other's code, or any other route's
+    package = Path(hurwitz.__file__).parent
+    for name in ("oracle.py", "joincut.py"):
+        assert _package_imports(package / name) == {"partitions"}, name
