@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .combinat import bernoulli, central_binomial, elem_sym, elem_sym_shifted, rising
+from .combinat import bernoulli, central_binomial, elem_sym_table, rising
 from .inversion import monotone_from_rational_form
 from .partitions import Partition, aut_order, partitions
 from .polynomials import InconsistentDataError, PolynomialQ, interpolate, monomials_upto
@@ -49,10 +49,9 @@ def monotone_genus1(alpha) -> Fraction:
     if d < 1:
         raise ValueError("alpha must be nonempty")
     bracket = rising(2 * d + 1, ell) - 3 * rising(2 * d + 1, ell - 1)
+    e = elem_sym_table([2 * a + 1 for a in alpha])
     for k in range(2, ell + 1):
-        bracket -= (
-            factorial(k - 2) * rising(2 * d + 1, ell - k) * elem_sym_shifted(alpha, k)
-        )
+        bracket -= factorial(k - 2) * rising(2 * d + 1, ell - k) * e[k]
     out = Fraction(factorial(d), 24 * aut_order(alpha)) * bracket
     for a in alpha:
         out *= central_binomial(a)
@@ -77,8 +76,9 @@ def classical_genus1(alpha) -> Fraction:
     if d < 1:
         raise ValueError("alpha must be nonempty")
     bracket = Fraction(d) ** ell - Fraction(d) ** (ell - 1)
+    e = elem_sym_table(alpha)
     for k in range(2, ell + 1):
-        bracket -= factorial(k - 2) * Fraction(d) ** (ell - k) * elem_sym(alpha, k)
+        bracket -= factorial(k - 2) * Fraction(d) ** (ell - k) * e[k]
     out = Fraction(factorial(d), 24 * aut_order(alpha)) * factorial(d + ell) * bracket
     for a in alpha:
         out *= Fraction(a**a, factorial(a))

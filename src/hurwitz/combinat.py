@@ -56,12 +56,21 @@ def elem_sym(values, k: int) -> Fraction:
     return e[k]
 
 
+def elem_sym_table(values) -> list[int]:
+    """[e_0, ..., e_n] of n integers, all from one pass of the triangular
+    recurrence e[j] += v * e[j-1]."""
+    e = [1] + [0] * len(values)
+    for m, v in enumerate(values, 1):
+        for j in range(m, 0, -1):
+            e[j] += v * e[j - 1]
+    return e
+
+
 def elem_sym_shifted(alpha, k: int) -> int:
     """e_k over the multiset {2*alpha_i + 1}."""
-    val = elem_sym([2 * a + 1 for a in alpha], k)
-    if val.denominator != 1:
-        raise AssertionError(f"e_{k} of odd integers is not an integer: {val}")
-    return val.numerator
+    if k < 0 or k > len(alpha):
+        raise ValueError(f"k={k} out of range for {len(alpha)} values")
+    return elem_sym_table([2 * a + 1 for a in alpha])[k]
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,10 @@ Two independent monotone implementations are provided:
   inverse of the product of the transpositions), and
 * a dynamic program over blocks of transpositions (_layered_totals) that
   counts sequences without the transitivity condition, followed by an
-  inclusion-exclusion over the orbit set partition.  Disjoint-support
+  inclusion-exclusion over the orbit set partition.  The DP works on
+  ranks: the permutations of n points are numbered once (_ranked), each
+  transposition becomes a list mapping rank(p) to rank(p * (a b)), and a
+  layer of products is a dense list of counts indexed by rank.  Disjoint-support
   monotone sequences merge in exactly one monotone interleaving (their
   b-values are disjoint sets), so the reduction needs no interleaving
   factors; the classical reduction needs the binomial C(r, r') to choose
@@ -25,16 +28,21 @@ Two independent monotone implementations are provided:
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 from math import comb, factorial
 
 from .partitions import Partition, partitions, subpartitions
 
 DP_MAX_POINTS = 8
-# Bound on d!*r^2: the DP extends up to d! permutations through r layers per
-# block, and the inclusion-exclusion is quadratic in r.  Cold tables at the
-# edge (one process each, 2-vCPU VM): classical (d, r) = (8, 12) 12-13 s,
-# (7, 33) 3-5 s; monotone (8, 12) 4 s, (7, 33) 2 s, (6, 89) 0.6-0.7 s.
-DP_MAX_WORK = factorial(8) * 12**2
+# Bound on d!*r^2: the DP extends up to d! ranks through r layers per block,
+# and the inclusion-exclusion is quadratic in r.  Cold tables at the edge
+# r = isqrt(DP_MAX_WORK // d!) (one process each, 2-vCPU VM): the slowest is
+# classical (4, 1639) at 39-41 s, 27 MB peak RSS, where the binomials C(r, r')
+# of the classical reduction take most of the time; classical (5, 733) 9 s,
+# (7, 113) 1.1 s, (8, 40) 3.1-3.7 s (81 MB, the largest RSS); monotone at most
+# 2.4 s, at (8, 40).  At 8! * 44^2 classical (4, 1803) took 50-54 s, too close
+# to 60 s for this machine's +-15% noise; at 8! * 48^2 (4, 1967) took 78 s.
+DP_MAX_WORK = factorial(8) * 40**2
 DFS_MAX_POINTS = 6
 
 
@@ -124,40 +132,60 @@ def dfs_tables(d: int, rmax: int) -> dict:
 # -- route 2: DP totals + set-partition inclusion-exclusion ------------
 
 
+@lru_cache(maxsize=None)
+def _ranked(n: int) -> tuple[list, dict]:
+    """The permutations of n points in lexicographic order, so that rank 0 is
+    the identity: the cycle type of each rank, and for each transposition
+    (a b), a < b, its action, the list rank(p * (a b)) indexed by rank(p).
+    A permutation is a bytes of its images here, so p * (a b), which swaps
+    the values a and b, is one translate."""
+    perms = [bytes(p) for p in permutations(range(n))]
+    rank = {p: i for i, p in enumerate(perms)}
+    actions = {}
+    for b in range(1, n):
+        for a in range(b):
+            swap = bytes.maketrans(bytes((a, b)), bytes((b, a)))
+            actions[a, b] = [rank[p.translate(swap)] for p in perms]
+    return [cycle_type(p) for p in perms], actions
+
+
 def _layered_totals(n: int, rmax: int, blocks) -> dict:
     """Non-transitive counts on n points, (type(product), r) -> count, of the
-    sequences made of a run of transpositions from each block in turn.
+    sequences made of a run of transpositions (a, b) from each block in turn.
 
-    layers[r] maps each product of r transpositions to its count.  A block
+    layers[r][i] counts the products of r transpositions of rank i.  A block
     extends the layers in place with r ascending, so that layers[r - 1]
-    already holds the runs from this block that the next t may follow.
+    already holds the runs from this block that the next (a b) may follow.
     """
-    layers = [{identity(n): 1}] + [{} for _ in range(rmax)]
+    types, actions = _ranked(n)
+    layers = [[0] * len(types) for _ in range(rmax + 1)]
+    layers[0][0] = 1
     for block in blocks:
+        acts = [actions[t] for t in block]
         for r in range(1, rmax + 1):
             layer = layers[r]
-            for p, cnt in layers[r - 1].items():
-                for t in block:
-                    q = compose(p, t)
-                    layer[q] = layer.get(q, 0) + cnt
+            nonzero = [(i, c) for i, c in enumerate(layers[r - 1]) if c]
+            for act in acts:
+                for i, c in nonzero:
+                    layer[act[i]] += c
     out: dict[tuple[Partition, int], int] = {}
     for r, layer in enumerate(layers):
-        for p, cnt in layer.items():
-            key = (cycle_type(p), r)
-            out[key] = out.get(key, 0) + cnt
+        for kind, cnt in zip(types, layer):
+            if cnt:
+                out[kind, r] = out.get((kind, r), 0) + cnt
     return out
 
 
 @lru_cache(maxsize=None)
 def _monotone_totals(n: int, rmax: int) -> dict:
     """h_r(J_2, ..., J_n) with J_b = sum_{a<b} (a b): one block per b, in order."""
-    return _layered_totals(n, rmax, [[transposition(n, a, b) for a in range(b)] for b in range(1, n)])
+    return _layered_totals(n, rmax, [[(a, b) for a in range(b)] for b in range(1, n)])
 
 
 @lru_cache(maxsize=None)
 def _classical_totals(n: int, rmax: int) -> dict:
     """(J_2 + ... + J_n)^r: one block of every transposition."""
-    return _layered_totals(n, rmax, [[transposition(n, a, b) for b in range(1, n) for a in range(b)]])
+    return _layered_totals(n, rmax, [[(a, b) for b in range(1, n) for a in range(b)]])
 
 
 @lru_cache(maxsize=None)

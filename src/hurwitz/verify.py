@@ -258,8 +258,8 @@ def check_structural_assertions() -> tuple[bool, str]:
 
 CHECKS = {
     "oracle-dfs-vs-dp": check_oracle_dfs_vs_dp,
-    "joincut-monotone-vs-oracle": partial(check_joincut_vs_oracle, True, 6, 10),
-    "joincut-classical-vs-oracle": partial(check_joincut_vs_oracle, False, 5, 8),
+    "joincut-monotone-vs-oracle": partial(check_joincut_vs_oracle, True, 7, 14),
+    "joincut-classical-vs-oracle": partial(check_joincut_vs_oracle, False, 7, 14),
     "genus0-formula": check_genus0_formula,
     "genus1-formula": check_genus1_formula,
     "classical-formulas": check_classical_formulas,

@@ -13,7 +13,7 @@ CRITERIA = {
         ["oracle-dfs-vs-dp"],
     ),
     2: (
-        "join-cut vs oracle (monotone d<=6 r<=10; classical d<=5 r<=8)",
+        "join-cut vs oracle (monotone and classical, d<=7 r<=14)",
         ["joincut-monotone-vs-oracle", "joincut-classical-vs-oracle"],
     ),
     3: ("genus-0 formula vs join-cut slice, d<=8", ["genus0-formula"]),
@@ -33,8 +33,8 @@ CRITERIA = {
 EQUAL = "all values equal"
 DETAILS = {
     "oracle-dfs-vs-dp": f"162 cases; {EQUAL}",
-    "joincut-monotone-vs-oracle": f"319 cases; {EQUAL}",
-    "joincut-classical-vs-oracle": f"162 cases; {EQUAL}",
+    "joincut-monotone-vs-oracle": f"660 cases; {EQUAL}",
+    "joincut-classical-vs-oracle": f"660 cases; {EQUAL}",
     "genus0-formula": f"66 partitions; {EQUAL}",
     "genus1-formula": f"29 partitions x 2 routes; {EQUAL}",
     "pipeline-genus2-table": f"7 coefficients + constant; {EQUAL}",

@@ -371,7 +371,7 @@ def test_oracle_work_cap_exits_2_before_the_oracle(capsys, monkeypatch):
                     assert code == 3 and f"the oracle ran for r={r}" in err, argv
                 seen.add(code)
     assert seen == {2, 3}
-    argv = ("compute", "--genus", "5", "--partition", "4,4", "--method", "oracle")
+    argv = ("compute", "--genus", "19", "--partition", "4,4", "--method", "oracle")
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and "d!*r^2" in err
 

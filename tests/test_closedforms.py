@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hurwitz.closedforms import (
     bernoulli_constant,
@@ -13,8 +16,9 @@ from hurwitz.closedforms import (
     polynomiality_extract,
     scaling_check,
 )
+from hurwitz.combinat import central_binomial, elem_sym, elem_sym_table, rising
 from hurwitz.oracle import count_classical_transitive, count_monotone_transitive
-from hurwitz.partitions import partitions
+from hurwitz.partitions import Partition, aut_order, partitions
 from hurwitz.polynomials import PolynomialQ
 
 
@@ -34,6 +38,40 @@ def test_classical_examples():
     assert classical_genus0((3,)) == 6
     assert classical_genus0((2, 2)) == 288
     assert classical_genus1((3,)) == 54
+
+
+def _genus1_per_k(alpha, monotone):
+    """The genus-1 formulas as they were written first: one Fraction e_k
+    table rebuilt for every k."""
+    alpha = Partition(alpha)
+    d, ell = alpha.size, alpha.length
+    if monotone:
+        vals = [2 * a + 1 for a in alpha]
+        bracket = rising(2 * d + 1, ell) - 3 * rising(2 * d + 1, ell - 1)
+    else:
+        vals = list(alpha)
+        bracket = Fraction(d) ** ell - Fraction(d) ** (ell - 1)
+    for k in range(2, ell + 1):
+        weight = rising(2 * d + 1, ell - k) if monotone else Fraction(d) ** (ell - k)
+        bracket -= factorial(k - 2) * weight * elem_sym(vals, k)
+    out = Fraction(factorial(d), 24 * aut_order(alpha)) * bracket
+    if not monotone:
+        out *= factorial(d + ell)
+    for a in alpha:
+        out *= central_binomial(a) if monotone else Fraction(a**a, factorial(a))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=24))
+@example([1] * 12)
+@example([2] * 13)
+@example([3, 2, 2] + [1] * 10)
+@example([1] * 30)
+def test_genus1_formulas_equal_the_per_k_tables(parts):
+    assert elem_sym_table(parts) == [elem_sym(parts, k) for k in range(len(parts) + 1)]
+    assert monotone_genus1(parts) == _genus1_per_k(parts, True)
+    assert classical_genus1(parts) == _genus1_per_k(parts, False)
 
 
 def test_formulas_match_oracle():

@@ -81,6 +81,38 @@ def test_block_dp_totals_match_brute_force():
         assert _classical_totals(n, 5) == _brute_totals(n, 5, False), n
 
 
+def _dict_layered_totals(n, rmax, blocks):
+    """The block DP on dicts of permutation tuples, as it was before ranks:
+    layers[r] maps each product of r transpositions to its count."""
+    blocks = [[oracle.transposition(n, a, b) for a, b in block] for block in blocks]
+    layers = [{oracle.identity(n): 1}] + [{} for _ in range(rmax)]
+    for block in blocks:
+        for r in range(1, rmax + 1):
+            layer = layers[r]
+            for p, cnt in layers[r - 1].items():
+                for t in block:
+                    q = oracle.compose(p, t)
+                    layer[q] = layer.get(q, 0) + cnt
+    out = {}
+    for r, layer in enumerate(layers):
+        for p, cnt in layer.items():
+            key = (oracle.cycle_type(p), r)
+            out[key] = out.get(key, 0) + cnt
+    return out
+
+
+@pytest.mark.parametrize("n, rmax", [(n, 12) for n in range(1, 7)] + [(7, 6)])
+def test_ranked_dp_matches_dict_dp(n, rmax):
+    monotone = [[(a, b) for a in range(b)] for b in range(1, n)]
+    classical = [[t for block in monotone for t in block]]
+    for totals, blocks in ((_monotone_totals, monotone), (_classical_totals, classical)):
+        want = _dict_layered_totals(n, rmax, blocks)
+        # layer r depends only on the layers below it: every smaller rmax
+        # reads a prefix of the same table
+        for r in range(rmax + 1):
+            assert totals(n, r) == {k: v for k, v in want.items() if k[1] <= r}, (n, r)
+
+
 def test_transitive_tables_match_frozen_digests():
     # SHA-256 of the sorted (alpha, r, count) rows of transitive_counts(6, 14),
     # as the separate monotone and classical DPs before the block DP gave them

@@ -68,3 +68,25 @@ def test_counting_routes_share_only_partitions():
     package = Path(hurwitz.__file__).parent
     for name in ("oracle.py", "joincut.py"):
         assert _package_imports(package / name) == {"partitions"}, name
+
+
+def test_dfs_oracle_uses_no_ranked_table():
+    # `oracle-dfs-vs-dp` checks two monotone counters against each other;
+    # that check means something only while the DFS shares no kernel with
+    # the ranked block DP
+    package = Path(hurwitz.__file__).parent
+    tree = ast.parse((package / "oracle.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["dfs_tables"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo.extend(
+            node.id
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Name) and node.id in functions
+        )
+    assert "compose" in reached
+    assert not {"_ranked", "_layered_totals"} & reached, sorted(reached)
