@@ -153,9 +153,10 @@ def _layered_totals(n: int, rmax: int, blocks) -> dict:
     """Non-transitive counts on n points, (type(product), r) -> count, of the
     sequences made of a run of transpositions (a, b) from each block in turn.
 
-    layers[r][i] counts the products of r transpositions of rank i.  A block
-    extends the layers in place with r ascending, so that layers[r - 1]
-    already holds the runs from this block that the next (a b) may follow.
+    layers[r][i] counts the sequences of r transpositions whose product has
+    rank i.  A block extends the layers in place with r ascending, so that
+    layers[r - 1] already holds the runs from this block that the next (a b)
+    may follow.
     """
     types, actions = _ranked(n)
     layers = [[0] * len(types) for _ in range(rmax + 1)]
