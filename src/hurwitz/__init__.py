@@ -16,7 +16,7 @@ from .closedforms import (
     polynomiality_extract,
     scaling_check,
 )
-from .combinat import bernoulli, central_binomial, elem_sym_shifted, rising
+from .combinat import bernoulli, central_binomial, rising
 from .forms import LogForm, RationalForm
 from .inversion import (
     aux_series,
@@ -54,7 +54,6 @@ __all__ = [
     "partitions",
     "rising",
     "central_binomial",
-    "elem_sym_shifted",
     "bernoulli",
     "PolynomialQ",
     "interpolate",

@@ -120,20 +120,18 @@ def bernoulli_constant(g: int) -> Fraction:
     return -bernoulli(2 * g) / (2 * g * (2 * g - 2))
 
 
-def scaling_check(g: int, pipeline_form=None) -> bool:
+def scaling_check(g: int) -> bool:
     """c_{g,alpha} == 2^(3g-3) a_{g,alpha} for all alpha of size 3g-3.
 
-    The classical a's come from the checked-in tables; the monotone c's
-    come from the operator pipeline unless a form is supplied.
+    The classical a's come from the checked-in tables, the monotone c's
+    from the operator pipeline.
     """
-    if pipeline_form is None:
-        from .pipeline import rational_form
+    from .pipeline import rational_form  # local: avoids an import cycle
 
-        pipeline_form = rational_form(g)
     classical = paper_form(g, classical=True)
     top = 3 * g - 3
     scale = 2**top
-    monotone_top = {a: c for a, c in pipeline_form.terms.items() if a.size == top}
+    monotone_top = {a: c for a, c in rational_form(g).terms.items() if a.size == top}
     classical_top = {a: c for a, c in classical.terms.items() if a.size == top}
     if set(monotone_top) != set(classical_top):
         return False
@@ -165,13 +163,21 @@ def _monotone_value(g: int, alpha) -> Fraction:
     return monotone_from_rational_form(rational_form(g), alpha)
 
 
-def _sample_partitions(ell: int, count: int, max_part: int = 8):
+# polynomiality_extract samples partitions with parts <= _MAX_PART, keeps
+# the last _HOLDOUTS of them out of the fit, and tries degrees up to
+# _MAX_DEGREE
+_MAX_PART = 8
+_HOLDOUTS = 3
+_MAX_DEGREE = 8
+
+
+def _sample_partitions(ell: int, count: int):
     """Distinct partitions with exactly ell parts, small sizes first."""
     out = []
     size = ell
-    while len(out) < count and size <= ell * max_part:
+    while len(out) < count and size <= ell * _MAX_PART:
         for a in partitions(size):
-            if a.length == ell and a[0] <= max_part:
+            if a.length == ell and a[0] <= _MAX_PART:
                 out.append(a)
         size += 1
     if len(out) < count:
@@ -179,13 +185,7 @@ def _sample_partitions(ell: int, count: int, max_part: int = 8):
     return out
 
 
-def polynomiality_extract(
-    g: int,
-    ell: int,
-    samples=None,
-    holdouts: int = 3,
-    max_degree: int = 8,
-) -> PolynomialQ:
+def polynomiality_extract(g: int, ell: int) -> PolynomialQ:
     """Interpolate the polynomial behind the normalized monotone numbers.
 
     The degree is raised until an exact fit on the sample partitions (with
@@ -196,13 +196,9 @@ def polynomiality_extract(
         raise ValueError(f"no polynomial exists for (g, ell) = {(g, ell)}")
     from itertools import permutations as iperm
 
-    if samples is None:
-        samples = _sample_partitions(ell, {1: 8, 2: 33}.get(ell, 26))
-    samples = [Partition(a) for a in samples]
-    if any(a.length != ell for a in samples):
-        raise ValueError("every sample must have exactly ell parts")
-    held = samples[-holdouts:]
-    fit = samples[:-holdouts]
+    samples = _sample_partitions(ell, {1: 8, 2: 33}.get(ell, 26))
+    held = samples[-_HOLDOUTS:]
+    fit = samples[:-_HOLDOUTS]
     values = {a: normalized_value(g, a) for a in samples}
 
     points = []
@@ -211,7 +207,7 @@ def polynomiality_extract(
             points.append((perm, values[a]))
 
     last_error: Exception | None = None
-    for degree in range(max_degree + 1):
+    for degree in range(_MAX_DEGREE + 1):
         if len(points) < len(monomials_upto(ell, degree)):
             continue
         try:
@@ -222,5 +218,5 @@ def polynomiality_extract(
         if all(poly(tuple(a)) == values[a] for a in held):
             return poly
     raise InconsistentDataError(
-        f"no polynomial of degree <= {max_degree} verifies for (g, ell) = {(g, ell)}"
+        f"no polynomial of degree <= {_MAX_DEGREE} verifies for (g, ell) = {(g, ell)}"
     ) from last_error

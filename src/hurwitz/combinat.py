@@ -43,19 +43,6 @@ def rising(a, k: int) -> Fraction:
     return 1 / out
 
 
-def elem_sym(values, k: int) -> Fraction:
-    """Elementary symmetric polynomial e_k of the given values."""
-    values = list(values)
-    if k < 0 or k > len(values):
-        raise ValueError(f"k={k} out of range for {len(values)} values")
-    # e_k via the triangular recurrence e[j] += v * e[j-1]
-    e = [Fraction(1)] + [Fraction(0)] * k
-    for v in values:
-        for j in range(min(k, len(e) - 1), 0, -1):
-            e[j] += v * e[j - 1]
-    return e[k]
-
-
 def elem_sym_table(values) -> list[int]:
     """[e_0, ..., e_n] of n integers, all from one pass of the triangular
     recurrence e[j] += v * e[j-1]."""
@@ -64,13 +51,6 @@ def elem_sym_table(values) -> list[int]:
         for j in range(m, 0, -1):
             e[j] += v * e[j - 1]
     return e
-
-
-def elem_sym_shifted(alpha, k: int) -> int:
-    """e_k over the multiset {2*alpha_i + 1}."""
-    if k < 0 or k > len(alpha):
-        raise ValueError(f"k={k} out of range for {len(alpha)} values")
-    return elem_sym_table([2 * a + 1 for a in alpha])[k]
 
 
 @lru_cache(maxsize=None)

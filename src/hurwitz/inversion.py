@@ -28,12 +28,8 @@ commutes with +, *, pow, inverse, exp and log.  So `lagrange_extract` and
 takes the unit series `one` of the grading it works in).  Every
 coefficient the quotient keeps is the exact coefficient of the full series,
 so the extracted values are exact; for alpha = (6, 6) the quotient has 3
-monomials where weight 12 has 272.  Whole series (`expand_rational_form`, `expand_log_form`, the p/q
-conversions) stay truncated by weight.
-
-The q (resp. r) basis is canonical internally; conversion back to p is a
-fixed-point iteration on the implicit relation, used by tests and the
-round-trip checks.
+monomials where weight 12 has 272.  Whole series (`expand_rational_form`,
+`expand_log_form`) stay truncated by weight.
 """
 
 from __future__ import annotations
@@ -196,46 +192,3 @@ def classical_from_rational_form(form: RationalForm, alpha) -> Fraction:
     series = expand_rational_form(form, DivisorSeries.constant(1, alpha))
     return factorial(alpha.size) * factorial(r) * classical_extract(series, alpha)
 
-
-def gamma_in_p(max_weight: int) -> MSeries:
-    """gamma re-expressed as a p-series by fixed-point iteration on
-    gamma = sum_k C(2k,k) p_k (1-gamma)^{-2k}.
-
-    gamma is weight-graded with no constant term, so each iteration fixes
-    one more weight and max_weight rounds converge exactly.
-    """
-    gamma = MSeries.zero(max_weight)
-    for _ in range(max_weight):
-        base = (MSeries.constant(1, max_weight) - gamma).inverse()
-        square = base * base
-        power = MSeries.constant(1, max_weight)  # base^(2k) at step k
-        total = MSeries.zero(max_weight)
-        for k in range(1, max_weight + 1):
-            power = power * square
-            total = total + MSeries.variable(k, max_weight).scale(
-                central_binomial(k)
-            ) * power
-        gamma = total
-    return gamma
-
-
-def q_series_to_p(F: MSeries) -> MSeries:
-    """Convert a q-basis series to the p basis via q_j = p_j (1-gamma)^{-2j}."""
-    w = F.max_weight
-    gp = gamma_in_p(w)
-    base = (MSeries.constant(1, w) - gp).inverse()
-    images = {
-        k: MSeries.variable(k, w) * base.pow(2 * k) for k in range(1, w + 1)
-    }
-    return F.substitute(images)
-
-
-def p_series_to_q(F: MSeries) -> MSeries:
-    """Convert a p-basis series to the q basis via p_j = q_j (1-gamma)^{2j}."""
-    w = F.max_weight
-    gq = aux_series(MSeries.constant(1, w)).gamma
-    one_minus = MSeries.constant(1, w) - gq
-    images = {
-        k: MSeries.variable(k, w) * one_minus.pow(2 * k) for k in range(1, w + 1)
-    }
-    return F.substitute(images)

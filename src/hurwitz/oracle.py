@@ -37,11 +37,11 @@ DP_MAX_POINTS = 8
 # Bound on d!*r^2: the DP extends up to d! ranks through r layers per block,
 # and the inclusion-exclusion is quadratic in r.  Cold tables at the edge
 # r = isqrt(DP_MAX_WORK // d!) (one process each, 2-vCPU VM): the slowest is
-# classical (4, 1639) at 39-41 s, 27 MB peak RSS, where the binomials C(r, r')
-# of the classical reduction take most of the time; classical (5, 733) 9 s,
-# (7, 113) 1.1 s, (8, 40) 3.1-3.7 s (81 MB, the largest RSS); monotone at most
-# 2.4 s, at (8, 40).  At 8! * 44^2 classical (4, 1803) took 50-54 s, too close
-# to 60 s for this machine's +-15% noise; at 8! * 48^2 (4, 1967) took 78 s.
+# classical (4, 1639) at 4.9-5.4 s, 26 MB peak RSS; classical (5, 733) 2.2 s,
+# (7, 113) 1.2 s, (8, 40) 3.1-3.9 s (81 MB, the largest RSS); monotone at most
+# 2.4 s, at (8, 40).  The constant was set when the classical reduction
+# recomputed each binomial C(r, r') and (4, 1639) took 39-41 s; it has not
+# been re-measured since the binomials are stepped along r.
 DP_MAX_WORK = factorial(8) * 40**2
 DFS_MAX_POINTS = 6
 
@@ -229,10 +229,14 @@ def transitive_counts(d: int, rmax: int, monotone: bool) -> dict:
                         t = trans.get((beta, rsub), 0)
                         if not t:
                             continue
+                        wt = ways * t
+                        c = 1  # the interleavings C(r, rsub), stepped along r
                         for r in range(rsub, rmax + 1):
+                            if r > rsub and not monotone:
+                                c = c * r // (r - rsub)
                             a = rest.get((delta, r - rsub), 0)
                             if a:
-                                row[r] -= ways * (1 if monotone else comb(r, rsub)) * t * a
+                                row[r] -= wt * c * a
             for r, val in enumerate(row):
                 trans[(alpha, r)] = val
                 # a count lives at r = 2g - 2 + |alpha| + len(alpha), g >= 0

@@ -33,21 +33,6 @@ class Partition(tuple):
         """Number of parts."""
         return len(self)
 
-    def multiplicities(self) -> Counter:
-        return Counter(self)
-
-    def remove(self, part: int) -> "Partition":
-        """Partition with one copy of ``part`` removed."""
-        if part not in self:
-            raise ValueError(f"{part} is not a part of {self}")
-        out = list(self)
-        out.remove(part)
-        return Partition(out)
-
-    def add(self, part: int) -> "Partition":
-        """Partition with one extra copy of ``part``."""
-        return Partition(self + (part,))
-
     def __repr__(self) -> str:
         return f"Partition({tuple(self)})"
 

@@ -5,8 +5,8 @@ literal lifting/projection/splitting operators acting on them.
 y2-degree): it supplies only that grading (the key join of
 (q monomial, y1 degree, y2 degree), its q-weight and the bounds
 (wq, w1, w2)) and the y-operations MSeries has no version of; cleaning,
-+, -, *, ==, truncation, the q-derivative, powers and substitution are
-the MSeries code.  Like every series of that kernel a BiSeries holds
++, -, *, ==, truncation, the q-derivative and powers are the MSeries
+code.  Like every series of that kernel a BiSeries holds
 integer numerators over one denominator in canonical form, and the
 y-operations here work on the numerators and reduce once per result with
 the kernel's own normaliser, not the ring's.
@@ -28,16 +28,9 @@ normalise their numerators with separate code although both use the same
 canonical form: the literal-vs-ring check only means something while its
 two sides share no arithmetic code, since a defect in shared code would
 show on both sides alike.
-
-The same container also hosts the original-coordinate lift
-sum_k k x1^k d/dp_k (an MSeries slice embedded with an extra catalytic
-variable) used to validate the pipeline against the join-cut tables; only
-the naming of the variables differs.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from .inversion import aux_series
 from .ring import RingElement
@@ -150,24 +143,6 @@ class BiSeries(MSeries):
         nums = {(mono, a, 0): n for (mono, a, b), n in self.nums.items() if b == k}
         return self._new(self.bounds, *_canonical(nums, self.den))
 
-    def substitute(self, qmap: dict[int, MSeries], yscale: MSeries) -> "BiSeries":
-        """q_k -> qmap[k] and y1 -> y1 * yscale (a constant-term-1 series of
-        the target variables); the result is read in the new basis."""
-        bounds = self.bounds
-
-        def embed(s: MSeries) -> BiSeries:
-            return BiSeries.from_mseries(s.truncate(self.wq), *bounds)
-
-        yscale_pow = cache(embed(yscale).pow)
-
-        def term_of(key: QKey, n: int) -> BiSeries:
-            _mono, a, b = key
-            if b:
-                raise ValueError("substitution is defined for y2-free series")
-            return BiSeries(*bounds, {((), a, 0): n}) * yscale_pow(a)
-
-        return self._substitute(qmap, embed, term_of)
-
 
 # -- the literal operators ------------------------------------------------
 
@@ -200,18 +175,6 @@ def lift_literal(G: BiSeries) -> BiSeries:
     y1dy1 = BiSeries(wq, w1, w2, {((), 1, 0): 1}) * G.dy(1)
     y2dy2 = BiSeries(wq, w1, w2, {((), 0, 1): 1}) * G.dy(2)
     return out + prefactor(wq, w1, w2) * (euler + y1dy1 + y2dy2)
-
-
-def lift_px(G: BiSeries) -> BiSeries:
-    """The original-coordinate lift sum_k k x^k d/dp_k (G read in (p, x))."""
-    wq, w1, w2 = G.wq, G.w1, G.w2
-    out = BiSeries(wq, w1, w2)
-    for k in range(1, wq + 1):
-        d = G.derivative(k)
-        if not d.is_zero():
-            xk = BiSeries(wq, w1, w2, {((), k, 0): k})
-            out = out + xk * d
-    return out
 
 
 def split_1_to_2(F: BiSeries) -> BiSeries:

@@ -22,15 +22,15 @@ Fraction-valued read view; its Fractions are built on access and never
 stored.
 
 The arithmetic here (cleaning, +, -, scale, *, ==, truncate, the
-q-derivative, pow, inverse, exp, log and the power-cached substitution
-loop) reads the grading only through a few hooks: the bounds tuple, their
-meet, the canonical key, the q-monomial of a key, its q-weight and the
-largest q-weight that fits, whether a key fits the bounds, the join of two
-keys under a product, and how many constant-free factors a nonzero product
-can have.  `qyseries.BiSeries` is this class graded by (q-weight,
-y1-degree, y2-degree): it overrides those hooks to add two catalytic
-y-degrees, and so shares all of this code.  `DivisorSeries` keeps only the
-monomials that divide one fixed monomial q_alpha.
+q-derivative, pow, inverse, exp and log) reads the grading only through a
+few hooks: the bounds tuple, their meet, the canonical key, the q-monomial
+of a key, its q-weight and the largest q-weight that fits, whether a key
+fits the bounds, the join of two keys under a product, and how many
+constant-free factors a nonzero product can have.  `qyseries.BiSeries` is
+this class graded by (q-weight, y1-degree, y2-degree): it overrides those
+hooks to add two catalytic y-degrees, and so shares all of this code.
+`DivisorSeries` keeps only the monomials that divide one fixed monomial
+q_alpha.
 
 `ring.RingElement` stays outside this kernel on purpose, and so does its
 normaliser: this module keeps its own `_canonical` although
@@ -185,10 +185,6 @@ class MSeries:
         return out
 
     @classmethod
-    def variable(cls, k: int, max_weight: int) -> "MSeries":
-        return cls(max_weight, {(k,): 1})
-
-    @classmethod
     def linear(cls, coeff_of_index, *bounds) -> "MSeries":
         """Series sum_k c(k) v_k with c given by a callable on k."""
         return cls(*bounds, {(k,): coeff_of_index(k) for k in range(1, cls._cap(bounds) + 1)})
@@ -204,10 +200,6 @@ class MSeries:
 
     def __getitem__(self, key) -> Fraction:
         return Fraction(self.nums.get(self._canon(key), 0), self.den)
-
-    def coefficient(self, alpha) -> Fraction:
-        """[v_alpha] of the series (alpha any partition-like iterable)."""
-        return self[alpha]
 
     def constant_term(self) -> Fraction:
         return Fraction(self.nums.get(self._ONE, 0), self.den)
@@ -367,38 +359,6 @@ class MSeries:
             # removing one v_k is injective on the keys that hold one
             out[self._with_q(key, tuple(rest))] = m * n
         return self._new(self.bounds, *_canonical(out, self.den))
-
-    def substitute(self, images: dict[int, "MSeries"]) -> "MSeries":
-        """Replace each variable v_k by images[k]; indices without an image
-        raise.  Substitution must not lower weights below the grading
-        (every image must have zero constant term) or truncation would be
-        unsound."""
-        w = self.max_weight
-        return self._substitute(
-            images, lambda img: img.truncate(w), lambda key, n: MSeries.constant(n, w)
-        )
-
-    def _substitute(self, images, embed, term_of) -> "MSeries":
-        """Sum over the terms of term_of(key, n) times images[k]^e for each
-        part k of multiplicity e in the key's q-monomial, over the
-        denominator: n is the key's numerator.  ``embed`` carries an image
-        into this series' type and bounds; each (k, e) power is computed
-        once."""
-        cache: dict = {}
-        total = self.zero(*self.bounds)
-        for key, n in self.nums.items():
-            term = term_of(key, n)
-            mono = self._q(key)
-            for k in sorted(set(mono)):
-                e = mono.count(k)
-                if (k, e) not in cache:
-                    img = images[k]
-                    if img.constant_term() != 0:
-                        raise ValueError("substitution images must have no constant term")
-                    cache[k, e] = embed(img).pow(e)
-                term = term * cache[k, e]
-            total = total + term
-        return total.scale(Fraction(1, self.den))
 
     def exp(self) -> "MSeries":
         """exp of a constant-free series."""

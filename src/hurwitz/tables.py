@@ -36,14 +36,6 @@ def _load() -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def available() -> dict[str, tuple[int, ...]]:
-    data = _load()
-    return {
-        family: tuple(sorted(int(g) for g in data.get(family, {})))
-        for family in ("monotone", "classical")
-    }
-
-
 def paper_form(genus: int, classical: bool = False) -> RationalForm:
     """The published genus-2/3 rational form as exact coefficients."""
     data = _load()

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from hurwitz.combinat import (
     bernoulli,
     central_binomial,
-    elem_sym,
-    elem_sym_shifted,
+    elem_sym_table,
     rising,
 )
 from hurwitz.partitions import partitions
@@ -51,14 +50,6 @@ def test_central_binomial_examples():
     assert central_binomial(4) == 70
 
 
-def test_elem_sym_shifted_examples():
-    assert elem_sym_shifted((1, 1), 2) == 9
-    assert elem_sym_shifted((2, 1), 1) == 8
-    assert elem_sym_shifted((5, 3, 2), 0) == 1
-    with pytest.raises(ValueError):
-        elem_sym_shifted((2, 1), 3)
-
-
 def test_elem_sym_generating_polynomial():
     # sum_k e_k(2a+1) x^k == prod (1 + (2a_i+1) x) as exact polynomials
     for d in range(1, 9):
@@ -72,8 +63,7 @@ def test_elem_sym_generating_polynomial():
                     + (v * poly[i - 1] if i > 0 else 0)
                     for i in range(len(poly) + 1)
                 ]
-            got = [elem_sym(vals, k) for k in range(len(vals) + 1)]
-            assert got == poly
+            assert elem_sym_table(vals) == poly
 
 
 def test_bernoulli_examples():

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
@@ -101,7 +102,7 @@ def _rhs_literal(slices: list[MSeries], r: int, D: int) -> MSeries:
     for i in range(1, D + 1):
         for j in range(1, D - i + 1):
             pi_pj = MSeries(D, {tuple(sorted((i, j), reverse=True)): 1})
-            p_ij = MSeries.variable(i + j, D)
+            p_ij = MSeries(D, {(i + j,): 1})
             cut = pi_pj * S.derivative(i + j)
             join = p_ij * S.derivative(i).derivative(j)
             total = total + cut.scale(Fraction(i + j, 2)) + join.scale(Fraction(i * j, 2))
@@ -143,27 +144,40 @@ def test_classical_pde_residual_literal():
 # off at the end.
 
 
+def _remove(alpha, *parts):
+    """alpha with one copy of each of parts taken out."""
+    out = list(alpha)
+    for part in parts:
+        out.remove(part)
+    return Partition(out)
+
+
+def _add(alpha, *parts):
+    """alpha with one more copy of each of parts."""
+    return Partition(tuple(alpha) + parts)
+
+
 def _ref_linear(alpha, slice_r):
     total = Fraction(0)
-    mult = alpha.multiplicities()
+    mult = Counter(alpha)
     vals = sorted(mult)
     for pos, i in enumerate(vals):
         for j in vals[pos:]:
             if i == j and mult[i] < 2:
                 continue
-            beta = alpha.remove(i).remove(j).add(i + j)
+            beta = _add(_remove(alpha, i, j), i + j)
             c = slice_r.get(beta)
             if c:
                 ways = 1 if i == j else 2
-                total += ways * (i + j) * beta.multiplicities()[i + j] * c
+                total += ways * (i + j) * Counter(beta)[i + j] * c
     for s in mult:
         for i in range(1, s // 2 + 1):
             j = s - i
-            beta = alpha.remove(s).add(i).add(j)
+            beta = _add(_remove(alpha, s), i, j)
             c = slice_r.get(beta)
             if not c:
                 continue
-            bm = beta.multiplicities()
+            bm = Counter(beta)
             if i == j:
                 total += i * j * bm[i] * (bm[i] - 1) * c
             else:
@@ -174,13 +188,13 @@ def _ref_linear(alpha, slice_r):
 def _ref_product(alpha, slice_pairs):
     total = Fraction(0)
     for s in set(alpha):
-        rest = alpha.remove(s)
+        rest = _remove(alpha, s)
         splits = [pair for n in range(rest.size + 1) for pair in subpartitions(rest, n)]
         for i in range(1, s):
             j = s - i
             for mu1, mu2 in splits:
-                beta1, beta2 = mu1.add(i), mu2.add(j)
-                w = i * j * beta1.multiplicities()[i] * beta2.multiplicities()[j]
+                beta1, beta2 = _add(mu1, i), _add(mu2, j)
+                w = i * j * Counter(beta1)[i] * Counter(beta2)[j]
                 for s1, s2 in slice_pairs:
                     c1, c2 = s1.get(beta1), s2.get(beta2)
                     if c1 and c2:
@@ -231,37 +245,38 @@ def test_tables_of_different_truncations_agree_on_overlap():
 
 # -- Partition-based plan reference ------------------------------------------
 #
-# The earlier form of _plan, kept here as a reference: every source made by
-# Partition.remove/add, the splits of alpha - {s} walked once per size.
+# The earlier form of _plan, kept here as a reference: every source a
+# re-sorted, re-validated Partition, the splits of alpha - {s} walked once
+# per size.
 
 
 def _reference_plan(alpha):
-    mult = alpha.multiplicities()
+    mult = Counter(alpha)
     linear = {}
     vals = sorted(mult)
     for pos, i in enumerate(vals):
         for j in vals[pos:]:
             if i == j and mult[i] < 2:
                 continue
-            beta = alpha.remove(i).remove(j).add(i + j)
+            beta = _add(_remove(alpha, i, j), i + j)
             ways = 1 if i == j else 2
-            linear[beta] = linear.get(beta, 0) + ways * (i + j) * beta.multiplicities()[i + j]
+            linear[beta] = linear.get(beta, 0) + ways * (i + j) * Counter(beta)[i + j]
     for s in mult:
         for i in range(1, s // 2 + 1):
             j = s - i
-            beta = alpha.remove(s).add(i).add(j)
-            bm = beta.multiplicities()
+            beta = _add(_remove(alpha, s), i, j)
+            bm = Counter(beta)
             w = i * j * bm[i] * (bm[i] - 1) if i == j else 2 * i * j * bm[i] * bm[j]
             linear[beta] = linear.get(beta, 0) + w
     quadratic = {}
     for s in mult:
-        rest = alpha.remove(s)
+        rest = _remove(alpha, s)
         splits = [pair for n in range(rest.size + 1) for pair in subpartitions(rest, n)]
         for i in range(1, s):
             j = s - i
             for mu1, mu2 in splits:
-                beta1, beta2 = mu1.add(i), mu2.add(j)
-                w = i * j * beta1.multiplicities()[i] * beta2.multiplicities()[j]
+                beta1, beta2 = _add(mu1, i), _add(mu2, j)
+                w = i * j * Counter(beta1)[i] * Counter(beta2)[j]
                 key = (beta1, beta2) if beta1 <= beta2 else (beta2, beta1)
                 quadratic[key] = quadratic.get(key, 0) + w * comb(alpha.size, beta1.size)
     return linear, quadratic

@@ -127,26 +127,28 @@ def test_transitive_tables_match_frozen_digests():
 
 def test_orbit_decomposition_reconstructs_totals():
     # non-transitive totals must equal the orbit/set-partition sum over
-    # transitive blocks (the identity the inversion step solves)
-    rmax = 6
-    for d in range(1, 6):
-        totals = _monotone_totals(d, rmax)
-        trans = transitive_counts(d, rmax, True)
-        for alpha in partitions(d):
-            for r in range(rmax + 1):
-                rebuilt = trans.get((alpha, r), 0)
-                for nsub in range(1, d):
-                    rest = _monotone_totals(d - nsub, rmax)
-                    for beta, delta in subpartitions(alpha, nsub):
-                        for rsub in range(r + 1):
-                            rebuilt += (
-                                comb(d - 1, nsub - 1)
-                                * transitive_counts(nsub, rmax, True).get(
-                                    (beta, rsub), 0
+    # transitive blocks (the identity the inversion step solves); classical
+    # blocks interleave in C(r, rsub) ways, monotone ones in one
+    for monotone, dmax, rmax in ((True, 5, 6), (False, 5, 6), (False, 3, 60)):
+        totals_of = _monotone_totals if monotone else _classical_totals
+        for d in range(1, dmax + 1):
+            totals = totals_of(d, rmax)
+            trans = transitive_counts(d, rmax, monotone)
+            for alpha in partitions(d):
+                for r in range(rmax + 1):
+                    rebuilt = trans.get((alpha, r), 0)
+                    for nsub in range(1, d):
+                        rest = totals_of(d - nsub, rmax)
+                        sub = transitive_counts(nsub, rmax, monotone)
+                        for beta, delta in subpartitions(alpha, nsub):
+                            for rsub in range(r + 1):
+                                rebuilt += (
+                                    comb(d - 1, nsub - 1)
+                                    * (1 if monotone else comb(r, rsub))
+                                    * sub.get((beta, rsub), 0)
+                                    * rest.get((delta, r - rsub), 0)
                                 )
-                                * rest.get((delta, r - rsub), 0)
-                            )
-                assert rebuilt == totals.get((alpha, r), 0), (alpha, r)
+                    assert rebuilt == totals.get((alpha, r), 0), (monotone, alpha, r)
 
 
 def test_transitive_counts_invariants():

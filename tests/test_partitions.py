@@ -24,7 +24,6 @@ def test_size_length_consistency():
     a = Partition([3, 2, 2, 1])
     assert a.size == 8
     assert a.length == 4
-    assert a.multiplicities()[2] == 2
 
 
 def test_aut_order_examples():
@@ -38,14 +37,6 @@ def test_partition_counts():
     # p(0..8) = 1, 1, 2, 3, 5, 7, 11, 15, 22
     expected = [1, 1, 2, 3, 5, 7, 11, 15, 22]
     assert [len(partitions(n)) for n in range(9)] == expected
-
-
-def test_add_remove():
-    a = Partition([3, 1])
-    assert a.remove(3) == Partition([1])
-    assert a.add(2) == Partition([3, 2, 1])
-    with pytest.raises(ValueError):
-        a.remove(2)
 
 
 def test_subpartitions_cover_all_splits():

@@ -4,9 +4,9 @@ from math import factorial
 
 import pytest
 
-from hurwitz.combinat import bernoulli
+from hurwitz.combinat import bernoulli, central_binomial
 from hurwitz.forms import RationalForm
-from hurwitz.inversion import gamma_in_p, monotone_from_rational_form
+from hurwitz.inversion import monotone_from_rational_form
 from hurwitz.joincut import solve_monotone
 from hurwitz.partitions import Partition, partitions
 from hurwitz.pipeline import (
@@ -19,7 +19,7 @@ from hurwitz.pipeline import (
     rational_form,
     recompose_basis,
 )
-from hurwitz.qyseries import BiSeries, expand_ring_element, lift_px
+from hurwitz.qyseries import BiSeries, expand_ring_element
 from hurwitz.ring import RingElement
 from hurwitz.series import MSeries
 
@@ -157,12 +157,38 @@ def _genus_slice_p(table, g: int, D: int) -> MSeries:
     return MSeries(D, coeffs)
 
 
+def _gamma_in_p(wp: int) -> MSeries:
+    """gamma as a p-series: the fixed point of
+    gamma = sum_k C(2k,k) p_k (1-gamma)^(-2k); each round fixes one more
+    weight, since gamma has no constant term."""
+    one = MSeries.constant(1, wp)
+    gamma = MSeries.zero(wp)
+    for _ in range(wp):
+        square = (one - gamma).inverse().pow(2)
+        gamma = MSeries.zero(wp)
+        for k in range(1, wp + 1):
+            gamma = gamma + MSeries(wp, {(k,): central_binomial(k)}) * square.pow(k)
+    return gamma
+
+
+def _lift_px(G: BiSeries) -> BiSeries:
+    """The original-coordinate lift sum_k k x^k d/dp_k (G read in (p, x))."""
+    out = BiSeries(*G.bounds)
+    for k in range(1, G.wq + 1):
+        out = out + BiSeries(*G.bounds, {((), k, 0): k}) * G.derivative(k)
+    return out
+
+
 def _to_px(elem: RingElement, wp: int, wx: int) -> BiSeries:
+    """The (q, y)-series of elem read in (p, x): q_k = p_k (1-gamma)^(-2k)
+    and y = x (1-gamma)^(-2), one monomial at a time."""
     series = expand_ring_element(elem, wp, wx)
-    gp = gamma_in_p(wp)
-    base = (MSeries.constant(1, wp) - gp).inverse()
-    qmap = {k: MSeries.variable(k, wp) * base.pow(2 * k) for k in range(1, wp + 1)}
-    return series.substitute(qmap, base.pow(2))
+    base = (MSeries.constant(1, wp) - _gamma_in_p(wp)).inverse()
+    out = BiSeries(wp, wx, 0)
+    for (mono, a, b), c in series.coeffs.items():
+        factor = BiSeries.from_mseries(base.pow(2 * (sum(mono) + a)), wp, wx, 0)
+        out = out + BiSeries(wp, wx, 0, {(mono, a, b): c}) * factor
+    return out
 
 
 def _region(series: BiSeries, wp: int, wx: int):
@@ -176,7 +202,7 @@ def test_double_lift_of_genus0_matches_joincut():
     wp_in, wcmp, xcmp = 6, 3, 3
     table = solve_monotone(wp_in, 2 * wp_in - 2)
     G0 = BiSeries.from_mseries(_genus_slice_p(table, 0, wp_in), wp_in, xcmp, 0)
-    lifted_twice = lift_px(lift_px(G0))
+    lifted_twice = _lift_px(_lift_px(G0))
     algebraic = _to_px(RingElement(
         {(4, 0, ()): Fraction(1, 16), (2, 0, ()): Fraction(-1, 8), (0, 0, ()): Fraction(1, 16)}
     ), wcmp, xcmp)
@@ -188,7 +214,7 @@ def test_lift_of_genus1_matches_joincut():
     wp_in, wcmp, xcmp = 8, 4, 4
     table = solve_monotone(wp_in, 2 * wp_in)
     G1 = BiSeries.from_mseries(_genus_slice_p(table, 1, wp_in), wp_in, xcmp, 0)
-    lifted = lift_px(G1)
+    lifted = _lift_px(G1)
     algebraic = _to_px(delta1_element(1), wcmp, xcmp)
     assert _region(lifted, wcmp, xcmp) == _region(algebraic, wcmp, xcmp)
 

@@ -88,13 +88,6 @@ def test_transfer_matches_algebra_on_powers():
         assert region_a == region_l, e
 
 
-def test_substitute_identity():
-    wq, w1 = 3, 3
-    s = BiSeries(wq, w1, 0, {((2, 1), 1, 0): Fraction(5)})
-    qmap = {k: MSeries.variable(k, wq) for k in range(1, wq + 1)}
-    assert s.substitute(qmap, MSeries.constant(1, wq)).coeffs == s.coeffs
-
-
 def test_pi2_projection_against_literal_series():
     # both sides of the i = 2 projection as q-series to weight 5:
     # V * proj( y2^2 (1-4y2)^(-7/2) ) vs the fitted element

@@ -148,24 +148,6 @@ def test_exp_log_inverse_on_geometric():
     assert x.log_geometric().exp() == (MSeries.constant(1, 6) - x).inverse()
 
 
-def test_substitute_requires_constant_free_images():
-    s = MSeries(3, {(1,): 1})
-    with pytest.raises(ValueError):
-        s.substitute({1: MSeries.constant(1, 3)})
-
-
-@given(a=small_series(), b=small_series())
-@settings(max_examples=30, deadline=None)
-def test_substitution_is_a_ring_map(a, b):
-    # images: q_k -> q_k + q_k^2 (constant-free, weight-preserving)
-    images = {
-        k: MSeries(4, {(k,): 1, (k, k): 1}) for k in range(1, 5)
-    }
-    lhs = (a * b).substitute(images)
-    rhs = a.substitute(images) * b.substitute(images)
-    assert lhs == rhs
-
-
 def test_truncate_cannot_extend():
     s = MSeries(3, {(1,): 1})
     with pytest.raises(ValueError):

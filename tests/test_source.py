@@ -90,3 +90,30 @@ def test_dfs_oracle_uses_no_ranked_table():
         )
     assert "compose" in reached
     assert not {"_ranked", "_layered_totals"} & reached, sorted(reached)
+
+
+def test_every_public_function_has_a_library_caller():
+    # library code that only tests call is deleted, not kept; a function's
+    # own body does not count as its caller, and neither does __init__.py,
+    # which only re-exports
+    package = Path(hurwitz.__file__).parent
+    defined, referenced = [], set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+                defined.append(f"{path.name}:{top.name}")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if not (isinstance(top, ast.FunctionDef) and top.name == name):
+                    referenced.add(name)
+    unused = [d for d in defined if d.split(":")[1] not in referenced]
+    assert not unused, unused

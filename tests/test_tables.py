@@ -7,11 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitz.partitions import Partition
-from hurwitz.tables import available, paper_form
-
-
-def test_available_tables():
-    assert available() == {"monotone": (2, 3), "classical": (2, 3)}
+from hurwitz.tables import paper_form
 
 
 def test_monotone_genus2_values():
