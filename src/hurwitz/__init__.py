@@ -20,12 +20,10 @@ from .combinat import bernoulli, central_binomial, rising
 from .forms import LogForm, RationalForm
 from .inversion import (
     aux_series,
-    classical_from_rational_form,
     expand_log_form,
     expand_rational_form,
     lagrange_extract,
-    monotone_from_log_form,
-    monotone_from_rational_form,
+    value_from_form,
 )
 from .joincut import TruncatedH, solve_classical, solve_monotone
 from .oracle import (
@@ -69,9 +67,7 @@ __all__ = [
     "lagrange_extract",
     "expand_log_form",
     "expand_rational_form",
-    "monotone_from_log_form",
-    "monotone_from_rational_form",
-    "classical_from_rational_form",
+    "value_from_form",
     "LogForm",
     "RationalForm",
     "genus1_closed",

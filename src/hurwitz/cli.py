@@ -23,11 +23,7 @@ from .closedforms import (
     monotone_genus0,
     monotone_genus1,
 )
-from .inversion import (
-    classical_from_rational_form,
-    monotone_from_log_form,
-    monotone_from_rational_form,
-)
+from .inversion import value_from_form
 from .joincut import solve_classical, solve_monotone
 from .oracle import (
     ResourceLimitError,
@@ -53,11 +49,12 @@ EXTRACTION_CAP = 16
 # 38-43 s cold, r = 720 took 52-62 s.  The monotone table takes about half.
 JOINCUT_R_CAP = 700
 
-# r cap of the closed-form route.  The single-cycle formula costs about d*g^2
-# big-rational steps; cold (one process each, 2-vCPU VM) its slowest shapes,
-# g = 120..150, took 32-37 s at r = 360, 41-45 s at 380, 47-53 s at 399.  The
-# genus-1 formulas at 1^(r/2) took 18 s at r = 360.  Values there stay under
-# 2,000 digits, far from Python's 4,300-digit limit on printing an int.
+# r cap of the closed-form route.  The single-cycle formula raises a
+# (g+1)-term series to the power 2d-2 by Miller's recurrence, about g^2
+# rational steps; cold (one process each, 2-vCPU VM, elapsed_ms of compute
+# --timing) its slowest shapes at r = 360, g = 165..177, took 0.40-0.45 s.
+# The genus-1 formulas at 1^(r/2) took 0.08 s at r = 360.  Values there stay
+# under 2,000 digits, far from Python's 4,300-digit limit on printing an int.
 CLOSED_FORM_R_CAP = 360
 
 
@@ -153,9 +150,8 @@ def compute_value(genus: int, alpha: Partition, classical: bool, method: str) ->
             raise RangeError(
                 f"pipeline extraction caps |alpha| at {EXTRACTION_CAP}, got {alpha.size}"
             )
-        if genus == 1:
-            return method, monotone_from_log_form(genus1_closed(), alpha)
-        return method, monotone_from_rational_form(rational_form(genus), alpha)
+        form = genus1_closed() if genus == 1 else rational_form(genus)
+        return method, value_from_form(form, alpha)
 
     if method == "lagrange":
         if genus not in (2, 3):
@@ -164,10 +160,7 @@ def compute_value(genus: int, alpha: Partition, classical: bool, method: str) ->
             raise RangeError(
                 f"table extraction caps |alpha| at {EXTRACTION_CAP}, got {alpha.size}"
             )
-        form = paper_form(genus, classical=classical)
-        if classical:
-            return method, classical_from_rational_form(form, alpha)
-        return method, monotone_from_rational_form(form, alpha)
+        return method, value_from_form(paper_form(genus, classical=classical), alpha)
 
     raise RangeError(f"unknown method {method!r}")
 

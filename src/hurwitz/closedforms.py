@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .combinat import bernoulli, central_binomial, elem_sym_table, rising
-from .inversion import monotone_from_rational_form
+from .inversion import value_from_form
 from .partitions import Partition, aut_order, partitions
 from .polynomials import InconsistentDataError, PolynomialQ, interpolate, monomials_upto
 from .tables import paper_form
@@ -86,17 +86,17 @@ def classical_genus1(alpha) -> Fraction:
 
 
 def _sinh_ratio_even_coeffs(power: int, terms: int) -> list[Fraction]:
-    """Even coefficients c_m of (sinh(z/2)/(z/2))^power = sum c_m z^(2m)."""
-    base = [Fraction(1, 4**m * factorial(2 * m + 1)) for m in range(terms)]
-    out = [Fraction(1)] + [Fraction(0)] * (terms - 1)
-    for _ in range(power):
-        nxt = [Fraction(0)] * terms
-        for i, a in enumerate(out):
-            if not a:
-                continue
-            for j in range(terms - i):
-                nxt[i + j] += a * base[j]
-        out = nxt
+    """Even coefficients c_m of (sinh(z/2)/(z/2))^power = sum c_m z^(2m).
+
+    With f = sum f_k x^k, x = z^2, f_0 = 1, the power P = f^N obeys J.C.P.
+    Miller's recurrence m P_m = sum_{k=1..m} ((N+1) k - m) f_k P_{m-k}
+    (Knuth, TAOCP vol. 2, 4.7): O(terms^2) steps whatever N is.
+    """
+    f = [Fraction(1, 4**k * factorial(2 * k + 1)) for k in range(terms)]
+    out = [Fraction(1)]
+    for m in range(1, terms):
+        total = sum(((power + 1) * k - m) * f[k] * out[m - k] for k in range(1, m + 1))
+        out.append(total / m)
     return out
 
 
@@ -160,7 +160,7 @@ def _monotone_value(g: int, alpha) -> Fraction:
         return monotone_genus1(alpha)
     from .pipeline import rational_form  # local: avoids an import cycle
 
-    return monotone_from_rational_form(rational_form(g), alpha)
+    return value_from_form(rational_form(g), alpha)
 
 
 # polynomiality_extract samples partitions with parts <= _MAX_PART, keeps

@@ -60,11 +60,3 @@ class RationalForm:
     def sorted_terms(self):
         for a in sorted(self.terms, key=lambda a: (a.size, a.length, a)):
             yield a, self.terms[a]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalForm)
-            and self.genus == other.genus
-            and self.classical == other.classical
-            and self.terms == other.terms
-        )

@@ -70,7 +70,7 @@ def normalized_delta1(g: int) -> RingElement:
         rhs = delta1_sq_H0()
     else:
         prev = delta1_element(g - 1)
-        rhs = apply_delta1(prev.shift_v(-(2 * g - 3)), m=2 * g - 3)
+        rhs = apply_delta1(prev)
         # the sum over g' = 1..g-1 is symmetric under g' <-> g - g'
         for gp in range(1, g // 2 + 1):
             prod = delta1_element(gp) * delta1_element(g - gp)

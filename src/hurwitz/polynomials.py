@@ -42,27 +42,6 @@ class PolynomialQ:
             total += term
         return total
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolynomialQ)
-            and self.nvars == other.nvars
-            and self.coeffs == other.coeffs
-        )
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for expo in sorted(self.coeffs, key=lambda e: (sum(e), e)):
-            c = self.coeffs[expo]
-            mono = "*".join(
-                f"x{i}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(expo)
-                if e > 0
-            )
-            parts.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
-
 
 def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """Exponent tuples of total degree <= degree, in (degree, lex) order."""

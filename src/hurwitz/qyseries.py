@@ -150,7 +150,7 @@ class BiSeries(MSeries):
 def _one_minus_eta_inverse(wq: int, w1: int, w2: int) -> BiSeries:
     """(1-eta)^(-1), a series in q alone."""
     one = MSeries.constant(1, wq)
-    return BiSeries.from_mseries((one - aux_series(one).eta).inverse(), wq, w1, w2)
+    return BiSeries.from_mseries((one - aux_series(one).main).inverse(), wq, w1, w2)
 
 
 def prefactor(wq: int, w1: int, w2: int) -> BiSeries:
@@ -221,7 +221,7 @@ def expand_ring_element(E: RingElement, wq: int, w1: int, w2: int = 0) -> BiSeri
     """Concrete (q, y1)-series of a ring element."""
     one = MSeries.constant(1, wq)
     aux = aux_series(one, j_max=max((max(hs) for (_, _, hs) in E.terms if hs), default=0))
-    v_series = (one - aux.eta).inverse()
+    v_series = (one - aux.main).inverse()
     out = BiSeries(wq, w1, w2)
     qcache: dict[tuple[int, tuple[int, ...]], MSeries] = {}
     for (u2, v, hs), c in E.terms.items():
@@ -229,7 +229,7 @@ def expand_ring_element(E: RingElement, wq: int, w1: int, w2: int = 0) -> BiSeri
         if key not in qcache:
             qpart = v_series.pow(v + len(hs))
             for j in hs:
-                qpart = qpart * aux.eta_j(j)
+                qpart = qpart * aux.main_j(j)
             qcache[key] = qpart
         term = BiSeries.from_mseries(qcache[key], wq, w1, w2).scale(c)
         if u2:

@@ -45,9 +45,10 @@ elements through the power basis Y^k, Y = y (1-4y)^(-1) = (U-1)/4:
     T(Y^k) = sum_{i=1}^{k-1} Y^(k-i) proj(i),      k >= 2,
 
 where proj(i) is the projection of y^i (1-4y)^(-3/2-i) back to the
-eta_j series, divided by (1 - eta); it is computed by exact polynomial
-fitting of the coefficient sequence against (2k+1) C(2k,k) k^j and is
-verified on extra points.  T is linear over V and the H_k.
+eta_j series, divided by (1 - eta).  Its y^k coefficient is
+(2k+1) C(2k,k) p_i(k) with p_i(k) = k(k-1)...(k-i+1) / (2^i (2i+1)!!), so
+proj(i) = sum_j s(i, j) H_j / (2^i (2i+1)!!) in signed Stirling numbers of
+the first kind, and proj(0) = V - 1.  T is linear over V and the H_k.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
-
-from .combinat import central_binomial, rising
 
 Key = tuple[int, int, tuple[int, ...]]
 
@@ -167,10 +166,6 @@ class RingElement:
     @classmethod
     def zero(cls) -> "RingElement":
         return cls()
-
-    @classmethod
-    def one(cls) -> "RingElement":
-        return cls({ONE_KEY: Fraction(1)})
 
     @classmethod
     def monomial(cls, u2=0, v=0, hs=(), coeff=1) -> "RingElement":
@@ -327,12 +322,8 @@ def _dh_factor(j: int):
     return _rows(keep + up + same + prod)
 
 
-def apply_delta1(F: RingElement, m: int = 0) -> RingElement:
-    """The lifting derivation applied to V^m F, by the product rule."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m:
-        F = F.shift_v(m)
+def apply_delta1(F: RingElement) -> RingElement:
+    """The lifting derivation applied to F, by the product rule."""
     du_den, du = _rows(_DU)
     dv_den, dv = _dv_factor()
     dh = {j: _dh_factor(j) for j in {j for (_u2, _v, hs) in F.nums for j in hs}}
@@ -366,60 +357,24 @@ def delta1_sq_H0() -> RingElement:
 # -- the transfer operator T ---------------------------------------------
 
 
-class ProjectionFitError(AssertionError):
-    """The coefficient sequence failed to fit the eta_j pattern."""
-
-
-def _fit_from_one(values: list[Fraction]) -> dict[int, Fraction]:
-    """Coefficients {e: c_e} of the polynomial p of degree < n with
-    p(k) = values[k-1] for k = 1..n, by Newton forward differences."""
-    coeffs: dict[int, Fraction] = {}
-    falling = [1]  # (k-1)(k-2)...(k-r) as integer coefficients, lowest first
-    for r in range(len(values)):
-        step = values[0] / factorial(r)
-        for e, b in enumerate(falling):
-            if b:
-                coeffs[e] = coeffs.get(e, 0) + step * b
-        values = [y - x for x, y in zip(values, values[1:])]
-        falling = [x - (r + 1) * y for x, y in zip([0] + falling, falling + [0])]
-    return {e: c for e, c in coeffs.items() if c}
-
-
 @lru_cache(maxsize=None)
 def pi2_project(i: int) -> RingElement:
     """(1 - eta)^(-1) * projection of y^i (1-4y)^(-3/2-i) onto the series
     generated by eta, eta_1, eta_2, ... (constant term dropped).
 
-    The coefficient of y^k is (2k+1) C(2k,k) p(k) for a polynomial p of
-    degree <= i; p is interpolated exactly on k = 1..i+1 and verified on
-    k = i+2..i+4.  The result is p(0) (V - 1) + sum_j p_j H_j.
+    The coefficient of y^k is (2k+1) C(2k,k) p(k) with p(k) the falling
+    factorial k(k-1)...(k-i+1) over 2^i (2i+1)!! = (2i+1)!/i!.  The result
+    is V - 1 for i = 0 (eta (1-eta)^(-1)) and sum_j p_j H_j otherwise.
     """
     if i < 0:
         raise ValueError("i must be >= 0")
-
-    def a(k: int) -> Fraction:
-        if k < i:
-            return Fraction(0)
-        m = k - i
-        return 4**m * rising(Fraction(3, 2) + i, m) / factorial(m)
-
-    coeffs = _fit_from_one([a(k) / ((2 * k + 1) * central_binomial(k)) for k in range(1, i + 2)])
-    for k in range(i + 2, i + 5):
-        p_k = sum(c * k**e for e, c in coeffs.items())
-        if p_k * (2 * k + 1) * central_binomial(k) != a(k):
-            raise ProjectionFitError(f"projection fit failed at i={i}, k={k}")
-    if i >= 1 and coeffs.get(0):
-        raise ProjectionFitError(f"projection at i={i} has a spurious eta term")
-    out = RingElement.zero()
-    p0 = coeffs.get(0, Fraction(0))
-    if p0:
-        # eta (1-eta)^(-1) = V - 1
-        out = out + RingElement({(0, 1, ()): p0, ONE_KEY: -p0})
-    for j in range(1, i + 1):
-        pj = coeffs.get(j)
-        if pj:
-            out = out + RingElement.monomial(hs=(j,), coeff=pj)
-    return out
+    if i == 0:
+        return RingElement({(0, 1, ()): 1, ONE_KEY: -1})
+    falling = [1]  # k(k-1)...(k-m+1) as integer coefficients, lowest first
+    for m in range(i):
+        falling = [x - m * y for x, y in zip([0] + falling, falling + [0])]
+    den = factorial(2 * i + 1) // factorial(i)
+    return RingElement({(0, 0, (j,)): Fraction(s, den) for j, s in enumerate(falling) if s})
 
 
 @lru_cache(maxsize=None)

@@ -25,11 +25,7 @@ from .closedforms import (
     polynomiality_extract,
     scaling_check,
 )
-from .inversion import (
-    classical_from_rational_form,
-    monotone_from_log_form,
-    monotone_from_rational_form,
-)
+from .inversion import value_from_form
 from .joincut import solve_classical, solve_monotone
 from .oracle import count_monotone_transitive, dfs_tables, transitive_counts
 from .partitions import partitions
@@ -125,7 +121,7 @@ def check_genus1_formula() -> tuple[bool, str]:
         for alpha in partitions(d)
         for route, fn in (
             ("formula", monotone_genus1),
-            ("logform", partial(monotone_from_log_form, log_form)),
+            ("logform", partial(value_from_form, log_form)),
         )
     ))
 
@@ -136,7 +132,7 @@ def check_classical_formulas() -> tuple[bool, str]:
     table = solve_classical(5, 16)
     routes = {0: ("formula", classical_genus0), 1: ("formula", classical_genus1)}
     for g in (2, 3):
-        routes[g] = ("table", partial(classical_from_rational_form, paper_form(g, classical=True)))
+        routes[g] = ("table", partial(value_from_form, paper_form(g, classical=True)))
     return _compare("{n} partitions x 4 genera", (
         (tuple(alpha), f"g{g} {route}", fn(alpha), "joincut", table.genus_value(g, alpha))
         for d in range(1, 6)
@@ -165,13 +161,12 @@ def check_bernoulli_law() -> tuple[bool, str]:
 
 def check_matsumoto_novak() -> tuple[bool, str]:
     """Single-cycle formula vs pipeline (g <= 3, d <= 6) and oracle (d <= 5)."""
-    pipeline = {1: partial(monotone_from_log_form, genus1_closed())}
-    pipeline.update({g: partial(monotone_from_rational_form, rational_form(g)) for g in (2, 3)})
+    forms = {1: genus1_closed(), 2: rational_form(2), 3: rational_form(3)}
     rows = []
     for g in range(1, 4):
         for d in range(1, 7):
             label, want = f"g={g},d={d}", mn_single_cycle(g, d)
-            rows.append((label, "pipeline", pipeline[g]((d,)), "formula", want))
+            rows.append((label, "pipeline", value_from_form(forms[g], (d,)), "formula", want))
             if d <= 5:
                 oracle = count_monotone_transitive((d,), 2 * g - 1 + d)
                 rows.append((label, "oracle", oracle, "formula", want))

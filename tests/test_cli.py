@@ -266,12 +266,11 @@ def test_extraction_cap(capsys):
 
 def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
     from hurwitz import cli
-    from hurwitz.ring import ProjectionFitError
 
     def broken(form, alpha):
-        raise ProjectionFitError("projection fit failed at i=1, k=2")
+        raise AssertionError("projection fit failed at i=1, k=2")
 
-    monkeypatch.setattr(cli, "monotone_from_rational_form", broken)
+    monkeypatch.setattr(cli, "value_from_form", broken)
     code, out, err = run_cli(
         capsys, "compute", "--genus", "2", "--partition", "2,2", "--method", "lagrange"
     )

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurwitz.closedforms import (
+    _sinh_ratio_even_coeffs,
     bernoulli_constant,
     classical_genus0,
     classical_genus1,
@@ -100,6 +101,27 @@ def test_mn_single_cycle_examples():
     assert mn_single_cycle(2, 2) == 1
     assert mn_single_cycle(1, 1) == 0
     assert mn_single_cycle(4, 1) == 0
+
+
+def successive_product_coeffs(power, terms):
+    """(sinh(z/2)/(z/2))^power by `power` successive series products."""
+    base = [Fraction(1, 4**m * factorial(2 * m + 1)) for m in range(terms)]
+    out = [Fraction(1)] + [Fraction(0)] * (terms - 1)
+    for _ in range(power):
+        nxt = [Fraction(0)] * terms
+        for i, a in enumerate(out):
+            for j in range(terms - i):
+                nxt[i + j] += a * base[j]
+        out = nxt
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 80), st.integers(1, 12))
+@example(0, 1)
+@example(120, 6)
+def test_sinh_power_recurrence_matches_successive_products(power, terms):
+    assert _sinh_ratio_even_coeffs(power, terms) == successive_product_coeffs(power, terms)
 
 
 def test_mn_single_cycle_against_oracle():

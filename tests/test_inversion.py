@@ -1,19 +1,19 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
 from hurwitz.forms import LogForm, RationalForm
 from hurwitz.inversion import (
+    _project,
     aux_series,
     classical_aux_series,
     classical_extract,
-    classical_from_rational_form,
     expand_log_form,
     expand_rational_form,
     lagrange_extract,
-    monotone_from_log_form,
+    value_from_form,
 )
 from hurwitz.joincut import solve_classical, solve_monotone
 from hurwitz.partitions import Partition, partitions
@@ -24,24 +24,24 @@ from hurwitz.tables import paper_form
 
 def test_aux_series_coefficients():
     aux = aux_series(MSeries.constant(1, 4), 3)
-    assert aux.gamma[(1,)] == 2
-    assert aux.eta[(2,)] == 30
-    assert aux.eta_j(3)[(1,)] == 6
+    assert aux.base[(1,)] == 2           # gamma
+    assert aux.main[(2,)] == 30          # eta
+    assert aux.main_j(3)[(1,)] == 6      # eta_3
     with pytest.raises(ValueError):
-        aux.eta_j(4)
+        aux.main_j(4)
 
 
 def test_classical_aux_series_coefficients():
     aux = classical_aux_series(MSeries.constant(1, 3), 2)
-    assert aux.delta[(2,)] == 2          # 2^2/2!
-    assert aux.phi[(3,)] == Fraction(27, 2)  # 3^4/3!
-    assert aux.phi_j(1)[(1,)] == 1
+    assert aux.base[(2,)] == 2           # delta: 2^2/2!
+    assert aux.main[(3,)] == Fraction(27, 2)  # phi: 3^4/3!
+    assert aux.main_j(1)[(1,)] == 1      # phi_1
 
 
 def test_lagrange_extract_examples():
     aux = aux_series(MSeries.constant(1, 3))
     # [p_1] gamma = 2, computed through the q-side extraction
-    assert lagrange_extract(aux.gamma, (1,)) == 2
+    assert lagrange_extract(aux.base, (1,)) == 2
     # constants have no positive-weight p coefficients
     const = MSeries.constant(7, 3)
     for d in range(1, 4):
@@ -66,7 +66,7 @@ def test_log_form_matches_joincut_genus1():
     form = genus1_closed()
     for d in range(1, 7):
         for alpha in partitions(d):
-            assert monotone_from_log_form(form, alpha) == table.genus_value(1, alpha)
+            assert value_from_form(form, alpha) == table.genus_value(1, alpha)
 
 
 def test_rational_form_expansion_properties():
@@ -85,7 +85,7 @@ def test_round_trip_through_the_change_of_variables():
         {m: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for m in monos},
     )
     # F in the q basis: p_j = q_j (1-gamma)^(2j), one monomial at a time
-    one_minus = MSeries.constant(1, 5) - aux_series(MSeries.constant(1, 5)).gamma
+    one_minus = MSeries.constant(1, 5) - aux_series(MSeries.constant(1, 5)).base
     Fq = MSeries.zero(5)
     for m, c in F.coeffs.items():
         Fq = Fq + MSeries(5, {m: c}) * one_minus.pow(2 * sum(m))
@@ -99,8 +99,20 @@ def test_classical_extraction_against_joincut():
         form = paper_form(g, classical=True)
         for d in range(1, 5):
             for alpha in partitions(d):
-                got = classical_from_rational_form(form, alpha)
+                got = value_from_form(form, alpha)
                 assert got == table.genus_value(g, alpha), (g, alpha)
+
+
+def test_project_filters_the_numerators_like_the_fraction_path():
+    # the reference rebuilds every coefficient as a Fraction
+    rng = random.Random(11)
+    for w in range(7):
+        monos = [tuple(a) for d in range(w + 1) for a in partitions(d)]
+        F = MSeries(w, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for m in monos})
+        for alpha in (a for d in range(w + 1) for a in partitions(d)):
+            got = _project(F, alpha)
+            assert got == DivisorSeries(alpha, F.coeffs)
+            assert got.den > 0 and gcd(got.den, *got.nums.values()) == 1
 
 
 def test_classical_extract_of_constants():

@@ -53,4 +53,6 @@ def test_genus1_single_part_slope():
 def test_polynomial_evaluation_and_str():
     poly = PolynomialQ(2, {(1, 0): Fraction(2), (0, 2): Fraction(1, 3)})
     assert poly((3, 6)) == 6 + 12
-    assert "x0" in str(poly)
+    # the dataclass equality compares the cleaned coefficients
+    assert poly == PolynomialQ(2, {(1, 0): 2, (0, 2): Fraction(1, 3), (1, 1): 0})
+    assert poly != PolynomialQ(3, {(1, 0, 0): 2, (0, 2, 0): Fraction(1, 3)})

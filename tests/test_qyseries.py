@@ -55,7 +55,7 @@ def test_expand_ring_element_basic():
     v = RingElement.monomial(v=1)
     series = expand_ring_element(v, 2, 0)
     one = MSeries.constant(1, 2)
-    expect = (one - aux_series(one).eta).inverse()
+    expect = (one - aux_series(one).main).inverse()
     assert series.coeffs == {(m, 0, 0): c for m, c in expect.coeffs.items()}
 
 
@@ -99,7 +99,7 @@ def test_pi2_projection_against_literal_series():
         binom = BiSeries.y_binomial(-3 - 2 * i, wq, 0, wq + i, var=2)
         literal = project_2(y2_pow * binom)
         one = MSeries.constant(1, wq)
-        v = BiSeries.from_mseries((one - aux_series(one).eta).inverse(), wq, 0, 0)
+        v = BiSeries.from_mseries((one - aux_series(one).main).inverse(), wq, 0, 0)
         literal = v * literal.truncate(wq, 0, 0)
         algebraic = expand_ring_element(pi2_project(i), wq, 0)
         assert literal.coeffs == algebraic.coeffs, i

@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurwitz.combinat import central_binomial, rising
 from hurwitz.ring import (
-    ProjectionFitError,
     RingElement,
     apply_T,
     apply_delta1,
@@ -64,7 +64,7 @@ def test_pi2_projection_examples():
 
 
 def test_transfer_operator_examples():
-    assert not apply_T(RingElement.one())
+    assert not apply_T(RingElement.monomial())
     assert not apply_T(Y)
     assert apply_T(Y * Y) == Y * H1.scale(Fraction(1, 6))
     with pytest.raises(ValueError):
@@ -72,7 +72,7 @@ def test_transfer_operator_examples():
 
 
 def test_invert_one_minus_T():
-    assert invert_one_minus_T(RingElement.one()) == RingElement.one()
+    assert invert_one_minus_T(RingElement.monomial()) == RingElement.monomial()
     y2 = Y * Y
     inv = invert_one_minus_T(y2)
     assert inv == y2 + Y * H1.scale(Fraction(1, 6))
@@ -98,8 +98,8 @@ def test_invert_random_elements_roundtrip():
 
 
 def test_delta_annihilates_constants():
-    assert not apply_delta1(RingElement.one())
-    assert not apply_delta1(RingElement.one().scale(Fraction(5, 3)))
+    assert not apply_delta1(RingElement.monomial())
+    assert not apply_delta1(RingElement.monomial().scale(Fraction(5, 3)))
 
 
 def test_delta1_sq_H0_is_Y_squared():
@@ -113,16 +113,40 @@ def test_degree_bound_after_lift():
     # multiply back by (1-eta)^(m+1) (1-4y)^(1/2) and check membership
     r = RingElement.monomial(u2=2, hs=(1,))  # degree 2
     for m in (0, 1, 3):
-        out = apply_delta1(r, m=m)
+        out = apply_delta1(r.shift_v(m))
         normalized = out.shift_v(-(m + 1)).shift_u2(-1)
         assert normalized.in_ring(4), m
 
 
-def test_projection_fit_guard_exists():
-    # the fit machinery is exercised for every index used at high genus
-    for i in range(1, 12):
-        pi2_project(i)
-    assert issubclass(ProjectionFitError, AssertionError)
+def newton_fit_projection(i):
+    """proj(i) by fitting p(k) = a(k) / ((2k+1) C(2k,k)) on k = 1..i+1 with
+    Newton forward differences, verified on k = i+2..i+4."""
+    def a(k):
+        m = k - i
+        return Fraction(0) if m < 0 else 4**m * rising(Fraction(3, 2) + i, m) / factorial(m)
+
+    values = [a(k) / ((2 * k + 1) * central_binomial(k)) for k in range(1, i + 2)]
+    coeffs = {}
+    falling = [1]  # (k-1)(k-2)...(k-r) as integer coefficients, lowest first
+    for r in range(len(values)):
+        step = values[0] / factorial(r)
+        for e, b in enumerate(falling):
+            coeffs[e] = coeffs.get(e, 0) + step * b
+        values = [y - x for x, y in zip(values, values[1:])]
+        falling = [x - (r + 1) * y for x, y in zip([0] + falling, falling + [0])]
+    for k in range(i + 2, i + 5):
+        p_k = sum(c * k**e for e, c in coeffs.items())
+        assert p_k * (2 * k + 1) * central_binomial(k) == a(k), (i, k)
+    p0 = coeffs.pop(0)
+    terms = {(0, 1, ()): p0, (0, 0, ()): -p0}  # p0 eta (1-eta)^(-1) = p0 (V - 1)
+    terms.update({(0, 0, (j,)): c for j, c in coeffs.items()})
+    return RingElement(terms)
+
+
+def test_pi2_projection_matches_newton_fit():
+    # the closed form equals the fitted projection for every index up to 30
+    for i in range(31):
+        assert pi2_project(i) == newton_fit_projection(i), i
 
 
 # -- reference laws: the integer kernels against plain Fraction dicts --------
@@ -250,7 +274,7 @@ def test_arithmetic_laws_against_fraction_reference(a, b, c):
 @settings(max_examples=40, deadline=None)
 @given(ring_dicts(), st.integers(0, 2))
 def test_delta1_against_fraction_reference(a, m):
-    got = apply_delta1(RingElement(a), m=m)
+    got = apply_delta1(RingElement(a).shift_v(m))
     assert_canonical(got)
     assert got.terms == ref_delta1(clean(a), m)
 
