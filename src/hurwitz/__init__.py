@@ -14,7 +14,6 @@ from .closedforms import (
     monotone_genus0,
     monotone_genus1,
     polynomiality_extract,
-    scaling_check,
 )
 from .combinat import bernoulli, central_binomial, rising
 from .forms import LogForm, RationalForm
@@ -80,7 +79,6 @@ __all__ = [
     "classical_genus1",
     "mn_single_cycle",
     "bernoulli_constant",
-    "scaling_check",
     "polynomiality_extract",
     "paper_form",
     "run_check",

@@ -49,6 +49,10 @@ EXTRACTION_CAP = 16
 # 38-43 s cold, r = 720 took 52-62 s.  The monotone table takes about half.
 JOINCUT_R_CAP = 700
 
+# |alpha| cap of the join-cut route, the size at which JOINCUT_R_CAP was
+# measured.
+JOINCUT_D_CAP = 9
+
 # r cap of the closed-form route.  The single-cycle formula raises a
 # (g+1)-term series to the power 2d-2 by Miller's recurrence, about g^2
 # rational steps; cold (one process each, 2-vCPU VM, elapsed_ms of compute
@@ -88,7 +92,7 @@ def _auto_method(genus: int, alpha: Partition, r: int, classical: bool) -> str:
     if genus in (2, 3):
         return "lagrange"
     # classical genus >= 4 has no other route; out of range, join-cut exits 2
-    if classical or (alpha.size <= 9 and r <= JOINCUT_R_CAP):
+    if classical or (alpha.size <= JOINCUT_D_CAP and r <= JOINCUT_R_CAP):
         return "joincut"
     return "pipeline"
 
@@ -109,8 +113,8 @@ def compute_value(genus: int, alpha: Partition, classical: bool, method: str) ->
         return method, Fraction(fn(alpha, r))
 
     if method == "joincut":
-        if alpha.size > 9:
-            raise RangeError(f"join-cut path caps |alpha| at 9, got {alpha.size}")
+        if alpha.size > JOINCUT_D_CAP:
+            raise RangeError(f"join-cut path caps |alpha| at {JOINCUT_D_CAP}, got {alpha.size}")
         if r > JOINCUT_R_CAP:
             raise RangeError(
                 f"join-cut path caps r = 2g-2+len+|alpha| at {JOINCUT_R_CAP}, got {r}"

@@ -1,4 +1,4 @@
-"""Closed formulas, published-table checks, and polynomiality extraction.
+"""Closed formulas and polynomiality extraction.
 
 Genus 0 and 1 have explicit product formulas in both families:
 
@@ -15,9 +15,7 @@ Matsumoto-Novak formula
 
     (2d)!/d! C(2g-2+2d, 2g-2) (2g(2g-1))^-1 [z^{2g}/(2g)!] (sinh(z/2)/(z/2))^{2d-2},
 
-the constant of the genus-g rational form from -B_{2g}/(2g(2g-2)), and
-the top rational-form coefficients satisfy c_{g,alpha} = 2^{3g-3}
-a_{g,alpha} against the classical tables for |alpha| = 3g-3.
+and the constant of the genus-g rational form from -B_{2g}/(2g(2g-2)).
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from .combinat import bernoulli, central_binomial, elem_sym_table, rising
 from .inversion import value_from_form
 from .partitions import Partition, aut_order, partitions
 from .polynomials import InconsistentDataError, PolynomialQ, interpolate, monomials_upto
-from .tables import paper_form
 
 
 def monotone_genus0(alpha) -> Fraction:
@@ -118,24 +115,6 @@ def bernoulli_constant(g: int) -> Fraction:
     if g < 2:
         raise ValueError("the constant law starts at genus 2")
     return -bernoulli(2 * g) / (2 * g * (2 * g - 2))
-
-
-def scaling_check(g: int) -> bool:
-    """c_{g,alpha} == 2^(3g-3) a_{g,alpha} for all alpha of size 3g-3.
-
-    The classical a's come from the checked-in tables, the monotone c's
-    from the operator pipeline.
-    """
-    from .pipeline import rational_form  # local: avoids an import cycle
-
-    classical = paper_form(g, classical=True)
-    top = 3 * g - 3
-    scale = 2**top
-    monotone_top = {a: c for a, c in rational_form(g).terms.items() if a.size == top}
-    classical_top = {a: c for a, c in classical.terms.items() if a.size == top}
-    if set(monotone_top) != set(classical_top):
-        return False
-    return all(monotone_top[a] == scale * classical_top[a] for a in monotone_top)
 
 
 # -- polynomiality -------------------------------------------------------

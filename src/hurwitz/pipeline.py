@@ -38,7 +38,6 @@ closed log form (1/24) log 1/(1-eta) - (1/8) log 1/(1-gamma).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -92,17 +91,6 @@ def delta1_element(g: int) -> RingElement:
     return normalized_delta1(g).shift_u2(1).shift_v(2 * g - 1)
 
 
-@dataclass(frozen=True)
-class BasisDecomp:
-    """Components F_0..F_{3g-1} of E_g against the triangular basis."""
-
-    genus: int
-    components: tuple[RingElement, ...]
-
-    def __getitem__(self, j: int) -> RingElement:
-        return self.components[j]
-
-
 def _basis_u_poly(j: int) -> dict[int, Fraction]:
     """U-polynomial of basis element j after multiplying by (1-4y)^(1/2):
     degree exactly j."""
@@ -122,8 +110,9 @@ def _basis_int_poly(j: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return q, tuple((e, c.numerator * (q // c.denominator)) for e, c in poly.items())
 
 
-def decompose_basis(g: int, E: RingElement) -> BasisDecomp:
-    """Solve the triangular system writing E_g over the y-series basis.
+def decompose_basis(g: int, E: RingElement) -> tuple[RingElement, ...]:
+    """Solve the triangular system writing E_g over the y-series basis: the
+    components F_0..F_{3g-1}.
 
     Asserts F_0 = 0, the weighted-degree bounds, and (g >= 2) the gamma
     cancellation identity."""
@@ -174,25 +163,25 @@ def decompose_basis(g: int, E: RingElement) -> BasisDecomp:
             ident = ident + comps[j] * RingElement.monomial(hs=(j - 1,))
         if ident:
             raise AssertionError("gamma-cancellation identity failed")
-    return BasisDecomp(g, tuple(comps))
+    return tuple(comps)
 
 
-def recompose_basis(B: BasisDecomp) -> RingElement:
+def recompose_basis(B: tuple[RingElement, ...]) -> RingElement:
     """Inverse of decompose_basis (used by the invariance tests)."""
     out = RingElement.zero()
-    for j, Fj in enumerate(B.components):
+    for j, Fj in enumerate(B):
         if Fj:
             out = out + RingElement.from_u_poly(_basis_u_poly(j)) * Fj
     return out
 
 
-def integrate_phi(g: int, B: BasisDecomp) -> RationalForm:
+def integrate_phi(g: int, B: tuple[RingElement, ...]) -> RationalForm:
     """The t-integration producing the genus-g rational form, g >= 2."""
     if g < 2:
         raise ValueError("integrate_phi handles genus >= 2; genus one is the log form")
     # every term is accumulated as an integer numerator over ``den``: the
     # lcm of the component denominators times lcm(1..m+2g-2), m <= len(hs)
-    comps = B.components[2:]
+    comps = B[2:]
     m_max = max((len(hs) for Fj in comps for (_u2, _v, hs) in Fj.nums), default=0)
     den_c = lcm(*(Fj.den for Fj in comps))
     den_t = lcm(*range(1, m_max + 2 * g - 1))

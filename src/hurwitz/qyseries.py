@@ -4,12 +4,12 @@ literal lifting/projection/splitting operators acting on them.
 `BiSeries` is `series.MSeries` graded by (q-weight, y1-degree,
 y2-degree): it supplies only that grading (the key join of
 (q monomial, y1 degree, y2 degree), its q-weight and the bounds
-(wq, w1, w2)) and the y-operations MSeries has no version of; cleaning,
-+, -, *, ==, truncation, the q-derivative and powers are the MSeries
-code.  Like every series of that kernel a BiSeries holds
-integer numerators over one denominator in canonical form, and the
-y-operations here work on the numerators and reduce once per result with
-the kernel's own normaliser, not the ring's.
+(wq, w1, w2)); cleaning, +, -, *, ==, the q-derivative and powers are the
+MSeries code.  Like every series of that kernel a BiSeries holds
+integer numerators over one denominator in canonical form.  The
+operators below that act term by term (the Euler part of the lift, the
+split and the projection) map the numerators directly and reduce once per
+result with the kernel's own normaliser, not the ring's.
 
 This module is the series-level oracle for the algebraic operator ring:
 everything here is defined directly from the operator formulas
@@ -130,19 +130,6 @@ class BiSeries(MSeries):
         out.nums = nums
         return out
 
-    def dy(self, var: int) -> "BiSeries":
-        out: dict[QKey, int] = {}
-        for (mono, a, b), n in self.nums.items():
-            deg = a if var == 1 else b
-            if deg:
-                # lowering one y-degree is injective on the keys that hold it
-                out[(mono, a - 1, b) if var == 1 else (mono, a, b - 1)] = deg * n
-        return self._new(self.bounds, *_canonical(out, self.den))
-
-    def y2_coefficient(self, k: int) -> "BiSeries":
-        nums = {(mono, a, 0): n for (mono, a, b), n in self.nums.items() if b == k}
-        return self._new(self.bounds, *_canonical(nums, self.den))
-
 
 # -- the literal operators ------------------------------------------------
 
@@ -162,19 +149,15 @@ def prefactor(wq: int, w1: int, w2: int) -> BiSeries:
 def lift_literal(G: BiSeries) -> BiSeries:
     """The transformed-coordinate lifting operator, term by term."""
     wq, w1, w2 = G.wq, G.w1, G.w2
-    derivatives = [(k, G.derivative(k)) for k in range(1, wq + 1)]
-    derivatives = [(k, d) for k, d in derivatives if not d.is_zero()]
     out = BiSeries(wq, w1, w2)
-    for k, d in derivatives:
-        yk = BiSeries(wq, w1, w2, {((), k, 0): k})
-        out = out + yk * d
-    euler = BiSeries(wq, w1, w2)
-    for k, d in derivatives:
-        qk = BiSeries(wq, w1, w2, {((k,), 0, 0): k})
-        euler = euler + qk * d
-    y1dy1 = BiSeries(wq, w1, w2, {((), 1, 0): 1}) * G.dy(1)
-    y2dy2 = BiSeries(wq, w1, w2, {((), 0, 1): 1}) * G.dy(2)
-    return out + prefactor(wq, w1, w2) * (euler + y1dy1 + y2dy2)
+    for k in range(1, wq + 1):
+        d = G.derivative(k)
+        if not d.is_zero():
+            out = out + BiSeries(wq, w1, w2, {((), k, 0): k}) * d
+    # sum_k k q_k d/dq_k + y1 d/dy1 + y2 d/dy2 scales q^mono y1^a y2^b by
+    # its total degree |mono| + a + b
+    euler = {(mono, a, b): (sum(mono) + a + b) * n for (mono, a, b), n in G.nums.items()}
+    return out + prefactor(wq, w1, w2) * G._new(G.bounds, *_canonical(euler, G.den))
 
 
 def split_1_to_2(F: BiSeries) -> BiSeries:
@@ -193,14 +176,18 @@ def split_1_to_2(F: BiSeries) -> BiSeries:
 
 
 def project_2(M: BiSeries) -> BiSeries:
-    """[y2^0] M + sum_k q_k [y2^k] M."""
-    out = M.y2_coefficient(0)
-    for k in range(1, M.wq + 1):
-        piece = M.y2_coefficient(k)
-        if not piece.is_zero():
-            qk = BiSeries(M.wq, M.w1, M.w2, {((k,), 0, 0): 1})
-            out = out + qk * piece
-    return out
+    """[y2^0] M + sum_k q_k [y2^k] M: y2^b becomes q_b, beyond q-weight wq
+    dropped."""
+    out: dict[QKey, int] = {}
+    get = out.get
+    for (mono, a, b), n in M.nums.items():
+        if b:
+            if sum(mono) + b > M.wq:
+                continue
+            mono = _key(mono + (b,))
+        key = (mono, a, 0)
+        out[key] = get(key, 0) + n
+    return M._new(M.bounds, *_canonical(out, M.den))
 
 
 def transfer_literal(F: BiSeries) -> BiSeries:

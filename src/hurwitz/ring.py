@@ -38,17 +38,21 @@ The lifting derivation acts on the generators by
     D H_j  = P_{j+1}(U) U^(1/2) V + (U-1) U^(1/2) V H_{j+1}
              + P_1(U) U^(1/2) V H_j + (U-1) U^(1/2) V H_j H_1,
 
-and extends by the product rule.  The transfer operator T acts on honest
-elements through the power basis Y^k, Y = y (1-4y)^(-1) = (U-1)/4:
-
-    T(1) = T(Y) = 0,
-    T(Y^k) = sum_{i=1}^{k-1} Y^(k-i) proj(i),      k >= 2,
-
-where proj(i) is the projection of y^i (1-4y)^(-3/2-i) back to the
-eta_j series, divided by (1 - eta).  Its y^k coefficient is
-(2k+1) C(2k,k) p_i(k) with p_i(k) = k(k-1)...(k-i+1) / (2^i (2i+1)!!), so
+and extends by the product rule.  The transfer operator T is linear over
+V and the H_k and acts on the U powers of honest elements.  On the power
+basis Y^k, Y = y (1-4y)^(-1) = (U-1)/4, it is T(1) = T(Y) = 0 and
+T(Y^k) = sum_{i=1}^{k-1} Y^(k-i) proj(i) for k >= 2, where proj(i) is the
+projection of y^i (1-4y)^(-3/2-i) back to the eta_j series, divided by
+(1 - eta).  Its y^k coefficient is (2k+1) C(2k,k) p_i(k) with
+p_i(k) = k(k-1)...(k-i+1) / (2^i (2i+1)!!), so
 proj(i) = sum_j s(i, j) H_j / (2^i (2i+1)!!) in signed Stirling numbers of
-the first kind, and proj(0) = V - 1.  T is linear over V and the H_k.
+the first kind, and proj(0) = V - 1.  Expanding U^e = (1 + 4Y)^e, swapping
+the sums over k and i and using
+sum_{m>=0} C(e, i+m) (U-1)^m = sum_a C(e-1-a, i-1) U^a gives T on U^e in
+closed form:
+
+    T(U^e) = sum_{i=1}^{e-1} 4^i proj(i)
+             ( sum_{a=0}^{e-i} C(e-1-a, i-1) U^a - C(e, i) ).
 """
 
 from __future__ import annotations
@@ -378,38 +382,21 @@ def pi2_project(i: int) -> RingElement:
 
 
 @lru_cache(maxsize=None)
-def _y_power(m: int) -> tuple[tuple[int, Fraction], ...]:
-    """Y^m = ((U-1)/4)^m as a U-polynomial."""
-    out = {
-        e: Fraction(comb(m, e) * (-1) ** (m - e), 4**m) for e in range(m + 1)
-    }
-    return tuple(sorted(out.items()))
-
-
-@lru_cache(maxsize=None)
-def _t_on_y_power(k: int) -> RingElement:
-    if k <= 1:
-        return RingElement.zero()
-    out = RingElement.zero()
-    for i in range(1, k):
-        ypow = RingElement.from_u_poly(dict(_y_power(k - i)))
-        out = out + ypow * pi2_project(i)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _t_on_u_power(e: int) -> RingElement:
-    """T(U^e) via U = 4Y + 1 and linearity."""
-    out = RingElement.zero()
-    for k in range(2, e + 1):
-        out = out + _t_on_y_power(k).scale(comb(e, k) * 4**k)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _t_rows(e: int):
-    """T(U^e) as _rows."""
-    return _rows(_t_on_u_power(e))
+    """T(U^e) as _rows, from its closed form (see the module docstring)."""
+    projs = [pi2_project(i) for i in range(1, e)]
+    den = lcm(*(p.den for p in projs))
+    out: dict[Key, int] = {}
+    get = out.get
+    for i, p in enumerate(projs, 1):
+        upoly = [comb(e - 1 - a, i - 1) for a in range(e - i + 1)]
+        upoly[0] -= comb(e, i)
+        f = 4**i * (den // p.den)
+        for (_u2, _v, hs), n in p.nums.items():
+            for a, c in enumerate(upoly):
+                key = (2 * a, 0, hs)
+                out[key] = get(key, 0) + f * n * c
+    return _rows(_reduced(out, den))
 
 
 def apply_T(F: RingElement) -> RingElement:

@@ -21,11 +21,11 @@ taken over the lcm of the two denominators.  ``coeffs`` is the
 Fraction-valued read view; its Fractions are built on access and never
 stored.
 
-The arithmetic here (cleaning, +, -, scale, *, ==, truncate, the
-q-derivative, pow, inverse, exp and log) reads the grading only through a
-few hooks: the bounds tuple, their meet, the canonical key, the q-monomial
-of a key, its q-weight and the largest q-weight that fits, whether a key
-fits the bounds, the join of two keys under a product, and how many
+The arithmetic here (cleaning, +, -, scale, *, ==, the q-derivative,
+pow, inverse, exp and log) reads the grading only through a few hooks:
+the bounds tuple, their meet, the canonical key, the q-monomial of a key,
+its q-weight and the largest q-weight that fits, whether a key fits the
+bounds, the join of two keys under a product, and how many
 constant-free factors a nonzero product can have.  `qyseries.BiSeries` is
 this class graded by (q-weight, y1-degree, y2-degree): it overrides those
 hooks to add two catalytic y-degrees, and so shares all of this code.
@@ -237,17 +237,6 @@ class MSeries:
             return dict(self.nums)
         fits = self._fits
         return {k: n for k, n in self.nums.items() if fits(k, bounds)}
-
-    def truncate(self, *bounds) -> "MSeries":
-        if (
-            len(bounds) != len(self.bounds)
-            or self._meet_bounds(bounds, self.bounds) != bounds
-        ):
-            raise ValueError(
-                f"cannot truncate bounds {self.bounds} to {bounds} (coefficients "
-                "beyond a truncation are unknown)"
-            )
-        return self._new(bounds, *_canonical(self._within(bounds), self.den))
 
     def __add__(self, other) -> "MSeries":
         if not isinstance(other, MSeries):

@@ -23,7 +23,6 @@ from .closedforms import (
     monotone_genus0,
     monotone_genus1,
     polynomiality_extract,
-    scaling_check,
 )
 from .inversion import value_from_form
 from .joincut import solve_classical, solve_monotone
@@ -175,9 +174,16 @@ def check_matsumoto_novak() -> tuple[bool, str]:
 
 def check_scaling_law() -> tuple[bool, str]:
     """c_{g,alpha} = 2^(3g-3) a_{g,alpha} on |alpha| = 3g-3 for g = 2, 3."""
-    return _compare("g=2,3 top coefficients", (
-        (f"g={g}", "scaling_check", scaling_check(g), "expected", True) for g in (2, 3)
-    ))
+    rows = []
+    for g in (2, 3):
+        monotone, classical = rational_form(g), paper_form(g, classical=True)
+        top = {a for form in (monotone, classical) for a in form.terms if a.size == 3 * g - 3}
+        rows.extend(
+            (f"g={g} {tuple(a)}", "pipeline", monotone.coefficient(a),
+             f"2^{3 * g - 3} x table", 2 ** (3 * g - 3) * classical.coefficient(a))
+            for a in sorted(top)
+        )
+    return _compare("g=2,3 top coefficients", rows)
 
 
 def check_polynomiality() -> tuple[bool, str]:

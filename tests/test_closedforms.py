@@ -15,7 +15,6 @@ from hurwitz.closedforms import (
     monotone_genus1,
     normalized_value,
     polynomiality_extract,
-    scaling_check,
 )
 from hurwitz.combinat import central_binomial, elem_sym_table, rising
 from hurwitz.oracle import count_classical_transitive, count_monotone_transitive
@@ -140,8 +139,15 @@ def test_bernoulli_constant_values():
 
 
 def test_scaling_examples():
-    assert scaling_check(2)
-    assert scaling_check(3)
+    # c_{g,alpha} = 2^(3g-3) a_{g,alpha} on every alpha of size 3g-3
+    from hurwitz.pipeline import rational_form
+    from hurwitz.tables import paper_form
+
+    for g in (2, 3):
+        top = 3 * g - 3
+        mono = {a: c for a, c in rational_form(g).terms.items() if a.size == top}
+        clas = paper_form(g, classical=True).terms
+        assert mono and mono == {a: 2**top * c for a, c in clas.items() if a.size == top}
 
 
 def test_scaling_single_coefficients():

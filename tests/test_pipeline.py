@@ -10,7 +10,6 @@ from hurwitz.inversion import value_from_form
 from hurwitz.joincut import solve_monotone
 from hurwitz.partitions import Partition, partitions
 from hurwitz.pipeline import (
-    BasisDecomp,
     decompose_basis,
     delta1_element,
     genus1_closed,
@@ -53,7 +52,7 @@ def test_structural_bounds_through_genus4():
         elem = normalized_delta1(g)
         assert elem.in_ring(3 * g - 1)
         decomp = decompose_basis(g, elem)  # raises if cond1/cond2 fail
-        for j, Fj in enumerate(decomp.components):
+        for j, Fj in enumerate(decomp):
             if Fj:
                 assert Fj.weighted_degree() <= 3 * g - 1 - j
 
@@ -221,9 +220,8 @@ def test_lift_of_genus1_matches_joincut():
 
 def test_basis_decomp_container():
     decomp = decompose_basis(2, normalized_delta1(2))
-    assert isinstance(decomp, BasisDecomp)
-    assert decomp.genus == 2
-    assert len(decomp.components) == 6
+    assert isinstance(decomp, tuple)
+    assert len(decomp) == 6
     assert isinstance(rational_form(2), RationalForm)
 
 

@@ -13,6 +13,7 @@ from hurwitz.qyseries import (
     BiSeries,
     expand_ring_element,
     lift_literal,
+    prefactor,
     project_2,
     split_1_to_2,
     transfer_literal,
@@ -45,7 +46,8 @@ def test_split_examples():
 
 def test_projection_replaces_y2_by_q():
     wq, w1, w2 = 3, 2, 3
-    m = BiSeries(wq, w1, w2, {((), 0, 2): 5, ((), 1, 0): 7})
+    # q_2 q_2 y1 has q-weight 4 > 3 and is dropped
+    m = BiSeries(wq, w1, w2, {((), 0, 2): 5, ((), 1, 0): 7, ((2,), 1, 2): 3})
     out = project_2(m)
     assert out.coeffs == {((2,), 0, 0): Fraction(5), ((), 1, 0): Fraction(7)}
 
@@ -100,7 +102,7 @@ def test_pi2_projection_against_literal_series():
         literal = project_2(y2_pow * binom)
         one = MSeries.constant(1, wq)
         v = BiSeries.from_mseries((one - aux_series(one).main).inverse(), wq, 0, 0)
-        literal = v * literal.truncate(wq, 0, 0)
+        literal = v * BiSeries(wq, 0, 0, literal.coeffs)  # the y-free terms
         algebraic = expand_ring_element(pi2_project(i), wq, 0)
         assert literal.coeffs == algebraic.coeffs, i
 
@@ -142,16 +144,35 @@ def ref_project(a, bounds):
 def test_y_operations_against_fraction_reference(data):
     s = data.draw(KINDS[1])
     _, bounds, a = ref(s)
-    k = data.draw(st.integers(0, 2))
     free = {key: c for key, c in a.items() if key[2] == 0}
     for got, want in (
-        (s.dy(1), ref_dy(a, 1)),
-        (s.dy(2), ref_dy(a, 2)),
-        (s.y2_coefficient(k), {(m, p, 0): c for (m, p, q), c in a.items() if q == k}),
         (split_1_to_2(BiSeries(*bounds, free)), ref_split(free, bounds)),
         (project_2(s), ref_project(a, bounds)),
     ):
         assert_matches(got, (BiSeries, bounds, want))
+
+
+def product_lift(G):
+    """The lift composed from q- and y-derivatives and series products."""
+    bounds = G.bounds
+
+    def term(key, c):
+        return BiSeries(*bounds, {key: c})
+
+    out, euler = BiSeries(*bounds), BiSeries(*bounds)
+    for k in range(1, G.wq + 1):
+        d = G.derivative(k)
+        out = out + term(((), k, 0), k) * d
+        euler = euler + term(((k,), 0, 0), k) * d
+    for var, y in ((1, ((), 1, 0)), (2, ((), 0, 1))):
+        euler = euler + term(y, 1) * BiSeries(*bounds, ref_dy(G.coeffs, var))
+    return out + prefactor(*bounds) * euler
+
+
+@given(G=KINDS[1])
+@settings(max_examples=60, deadline=None)
+def test_lift_term_map_against_product_composition(G):
+    assert lift_literal(G) == product_lift(G)
 
 
 def test_y_binomial_against_fraction_formula():

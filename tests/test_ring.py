@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hurwitz.combinat import central_binomial, rising
 from hurwitz.ring import (
     RingElement,
+    _t_rows,
     apply_T,
     apply_delta1,
     delta1_sq_H0,
@@ -251,6 +252,27 @@ def ref_T(F):
                 term = ref_mul(term, {(0, v, hs): c * comb(e, k) * 4**k})
                 out = ref_add(out, term)
     return out
+
+
+def test_closed_form_transfer_rows_against_y_power_basis():
+    # T(U^e) = sum_k C(e,k) 4^k T(Y^k), T(Y^k) = sum_{i<k} Y^(k-i) proj(i),
+    # built by ring products as before the closed form
+    e_max = 40
+    zero = RingElement.zero()
+    y_pow = [RingElement.monomial()]
+    for _ in range(e_max):
+        y_pow.append(y_pow[-1] * Y)
+    t_y = [zero, zero] + [
+        sum((y_pow[k - i] * pi2_project(i) for i in range(1, k)), zero)
+        for k in range(2, e_max + 1)
+    ]
+    for e in range(e_max + 1):
+        want = sum((t_y[k].scale(comb(e, k) * 4**k) for k in range(2, e + 1)), zero)
+        den, rows = _t_rows(e)
+        got = RingElement.from_nums(
+            {(u2, v, hs): n for (v, hs), col in rows for u2, n in col}, den
+        )
+        assert got == want, e
 
 
 @settings(max_examples=60, deadline=None)

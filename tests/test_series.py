@@ -148,23 +148,6 @@ def test_exp_log_inverse_on_geometric():
     assert x.log_geometric().exp() == (MSeries.constant(1, 6) - x).inverse()
 
 
-def test_truncate_cannot_extend():
-    s = MSeries(3, {(1,): 1})
-    with pytest.raises(ValueError):
-        s.truncate(5)
-    bi = BiSeries(3, 2, 1, {((1,), 1, 1): 1})
-    for wider in ((4, 2, 1), (3, 3, 1), (3, 2, 2)):
-        with pytest.raises(ValueError):
-            bi.truncate(*wider)
-    assert bi.truncate(3, 1, 1) == BiSeries(3, 1, 1, {((1,), 1, 1): 1})
-    assert bi.truncate(3, 0, 1).is_zero()
-    ds = DivisorSeries((2, 1), {(2, 1): 1, (1,): 1})
-    for wider in ((2, 2), (1, 1), (3,)):
-        with pytest.raises(ValueError):
-            ds.truncate(wider)
-    assert ds.truncate((1,)) == DivisorSeries((1,), {(1,): 1})
-
-
 # -- reference laws: the integer kernel against plain Fraction dicts ---------
 #
 # A reference value is (type, bounds, {key: Fraction}) with none of the

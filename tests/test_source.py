@@ -92,28 +92,43 @@ def test_dfs_oracle_uses_no_ranked_table():
     assert not {"_ranked", "_layered_totals"} & reached, sorted(reached)
 
 
+def _referenced_names(node, own=frozenset()):
+    """The names a node references, except those of the functions it lies
+    in: a function's own body does not count as its caller."""
+    if isinstance(node, ast.FunctionDef):
+        own = own | {node.name}
+    name = None
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.alias):
+        name = node.name
+    if name is not None and name not in own:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _referenced_names(child, own)
+
+
 def test_every_public_function_has_a_library_caller():
-    # library code that only tests call is deleted, not kept; a function's
-    # own body does not count as its caller, and neither does __init__.py,
-    # which only re-exports
+    # library code that only tests call is deleted, not kept: every public
+    # module-level function and every public method or property of a class;
+    # __init__.py does not count as a caller, since it only re-exports
     package = Path(hurwitz.__file__).parent
     defined, referenced = [], set()
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for top in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
-                defined.append(f"{path.name}:{top.name}")
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias):
-                    name = node.name
-                else:
-                    continue
-                if not (isinstance(top, ast.FunctionDef) and top.name == name):
-                    referenced.add(name)
-    unused = [d for d in defined if d.split(":")[1] not in referenced]
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                defined.append((f"{path.name}:{top.name}", top.name))
+            elif isinstance(top, ast.ClassDef):
+                defined.extend(
+                    (f"{path.name}:{top.name}.{item.name}", item.name)
+                    for item in top.body
+                    if isinstance(item, ast.FunctionDef)
+                )
+        referenced.update(_referenced_names(tree))
+    unused = [label for label, name in defined if not name.startswith("_") and name not in referenced]
     assert not unused, unused

@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 from hurwitz import verify
 from hurwitz.closedforms import classical_genus0
+from hurwitz.forms import RationalForm
 from hurwitz.partitions import Partition
 from hurwitz.pipeline import rational_form
+from hurwitz.tables import paper_form
 
 
 def test_a_mismatch_names_both_values(monkeypatch):
@@ -15,6 +19,21 @@ def test_a_mismatch_names_both_values(monkeypatch):
     assert not result.passed
     assert result.detail == (
         f"18 partitions x 4 genera; 1 mismatches: (3,): g0 formula={want + 1} joincut={want}"
+    )
+
+
+def test_a_scaling_mismatch_names_the_partition(monkeypatch):
+    table = paper_form(2, classical=True)
+    planted = RationalForm(
+        genus=2, terms={**table.terms, Partition((3,)): Fraction(1, 576)}, classical=True
+    )
+    monkeypatch.setattr(
+        verify, "paper_form", lambda g, classical: planted if g == 2 else paper_form(g, classical)
+    )
+    result = verify.run_check("scaling-law")
+    assert not result.passed
+    assert result.detail == (
+        "g=2,3 top coefficients; 1 mismatches: g=2 (3,): pipeline=1/144 2^3 x table=1/72"
     )
 
 
