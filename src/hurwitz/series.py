@@ -6,9 +6,9 @@ variables (the p's or the q's -- the engine is basis-agnostic) and is
 graded by weight: the variable with index k has weight k.  A monomial is a
 weakly decreasing tuple of indices, so monomials are in bijection with
 partitions and the weight of a monomial is the size of its partition.
-Everything is truncated at a fixed maximum weight; binary operations
-truncate eagerly to the meet of the two bounds (for weights, their
-minimum).
+Everything is truncated at a fixed maximum weight.  The operands of +, -
+and * share one type and one grading: two gradings raise ValueError, and
+scalars go through `scale` and `constant`.
 
 A series is stored as integer numerators over one common denominator:
 ``nums`` maps each key to an int and ``den`` is a positive int, the
@@ -23,10 +23,10 @@ stored.
 
 The arithmetic here (cleaning, +, -, scale, *, ==, the q-derivative,
 pow, inverse, exp and log) reads the grading only through a few hooks:
-the bounds tuple, their meet, the canonical key, the q-monomial of a key,
-its q-weight and the largest q-weight that fits, whether a key fits the
-bounds, the join of two keys under a product, and how many
-constant-free factors a nonzero product can have.  `qyseries.BiSeries` is
+the bounds tuple, the canonical key, the q-monomial of a key, its
+q-weight and the largest q-weight that fits, whether a key fits the
+bounds, the join of two keys under a product, and how many constant-free
+factors a nonzero product can have.  `qyseries.BiSeries` is
 this class graded by (q-weight, y1-degree, y2-degree): it overrides those
 hooks to add two catalytic y-degrees, and so shares all of this code.
 `DivisorSeries` keeps only the monomials that divide one fixed monomial
@@ -154,11 +154,6 @@ class MSeries:
         return _key(k1 + k2)
 
     @staticmethod
-    def _meet_bounds(b1, b2) -> tuple:
-        """The bounds of a sum or product: what fits both operands."""
-        return tuple(map(min, b1, b2))
-
-    @staticmethod
     def _cap(bounds) -> int:
         """The largest q-weight of a key that fits."""
         return bounds[0]
@@ -170,10 +165,6 @@ class MSeries:
         return sum(bounds)
 
     # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zero(cls, *bounds) -> "MSeries":
-        return cls(*bounds)
 
     @classmethod
     def constant(cls, value, *bounds) -> "MSeries":
@@ -215,57 +206,36 @@ class MSeries:
             and self.nums == other.nums
         )
 
-    def __hash__(self):
-        raise TypeError(f"{type(self).__name__} is not hashable")
-
     def __repr__(self) -> str:
         n = len(self.nums)
         return f"MSeries(weight<={self.max_weight}, {n} terms)"
 
     # -- arithmetic ---------------------------------------------------
 
-    def _meet(self, other: "MSeries") -> tuple[int, ...]:
+    def _shared_bounds(self, other: "MSeries") -> tuple:
+        """The one grading of ``self`` and ``other``, or an error."""
         if type(other) is not type(self):
-            raise TypeError(
-                f"cannot combine {type(self).__name__} with {type(other).__name__}"
-            )
-        return self._meet_bounds(self.bounds, other.bounds)
-
-    def _within(self, bounds) -> dict:
-        """A copy of the numerators of the terms that fit ``bounds``."""
-        if bounds == self.bounds:
-            return dict(self.nums)
-        fits = self._fits
-        return {k: n for k, n in self.nums.items() if fits(k, bounds)}
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if other.bounds != self.bounds:
+            raise ValueError(f"cannot combine gradings {self.bounds} and {other.bounds}")
+        return self.bounds
 
     def __add__(self, other) -> "MSeries":
-        if not isinstance(other, MSeries):
-            return self + self.constant(other, *self.bounds)
-        bounds = self._meet(other)
+        bounds = self._shared_bounds(other)
         den = lcm(self.den, other.den)
-        out = self._within(bounds)
         f = den // self.den
-        if f != 1:
-            out = {k: n * f for k, n in out.items()}
-        theirs = other.nums if other.bounds == bounds else other._within(bounds)
+        out = {k: n * f for k, n in self.nums.items()} if f != 1 else dict(self.nums)
         f = den // other.den
         get = out.get
-        for key, n in theirs.items():
+        for key, n in other.nums.items():
             out[key] = get(key, 0) + n * f
         return self._new(bounds, *_canonical(out, den))
-
-    __radd__ = __add__
 
     def __neg__(self) -> "MSeries":
         return self._new(self.bounds, {k: -n for k, n in self.nums.items()}, self.den)
 
     def __sub__(self, other) -> "MSeries":
-        if not isinstance(other, MSeries):
-            other = self.constant(other, *self.bounds)
         return self + (-other)
-
-    def __rsub__(self, other) -> "MSeries":
-        return self.constant(other, *self.bounds) + (-self)
 
     def scale(self, value) -> "MSeries":
         value = Fraction(value)
@@ -276,9 +246,7 @@ class MSeries:
         return self._new(self.bounds, *_canonical(nums, self.den * value.denominator))
 
     def __mul__(self, other) -> "MSeries":
-        if not isinstance(other, MSeries):
-            return self.scale(other)
-        bounds = self._meet(other)
+        bounds = self._shared_bounds(other)
         cap = self._cap(bounds)
         weight, join = self._weight, self._join
         # iterate the smaller operand outside; the inner one, sorted by
@@ -291,8 +259,6 @@ class MSeries:
         get = out.get
         for k1, n1 in a.items():
             room = cap - weight(k1)
-            if room < 0:
-                continue
             for w2, k2, n2 in inner:
                 if w2 > room:
                     break
@@ -301,7 +267,17 @@ class MSeries:
                     out[key] = get(key, 0) + n1 * n2
         return self._new(bounds, *_canonical(out, self.den * other.den))
 
-    __rmul__ = __mul__
+    def _power_sum(self, coeff) -> "MSeries":
+        """sum_m coeff(m) x^m for this constant-free series x: exact after
+        _depth(bounds) terms, since each factor raises the grading."""
+        power = self.constant(1, *self.bounds)
+        out = power.scale(coeff(0))
+        for m in range(1, self._depth(self.bounds) + 1):
+            power = power * self
+            if power.is_zero():
+                break
+            out = out + power.scale(coeff(m))
+        return out
 
     def pow(self, n: int) -> "MSeries":
         """Integer power; negative n requires an invertible constant term."""
@@ -322,18 +298,9 @@ class MSeries:
         if c0 == 0:
             raise ZeroDivisionError("series has zero constant term")
         # 1/(c0 (1 + t)) with t = self/c0 - 1 of positive degree: an
-        # alternating geometric sum, exact after _depth(bounds) terms.
-        t = self.scale(1 / c0) - 1
-        out = self.constant(1, *self.bounds)
-        power = out
-        sign = 1
-        for _ in range(self._depth(self.bounds)):
-            power = power * t
-            sign = -sign
-            if power.is_zero():
-                break
-            out = out + power.scale(sign)
-        return out.scale(1 / c0)
+        # alternating geometric sum
+        t = self.scale(1 / c0) - self.constant(1, *self.bounds)
+        return t._power_sum(lambda m: (-1) ** m).scale(1 / c0)
 
     def derivative(self, k: int) -> "MSeries":
         """Partial derivative with respect to the index-k variable."""
@@ -353,27 +320,13 @@ class MSeries:
         """exp of a constant-free series."""
         if self.constant_term() != 0:
             raise ValueError("exp needs a constant-free series")
-        out = self.constant(1, *self.bounds)
-        power = out
-        for m in range(1, self._depth(self.bounds) + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            out = out + power.scale(Fraction(1, factorial(m)))
-        return out
+        return self._power_sum(lambda m: Fraction(1, factorial(m)))
 
     def log_geometric(self) -> "MSeries":
         """log(1/(1 - x)) = sum_m x^m / m for a constant-free series x."""
         if self.constant_term() != 0:
             raise ValueError("log needs a constant-free series")
-        out = self.zero(*self.bounds)
-        power = self.constant(1, *self.bounds)
-        for m in range(1, self._depth(self.bounds) + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            out = out + power.scale(Fraction(1, m))
-        return out
+        return self._power_sum(lambda m: Fraction(1, m) if m else 0)
 
 
 @lru_cache(maxsize=64)
@@ -396,8 +349,7 @@ class DivisorSeries(MSeries):
     Q[q] / (monomials not dividing q_alpha).  That map is a ring
     homomorphism: it commutes with +, * and hence with pow, inverse, exp
     and log, and every coefficient it keeps is the exact coefficient of the
-    full series.  The meet of two such gradings is the gcd of their
-    monomials.  A product of constant-free factors has at least one part
+    full series.  A product of constant-free factors has at least one part
     per factor, so one of more than len(alpha) factors is zero.
     """
 
@@ -419,12 +371,6 @@ class DivisorSeries(MSeries):
     def _join(k1, k2, bounds):
         key = _key(k1 + k2)
         return key if key in divisors(bounds[0]) else None
-
-    @staticmethod
-    def _meet_bounds(b1, b2) -> tuple[tuple[int, ...]]:
-        if b1 == b2:
-            return b1
-        return (_key((Counter(b1[0]) & Counter(b2[0])).elements()),)
 
     @staticmethod
     def _cap(bounds) -> int:

@@ -27,25 +27,41 @@ def _parse_alpha(text: str) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _load() -> dict:
+def _load() -> tuple[str, dict]:
+    """Where the tables come from, for error messages, and the tables."""
     path = os.environ.get(ENV_VAR)
-    if path:
+    if not path:
+        ref = resources.files("hurwitz").joinpath("data/paper_tables.json")
+        return "the shipped tables", json.loads(ref.read_text(encoding="utf-8"))
+    source = f"{ENV_VAR}={path}"
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    ref = resources.files("hurwitz").joinpath("data/paper_tables.json")
-    return json.loads(ref.read_text(encoding="utf-8"))
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{source}: cannot read the tables: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{source}: the tables must be a JSON object")
+    return source, data
 
 
 def paper_form(genus: int, classical: bool = False) -> RationalForm:
     """The published genus-2/3 rational form as exact coefficients."""
-    data = _load()
+    source, data = _load()
     family = "classical" if classical else "monotone"
     entry = data.get(family, {}).get(str(genus))
     if entry is None:
         raise KeyError(f"no checked-in {family} table for genus {genus}")
-    norm = Fraction(int(entry["normalization"]))
+    try:
+        norm = int(entry["normalization"])
+    except (TypeError, ValueError):
+        norm = 0
+    if not norm:
+        raise ValueError(
+            f"{source}: the {family} genus-{genus} normalization must be a nonzero "
+            f"integer, got {entry['normalization']!r}"
+        )
     terms = {
-        _parse_alpha(a): Fraction(int(c)) / norm
+        _parse_alpha(a): Fraction(int(c), norm)
         for a, c in entry["coefficients"].items()
     }
     return RationalForm(genus=genus, terms=terms, classical=classical)

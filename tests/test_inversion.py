@@ -86,7 +86,7 @@ def test_round_trip_through_the_change_of_variables():
     )
     # F in the q basis: p_j = q_j (1-gamma)^(2j), one monomial at a time
     one_minus = MSeries.constant(1, 5) - aux_series(MSeries.constant(1, 5)).base
-    Fq = MSeries.zero(5)
+    Fq = MSeries(5)
     for m, c in F.coeffs.items():
         Fq = Fq + MSeries(5, {m: c}) * one_minus.pow(2 * sum(m))
     for m in monos:

@@ -97,7 +97,7 @@ def _slices(table: TruncatedH, D: int, R: int, classical: bool) -> list[MSeries]
 
 
 def _rhs_literal(slices: list[MSeries], r: int, D: int) -> MSeries:
-    total = MSeries.zero(D)
+    total = MSeries(D)
     S = slices[r]
     for i in range(1, D + 1):
         for j in range(1, D - i + 1):
@@ -106,7 +106,7 @@ def _rhs_literal(slices: list[MSeries], r: int, D: int) -> MSeries:
             cut = pi_pj * S.derivative(i + j)
             join = p_ij * S.derivative(i).derivative(j)
             total = total + cut.scale(Fraction(i + j, 2)) + join.scale(Fraction(i * j, 2))
-            prod = MSeries.zero(D)
+            prod = MSeries(D)
             for rp in range(r + 1):
                 prod = prod + slices[rp].derivative(i) * slices[r - rp].derivative(j)
             total = total + (p_ij * prod).scale(Fraction(i * j, 2))

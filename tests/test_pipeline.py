@@ -161,10 +161,10 @@ def _gamma_in_p(wp: int) -> MSeries:
     gamma = sum_k C(2k,k) p_k (1-gamma)^(-2k); each round fixes one more
     weight, since gamma has no constant term."""
     one = MSeries.constant(1, wp)
-    gamma = MSeries.zero(wp)
+    gamma = MSeries(wp)
     for _ in range(wp):
         square = (one - gamma).inverse().pow(2)
-        gamma = MSeries.zero(wp)
+        gamma = MSeries(wp)
         for k in range(1, wp + 1):
             gamma = gamma + MSeries(wp, {(k,): central_binomial(k)}) * square.pow(k)
     return gamma

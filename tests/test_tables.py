@@ -55,6 +55,35 @@ def test_env_override(tmp_path):
     assert out.stdout.split() == ["3/2", "-1/2"]
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read the tables"),
+        ("not json", "cannot read the tables"),
+        (
+            json.dumps({"monotone": {"2": {"normalization": "0", "coefficients": {"": "1"}}}}),
+            "normalization must be a nonzero integer",
+        ),
+    ],
+    ids=["missing", "not-json", "zero-normalization"],
+)
+def test_bad_tables_file_exits_2_naming_it(tmp_path, content, message):
+    path = tmp_path / "tables.json"
+    if content is not None:
+        path.write_text(content)
+    out = subprocess.run(
+        [sys.executable, "-m", "hurwitz.cli", "compute", "--genus", "2", "--partition", "2,1"],
+        env={**os.environ, "HURWITZ_TABLES": str(path)},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == [out.stderr.strip()]
+    assert out.stderr.startswith(f"error: HURWITZ_TABLES={path}: ")
+    assert message in out.stderr and "Traceback" not in out.stderr
+
+
 def test_alpha_keys_are_partitions():
     form = paper_form(3)
     assert all(isinstance(a, Partition) for a in form.terms)
