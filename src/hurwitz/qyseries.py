@@ -2,14 +2,16 @@
 literal lifting/projection/splitting operators acting on them.
 
 `BiSeries` is `series.MSeries` graded by (q-weight, y1-degree,
-y2-degree): it supplies only that grading (the key join of
-(q monomial, y1 degree, y2 degree), its q-weight and the bounds
-(wq, w1, w2)); cleaning, +, -, *, ==, the q-derivative and powers are the
-MSeries code.  Like every series of that kernel a BiSeries holds
-integer numerators over one denominator in canonical form.  The
-operators below that act term by term (the Euler part of the lift, the
-split and the projection) map the numerators directly and reduce once per
-result with the kernel's own normaliser, not the ring's.
+y2-degree): it supplies that grading (keys (q monomial, y1 degree,
+y2 degree) within the bounds (wq, w1, w2)) and its own product, which
+groups each operand's terms by q-monomial, joins each pair of q-monomials
+once and convolves their y-degrees with loops cut at (w1, w2); cleaning,
++, -, ==, scale and powers are the MSeries code.  Like every series of
+that kernel a BiSeries holds integer numerators over one denominator in
+canonical form.  The operators below that act term by term (both parts
+of the lift's derivative, the split and the projection) map the
+numerators directly and reduce once per result with the kernel's own
+normaliser, not the ring's.
 
 This module is the series-level oracle for the algebraic operator ring:
 everything here is defined directly from the operator formulas
@@ -32,6 +34,8 @@ show on both sides alike.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .inversion import aux_series
 from .ring import RingElement
 from .series import MSeries, _canonical, _key
@@ -42,7 +46,8 @@ QKey = tuple[tuple[int, ...], int, int]  # (q monomial, y1 degree, y2 degree)
 class BiSeries(MSeries):
     """`MSeries` graded by (q-weight, y1-degree, y2-degree): a series in
     Q[[q]][[y1, y2]] truncated at q-weight wq and y-degrees w1, w2.  Keys
-    are (q monomial, y1 degree, y2 degree); all arithmetic is inherited."""
+    are (q monomial, y1 degree, y2 degree).  The product is grouped by
+    q-monomial; the rest of the arithmetic is inherited."""
 
     __slots__ = ("w1", "w2")
 
@@ -69,33 +74,35 @@ class BiSeries(MSeries):
         return (_key(mono), a, b)
 
     @staticmethod
-    def _q(key) -> tuple[int, ...]:
-        return key[0]
-
-    @staticmethod
-    def _with_q(key, mono) -> QKey:
-        return (mono, key[1], key[2])
-
-    @staticmethod
-    def _weight(key) -> int:
-        return sum(key[0])
-
-    @staticmethod
     def _fits(key, bounds) -> bool:
         return sum(key[0]) <= bounds[0] and key[1] <= bounds[1] and key[2] <= bounds[2]
 
-    @staticmethod
-    def _join(k1, k2, bounds):
-        a = k1[1] + k2[1]
-        b = k1[2] + k2[2]
-        if a > bounds[1] or b > bounds[2]:
-            return None
-        return (_key(k1[0] + k2[0]), a, b)
+    def __mul__(self, other) -> "BiSeries":
+        wq, w1, w2 = bounds = self._shared_bounds(other)
+        # each q pair is joined once; the y-lists, sorted by y1-degree, are
+        # cut at w1 and skip what passes w2
+        inner = _by_q_monomial(other.nums)
+        out: dict[QKey, int] = {}
+        get = out.get
+        for wt1, m1, ys1 in _by_q_monomial(self.nums):
+            room = wq - wt1
+            for wt2, m2, ys2 in inner:
+                if wt2 > room:
+                    break
+                mono = _key(m1 + m2)
+                for a1, b1, n1 in ys1:
+                    ra, rb = w1 - a1, w2 - b1
+                    for a2, b2, n2 in ys2:
+                        if a2 > ra:
+                            break
+                        if b2 <= rb:
+                            key = (mono, a1 + a2, b1 + b2)
+                            out[key] = get(key, 0) + n1 * n2
+        return self._new(bounds, *_canonical(out, self.den * other.den))
 
     # Bound in this class's own dict, not only inherited, so that per-layer
     # tracing, which wraps the functions a class itself defines, keeps
-    # BiSeries products and sums apart from MSeries ones.
-    __mul__ = MSeries.__mul__
+    # BiSeries sums apart from MSeries ones.
     __add__ = MSeries.__add__
 
     def __repr__(self) -> str:
@@ -131,6 +138,16 @@ class BiSeries(MSeries):
         return out
 
 
+def _by_q_monomial(nums: dict) -> list:
+    """The terms as (q-weight, q monomial, [(y1-degree, y2-degree, numerator)])
+    groups, sorted by q-weight, each group's y-terms by y1-degree."""
+    groups: dict = {}
+    for (mono, a, b), n in nums.items():
+        groups.setdefault(mono, []).append((a, b, n))
+    # monomials and (a, b) pairs are distinct, so no numerator is compared
+    return sorted((sum(m), m, sorted(ys)) for m, ys in groups.items())
+
+
 # -- the literal operators ------------------------------------------------
 
 
@@ -140,24 +157,28 @@ def _one_minus_eta_inverse(wq: int, w1: int, w2: int) -> BiSeries:
     return BiSeries.from_mseries((one - aux_series(one).main).inverse(), wq, w1, w2)
 
 
-def prefactor(wq: int, w1: int, w2: int) -> BiSeries:
-    """4 y1 (1-4y1)^(-3/2) (1-eta)^(-1) as a concrete series."""
-    y1 = BiSeries(wq, w1, w2, {((), 1, 0): 4})
-    return y1 * BiSeries.y_binomial(-3, wq, w1, w2) * _one_minus_eta_inverse(wq, w1, w2)
-
-
 def lift_literal(G: BiSeries) -> BiSeries:
     """The transformed-coordinate lifting operator, term by term."""
-    wq, w1, w2 = G.wq, G.w1, G.w2
-    out = BiSeries(wq, w1, w2)
-    for k in range(1, wq + 1):
-        d = G.derivative(k)
-        if not d.is_zero():
-            out = out + BiSeries(wq, w1, w2, {((), k, 0): k}) * d
-    # sum_k k q_k d/dq_k + y1 d/dy1 + y2 d/dy2 scales q^mono y1^a y2^b by
-    # its total degree |mono| + a + b
-    euler = {(mono, a, b): (sum(mono) + a + b) * n for (mono, a, b), n in G.nums.items()}
-    return out + prefactor(wq, w1, w2) * G._new(G.bounds, *_canonical(euler, G.den))
+    bounds = G.bounds
+    jacobi: dict[QKey, int] = {}
+    get = jacobi.get
+    euler: dict[QKey, int] = {}
+    for (mono, a, b), n in G.nums.items():
+        # sum_k k y1^k d/dq_k sends q^mono y1^a y2^b, for each part k of
+        # multiplicity m, to k m q^(mono - k) y1^(a + k) y2^b; terms of
+        # different sources meet on one key
+        for k, m in Counter(mono).items():
+            if a + k <= bounds[1]:
+                i = mono.index(k)
+                key = (mono[:i] + mono[i + 1:], a + k, b)
+                jacobi[key] = get(key, 0) + k * m * n
+        # sum_k k q_k d/dq_k + y1 d/dy1 + y2 d/dy2 scales q^mono y1^a y2^b
+        # by its total degree |mono| + a + b
+        euler[(mono, a, b)] = (sum(mono) + a + b) * n
+    # the prefactor 4 y1 (1-4y1)^(-3/2) (1-eta)^(-1) as its q and y factors
+    y_part = BiSeries(*bounds, {((), 1, 0): 4}) * BiSeries.y_binomial(-3, *bounds)
+    euler_part = G._new(bounds, *_canonical(euler, G.den)) * _one_minus_eta_inverse(*bounds)
+    return G._new(bounds, *_canonical(jacobi, G.den)) + euler_part * y_part
 
 
 def split_1_to_2(F: BiSeries) -> BiSeries:

@@ -21,14 +21,15 @@ taken over the lcm of the two denominators.  ``coeffs`` is the
 Fraction-valued read view; its Fractions are built on access and never
 stored.
 
-The arithmetic here (cleaning, +, -, scale, *, ==, the q-derivative,
-pow, inverse, exp and log) reads the grading only through a few hooks:
-the bounds tuple, the canonical key, the q-monomial of a key, its
-q-weight and the largest q-weight that fits, whether a key fits the
-bounds, the join of two keys under a product, and how many constant-free
-factors a nonzero product can have.  `qyseries.BiSeries` is
-this class graded by (q-weight, y1-degree, y2-degree): it overrides those
-hooks to add two catalytic y-degrees, and so shares all of this code.
+The arithmetic here (cleaning, +, -, scale, *, ==, pow, inverse, exp
+and log) reads the grading only through a few hooks: the bounds tuple,
+the canonical key, the weight of a key and the largest weight that fits,
+whether a key fits the bounds, the join of two keys under a product, and
+how many constant-free factors a nonzero product can have.
+`qyseries.BiSeries` is this class graded by (q-weight, y1-degree,
+y2-degree): it overrides the bounds, key and fit hooks to add two
+catalytic y-degrees and shares the rest, except that it multiplies by
+its own loop, grouped by q-monomial.
 `DivisorSeries` keeps only the monomials that divide one fixed monomial
 q_alpha.
 
@@ -131,14 +132,6 @@ class MSeries:
         return (self.max_weight,)
 
     _canon = staticmethod(_key)
-
-    @staticmethod
-    def _q(key) -> tuple[int, ...]:
-        return key
-
-    @staticmethod
-    def _with_q(key, mono):
-        return mono
 
     @staticmethod
     def _weight(key) -> int:
@@ -301,20 +294,6 @@ class MSeries:
         # alternating geometric sum
         t = self.scale(1 / c0) - self.constant(1, *self.bounds)
         return t._power_sum(lambda m: (-1) ** m).scale(1 / c0)
-
-    def derivative(self, k: int) -> "MSeries":
-        """Partial derivative with respect to the index-k variable."""
-        out: dict = {}
-        for key, n in self.nums.items():
-            mono = self._q(key)
-            m = mono.count(k)
-            if m == 0:
-                continue
-            rest = list(mono)
-            rest.remove(k)
-            # removing one v_k is injective on the keys that hold one
-            out[self._with_q(key, tuple(rest))] = m * n
-        return self._new(self.bounds, *_canonical(out, self.den))
 
     def exp(self) -> "MSeries":
         """exp of a constant-free series."""

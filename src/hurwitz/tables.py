@@ -48,20 +48,31 @@ def paper_form(genus: int, classical: bool = False) -> RationalForm:
     """The published genus-2/3 rational form as exact coefficients."""
     source, data = _load()
     family = "classical" if classical else "monotone"
-    entry = data.get(family, {}).get(str(genus))
+    tables = data.get(family, {})
+    if not isinstance(tables, dict):
+        raise ValueError(f"{source}: the {family} tables must be a JSON object")
+    entry = tables.get(str(genus))
     if entry is None:
         raise KeyError(f"no checked-in {family} table for genus {genus}")
+    where = f"{source}: the {family} genus-{genus}"
+    if not isinstance(entry, dict) or not isinstance(entry.get("coefficients"), dict):
+        raise ValueError(f"{where} table must be a JSON object with a 'coefficients' object")
     try:
-        norm = int(entry["normalization"])
+        norm = int(entry.get("normalization"))
     except (TypeError, ValueError):
         norm = 0
     if not norm:
         raise ValueError(
-            f"{source}: the {family} genus-{genus} normalization must be a nonzero "
-            f"integer, got {entry['normalization']!r}"
+            f"{where} normalization must be a nonzero integer, "
+            f"got {entry.get('normalization')!r}"
         )
-    terms = {
-        _parse_alpha(a): Fraction(int(c), norm)
-        for a, c in entry["coefficients"].items()
-    }
+    terms = {}
+    for a, c in entry["coefficients"].items():
+        try:
+            terms[_parse_alpha(a)] = Fraction(int(c), norm)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{where} entry {a!r}: {c!r} must be an integer coefficient "
+                "of a comma-separated partition"
+            ) from exc
     return RationalForm(genus=genus, terms=terms, classical=classical)

@@ -5,6 +5,8 @@ from math import comb, factorial
 
 import pytest
 
+from test_series import derivative
+
 from hurwitz.closedforms import classical_genus0, monotone_genus0
 from hurwitz.joincut import TruncatedH, _plan, solve_classical, solve_monotone
 from hurwitz.oracle import count_classical_transitive, count_monotone_transitive
@@ -103,12 +105,12 @@ def _rhs_literal(slices: list[MSeries], r: int, D: int) -> MSeries:
         for j in range(1, D - i + 1):
             pi_pj = MSeries(D, {tuple(sorted((i, j), reverse=True)): 1})
             p_ij = MSeries(D, {(i + j,): 1})
-            cut = pi_pj * S.derivative(i + j)
-            join = p_ij * S.derivative(i).derivative(j)
+            cut = pi_pj * derivative(S, i + j)
+            join = p_ij * derivative(derivative(S, i), j)
             total = total + cut.scale(Fraction(i + j, 2)) + join.scale(Fraction(i * j, 2))
             prod = MSeries(D)
             for rp in range(r + 1):
-                prod = prod + slices[rp].derivative(i) * slices[r - rp].derivative(j)
+                prod = prod + derivative(slices[rp], i) * derivative(slices[r - rp], j)
             total = total + (p_ij * prod).scale(Fraction(i * j, 2))
     return total
 

@@ -4,6 +4,8 @@ from math import factorial
 
 import pytest
 
+from test_series import derivative
+
 from hurwitz.combinat import bernoulli, central_binomial
 from hurwitz.forms import RationalForm
 from hurwitz.inversion import value_from_form
@@ -174,7 +176,7 @@ def _lift_px(G: BiSeries) -> BiSeries:
     """The original-coordinate lift sum_k k x^k d/dp_k (G read in (p, x))."""
     out = BiSeries(*G.bounds)
     for k in range(1, G.wq + 1):
-        out = out + BiSeries(*G.bounds, {((), k, 0): k}) * G.derivative(k)
+        out = out + BiSeries(*G.bounds, {((), k, 0): k}) * derivative(G, k)
     return out
 
 

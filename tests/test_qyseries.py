@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_series import KINDS, assert_matches, clean, ref
+from test_series import KINDS, assert_matches, clean, derivative, ref
 
 from hurwitz.combinat import rising
 
@@ -13,7 +13,6 @@ from hurwitz.qyseries import (
     BiSeries,
     expand_ring_element,
     lift_literal,
-    prefactor,
     project_2,
     split_1_to_2,
     transfer_literal,
@@ -153,25 +152,35 @@ def test_y_operations_against_fraction_reference(data):
 
 
 def product_lift(G):
-    """The lift composed from q- and y-derivatives and series products."""
+    """The lift composed from q- and y-derivatives and series products,
+    the prefactor 4 y1 (1-4y1)^(-3/2) (1-eta)^(-1) built as one series."""
     bounds = G.bounds
 
     def term(key, c):
         return BiSeries(*bounds, {key: c})
 
+    one = MSeries.constant(1, G.wq)
+    v = BiSeries.from_mseries((one - aux_series(one).main).inverse(), *bounds)
+    prefactor = term(((), 1, 0), 4) * BiSeries.y_binomial(-3, *bounds) * v
     out, euler = BiSeries(*bounds), BiSeries(*bounds)
     for k in range(1, G.wq + 1):
-        d = G.derivative(k)
+        d = derivative(G, k)
         out = out + term(((), k, 0), k) * d
         euler = euler + term(((k,), 0, 0), k) * d
     for var, y in ((1, ((), 1, 0)), (2, ((), 0, 1))):
         euler = euler + term(y, 1) * BiSeries(*bounds, ref_dy(G.coeffs, var))
-    return out + prefactor(*bounds) * euler
+    return out + prefactor * euler
 
 
 @given(G=KINDS[1])
 @settings(max_examples=60, deadline=None)
 def test_lift_term_map_against_product_composition(G):
+    assert lift_literal(G) == product_lift(G)
+
+
+def test_lift_term_map_adds_colliding_terms():
+    # d/dq_2 of q_2 q_1 and d/dq_1 of q_1^2 y1 both land on q_1 y1^2
+    G = BiSeries(3, 2, 1, {((2, 1), 0, 0): Fraction(1, 3), ((1, 1), 1, 0): 5})
     assert lift_literal(G) == product_lift(G)
 
 

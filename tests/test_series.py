@@ -37,6 +37,22 @@ def small_biseries():
     )
 
 
+@st.composite
+def dense_biseries(draw, bounds=None):
+    """BiSeries with bounds up to (5, 4, 4) and several (y1, y2) degrees on
+    each q-monomial, all within the y bounds, so that sums of two y-degrees
+    often pass w1 or w2 and the grouped product's y cuts bind."""
+    wq, w1, w2 = bounds or draw(st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4)))
+    monos = st.lists(st.integers(1, wq), max_size=3)
+    ys = st.lists(
+        st.tuples(st.integers(0, w1), st.integers(0, w2), st.integers(-9, 9)),
+        min_size=2,
+        max_size=6,
+    )
+    groups = draw(st.lists(st.tuples(monos, ys), min_size=1, max_size=4))
+    return BiSeries(wq, w1, w2, {(tuple(m), a, b): c for m, terms in groups for a, b, c in terms})
+
+
 def small_divisor_series():
     """DivisorSeries over the divisors of (3, 2, 2, 1, 1), with keys that
     may not divide alpha, so that cleaning is exercised."""
@@ -142,13 +158,6 @@ def test_inverse_requires_unit():
         MSeries(3, {(1,): 1}).inverse()
 
 
-def test_derivative():
-    s = MSeries(4, {(2, 1): Fraction(3), (1, 1): Fraction(1)})
-    assert s.derivative(1)[(2,)] == 3
-    assert s.derivative(1)[(1,)] == 2
-    assert s.derivative(2)[(1,)] == 3
-
-
 def test_exp_log_inverse_on_geometric():
     x = MSeries(6, {(1,): 1})
     # exp(log(1/(1-x))) == 1/(1-x)
@@ -238,6 +247,20 @@ def ref_pow(x, n):
     return out
 
 
+def derivative(s, k):
+    """d/dq_k of an MSeries or BiSeries: a key holding q_k m times becomes
+    m times the key with one q_k removed."""
+    bi = isinstance(s, BiSeries)
+    out = {}
+    for key, c in s.coeffs.items():
+        mono = key[0] if bi else key
+        if k in mono:
+            i = mono.index(k)
+            rest = mono[:i] + mono[i + 1:]
+            out[(rest, *key[1:]) if bi else rest] = mono.count(k) * c
+    return type(s)(*s.bounds, out)
+
+
 def ref_derivative(x, k):
     kind, bounds, a = x
     out = {}
@@ -281,11 +304,29 @@ def test_kernel_against_fraction_reference(data):
             (a.pow(abs(n)), ref_pow(x, abs(n))),
             (unit.inverse(), ref_inverse(ref(unit))),
             (unit.pow(n), ref_pow(ref(unit), n)),
-            (a.derivative(k), ref_derivative(x, k)),
+            (derivative(a, k), ref_derivative(x, k)),
             (free.exp(), ref_power_sum(ref(free), lambda m: Fraction(1, factorial(m)))),
             (free.log_geometric(), ref_power_sum(ref(free), lambda m: Fraction(1, m) if m else 0)),
         ):
             assert_matches(got, want)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_grouped_biseries_product_against_fraction_reference(data):
+    a = data.draw(dense_biseries())
+    b = data.draw(dense_biseries(a.bounds))
+    assert_matches(a * b, ref_mul(ref(a), ref(b)))
+    assert_matches(b * a, ref_mul(ref(b), ref(a)))
+
+
+def test_grouped_biseries_product_of_overshooting_pairs_is_zero():
+    # every term pair passes w1 or w2, although every q pair fits
+    a = BiSeries(3, 1, 1, {((), 1, 0): 2, ((1,), 0, 1): 3})
+    b = BiSeries(3, 1, 1, {((), 1, 1): 5, ((2,), 1, 1): -1})
+    zero = BiSeries(3, 1, 1)
+    assert a * b == zero and b * a == zero
+    assert ref_mul(ref(a), ref(b))[2] == {}
 
 
 def test_coeffs_view_builds_fractions_on_access():

@@ -64,8 +64,26 @@ def test_env_override(tmp_path):
             json.dumps({"monotone": {"2": {"normalization": "0", "coefficients": {"": "1"}}}}),
             "normalization must be a nonzero integer",
         ),
+        (json.dumps({"monotone": []}), "the monotone tables must be a JSON object"),
+        (json.dumps({"monotone": {"2": []}}), "genus-2 table must be a JSON object"),
+        (
+            json.dumps({"monotone": {"2": {"normalization": "2"}}}),
+            "with a 'coefficients' object",
+        ),
+        (
+            json.dumps({"monotone": {"2": {"normalization": "2", "coefficients": {"1": "x"}}}}),
+            "entry '1': 'x' must be an integer coefficient",
+        ),
     ],
-    ids=["missing", "not-json", "zero-normalization"],
+    ids=[
+        "missing",
+        "not-json",
+        "zero-normalization",
+        "family-not-object",
+        "table-not-object",
+        "no-coefficients",
+        "non-integer-coefficient",
+    ],
 )
 def test_bad_tables_file_exits_2_naming_it(tmp_path, content, message):
     path = tmp_path / "tables.json"
