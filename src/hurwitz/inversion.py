@@ -133,22 +133,21 @@ def expand_rational_form(form: RationalForm, one: MSeries) -> MSeries:
     in the grading of the series one."""
     j_max = max((max(a) for a in form.terms if a), default=0)
     aux = (classical_aux_series if form.classical else aux_series)(one, j_max)
-    inv = (one - aux.main).inverse()
-    inv_pows = [one]
-
-    def inv_pow(k: int) -> MSeries:
-        # a loop, not recursion: a self-referencing closure would keep every
-        # power alive until the cyclic garbage collector ran
-        while len(inv_pows) <= k:
-            inv_pows.append(inv_pows[-1] * inv)
-        return inv_pows[k]
-
-    total = one.scale(form.constant)
+    # by_power[k] = sum of c_alpha main_alpha over the alpha with
+    # (1 - main)^(-k); the constant sits at k = 0
+    top = max(map(form.denominator_power, form.terms), default=0)
+    by_power = [one.scale(form.constant)] + [one.scale(0)] * top
     for alpha, c in form.terms.items():
         term = one.scale(c)
         for j in alpha:
             term = term * aux.main_j(j)
-        total = total + term * inv_pow(form.denominator_power(alpha))
+        k = form.denominator_power(alpha)
+        by_power[k] = by_power[k] + term
+    # sum_k by_power[k] (1 - main)^(-k), by Horner from the top power down
+    inv = (one - aux.main).inverse()
+    total = by_power[top]
+    for k in range(top - 1, -1, -1):
+        total = total * inv + by_power[k]
     if not form.classical:
         if total.constant_term() != 0:
             raise AssertionError("monotone forms have no constant term")

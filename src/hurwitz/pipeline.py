@@ -53,8 +53,8 @@ from .ring import (
 )
 
 # The largest genus whose cold ``hurwitz rational-form --genus g`` finishes
-# within 60 s on a 2-vCPU Xeon VM (Python 3.11.7): g = 7 / 8 / 9 / 10 took
-# 2.2-2.5 / 5.9-6.6 / 13.8-15.4 / 37-41 s cold; g = 11 took 96 s.
+# within 60 s on a 2-vCPU Xeon VM (Python 3.11.7): g = 9 / 10 / 11 take
+# 6.7-9.4 / 18.5-25.8 / 62.5 s cold (g = 11 with the cap raised).
 GENUS_CAP = 10
 
 

@@ -434,29 +434,19 @@ def apply_T(F: RingElement) -> RingElement:
 
 
 def invert_one_minus_T(F: RingElement) -> RingElement:
-    """(1 - T)^(-1) F = F + T F + T^2 F + ...; T is locally nilpotent.
+    """(1 - T)^(-1) F: the X with X = F + T X, one U level at a time.
+
+    T writes only lower U exponents, and T(1) = T(U) = 0.  So X starts as F,
+    and going down the U exponents from the top, X's U^e part is final when
+    the pass reaches it; adding T of that part to X leaves X = F + T X.
 
     Post-verifies (1 - T)(result) == F exactly.
     """
-    # total accumulates in place, as numerators over ``den``
-    total, den = dict(F.nums), F.den
-    current = F
-    # T strictly lowers the U degree, so it dies after u_degree + 1 rounds
-    for _ in range(F.u_degree2() // 2 + 2):
-        current = apply_T(current)
-        if not current:
-            break
-        wider = lcm(den, current.den)
-        if wider != den:
-            f = wider // den
-            total = {k: n * f for k, n in total.items()}
-            den = wider
-        f = den // current.den
-        for k, n in current.nums.items():
-            total[k] = total.get(k, 0) + n * f
-    else:
-        raise AssertionError("T failed to nilpotate within the degree bound")
-    total = _reduced(total, den)
-    if total - apply_T(total) != F:
+    X = F
+    for u2 in range(F.u_degree2(), 3, -2):
+        level = {k: n for k, n in X.nums.items() if k[0] == u2}
+        if level:
+            X = X + apply_T(RingElement.from_nums(level, X.den))
+    if X - apply_T(X) != F:
         raise AssertionError("(1 - T) inverse verification failed")
-    return total
+    return X

@@ -20,6 +20,13 @@ from .partitions import Partition
 ENV_VAR = "HURWITZ_TABLES"
 
 
+def _integer(value) -> int:
+    """A JSON int or integer string as an int; floats and bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _parse_alpha(text: str) -> Partition:
     if not text:
         return Partition()
@@ -58,21 +65,24 @@ def paper_form(genus: int, classical: bool = False) -> RationalForm:
     if not isinstance(entry, dict) or not isinstance(entry.get("coefficients"), dict):
         raise ValueError(f"{where} table must be a JSON object with a 'coefficients' object")
     try:
-        norm = int(entry.get("normalization"))
-    except (TypeError, ValueError):
+        norm = _integer(entry.get("normalization"))
+    except ValueError:
         norm = 0
     if not norm:
         raise ValueError(
             f"{where} normalization must be a nonzero integer, "
             f"got {entry.get('normalization')!r}"
         )
-    terms = {}
+    terms, keys = {}, {}
     for a, c in entry["coefficients"].items():
         try:
-            terms[_parse_alpha(a)] = Fraction(int(c), norm)
-        except (TypeError, ValueError) as exc:
+            alpha, coeff = _parse_alpha(a), Fraction(_integer(c), norm)
+        except ValueError as exc:
             raise ValueError(
                 f"{where} entry {a!r}: {c!r} must be an integer coefficient "
                 "of a comma-separated partition"
             ) from exc
+        if alpha in keys:
+            raise ValueError(f"{where} entries {keys[alpha]!r} and {a!r} name one partition")
+        terms[alpha], keys[alpha] = coeff, a
     return RationalForm(genus=genus, terms=terms, classical=classical)

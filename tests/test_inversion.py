@@ -17,7 +17,7 @@ from hurwitz.inversion import (
 )
 from hurwitz.joincut import solve_classical, solve_monotone
 from hurwitz.partitions import Partition, partitions
-from hurwitz.pipeline import genus1_closed
+from hurwitz.pipeline import genus1_closed, rational_form
 from hurwitz.series import DivisorSeries, MSeries
 from hurwitz.tables import paper_form
 
@@ -75,6 +75,22 @@ def test_rational_form_expansion_properties():
     assert series.constant_term() == 0
     assert factorial(1) * lagrange_extract(series, (1,)) == 0
     assert factorial(2) * lagrange_extract(series, (2,)) == 1
+
+
+@pytest.mark.parametrize("genus, classical", [(2, False), (3, False), (2, True), (3, True), (4, False)])
+def test_rational_form_expansion_equals_per_term_reference(genus, classical):
+    # every coefficient of weight <= 8 against sum c_alpha main_alpha (1-main)^(-k),
+    # for the four checked-in tables and the pipeline's genus-4 form
+    form = rational_form(genus) if genus > 3 else paper_form(genus, classical)
+    one = MSeries.constant(1, 8)
+    aux = (classical_aux_series if form.classical else aux_series)(one, 3 * form.genus - 3)
+    ref = one.scale(form.constant)
+    for alpha, c in form.terms.items():
+        term = one.scale(c)
+        for j in alpha:
+            term = term * aux.main_j(j)
+        ref = ref + term * (one - aux.main).pow(-form.denominator_power(alpha))
+    assert expand_rational_form(form, one) == ref
 
 
 def test_round_trip_through_the_change_of_variables():

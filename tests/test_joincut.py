@@ -7,7 +7,7 @@ import pytest
 
 from test_series import derivative
 
-from hurwitz.closedforms import classical_genus0, monotone_genus0
+from hurwitz.closedforms import classical_genus0, classical_genus1, monotone_genus0, monotone_genus1
 from hurwitz.joincut import TruncatedH, _plan, solve_classical, solve_monotone
 from hurwitz.oracle import count_classical_transitive, count_monotone_transitive
 from hurwitz.partitions import Partition, partitions, subpartitions
@@ -59,13 +59,16 @@ def test_vanishing_pattern():
 
 
 def test_genus_stratification_matches_genus0_formulas():
-    # the join-cut genus-0 slice equals the closed formulas up to d = 7
-    mono = solve_monotone(7, 12)
-    clas = solve_classical(7, 12)
-    for d in range(1, 8):
+    # the join-cut genus-0 and genus-1 slices equal the closed formulas up to
+    # the CLI's join-cut bound d = 9; genus 1 needs r = |alpha| + len(alpha) <= 18
+    mono = solve_monotone(9, 18)
+    clas = solve_classical(9, 18)
+    for d in range(1, 10):
         for alpha in partitions(d):
             assert mono.genus_value(0, alpha) == monotone_genus0(alpha)
             assert clas.genus_value(0, alpha) == classical_genus0(alpha)
+            assert mono.genus_value(1, alpha) == monotone_genus1(alpha)
+            assert clas.genus_value(1, alpha) == classical_genus1(alpha)
 
 
 def test_truncation_errors():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurwitz import pipeline, ring
 from hurwitz.combinat import central_binomial, rising
 from hurwitz.ring import (
     RingElement,
@@ -96,6 +97,27 @@ def test_invert_random_elements_roundtrip():
         elem = RingElement(terms)
         inv = invert_one_minus_T(elem)
         assert inv - apply_T(inv) == elem
+
+
+def test_inversion_applies_T_once_per_level_and_once_to_check(monkeypatch):
+    # the right sides the genus recursion inverts, recorded cold for g = 1..5
+    rhs = []
+    monkeypatch.setattr(
+        pipeline, "invert_one_minus_T", lambda F: rhs.append(F) or invert_one_minus_T(F)
+    )
+    pipeline.normalized_delta1.cache_clear()
+    pipeline.delta1_element.cache_clear()
+    for g in range(1, 6):
+        pipeline.normalized_delta1(g)
+    terms_in = []
+    monkeypatch.setattr(ring, "apply_T", lambda F: terms_in.append(len(F.nums)) or apply_T(F))
+    for F in rhs[1:]:
+        terms_in.clear()
+        X = invert_one_minus_T(F)
+        # T meets each term of X once in the pass and once in the check
+        assert sum(terms_in) <= 2 * len(X.nums)
+        # one application per nonempty level U^e with e >= 2, plus the check
+        assert len(terms_in) == len({u2 for (u2, _v, _hs) in X.nums if u2 >= 4}) + 1
 
 
 def test_delta_annihilates_constants():

@@ -33,7 +33,8 @@ def test_missing_table():
 def test_env_override(tmp_path):
     custom = {
         "monotone": {
-            "2": {"normalization": "2", "coefficients": {"": "1", "1": "3"}}
+            # JSON ints read like integer strings
+            "2": {"normalization": 2, "coefficients": {"": "1", "1": "3", "2": 5}}
         },
         "classical": {},
     }
@@ -43,7 +44,7 @@ def test_env_override(tmp_path):
     code = (
         "from hurwitz.tables import paper_form; "
         "f = paper_form(2); "
-        "print(f.coefficient((1,)), f.constant)"
+        "print(f.coefficient((1,)), f.constant, f.coefficient((2,)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -52,7 +53,7 @@ def test_env_override(tmp_path):
         text=True,
         check=True,
     )
-    assert out.stdout.split() == ["3/2", "-1/2"]
+    assert out.stdout.split() == ["3/2", "-1/2", "5/2"]
 
 
 @pytest.mark.parametrize(
@@ -74,6 +75,24 @@ def test_env_override(tmp_path):
             json.dumps({"monotone": {"2": {"normalization": "2", "coefficients": {"1": "x"}}}}),
             "entry '1': 'x' must be an integer coefficient",
         ),
+        (
+            json.dumps({"monotone": {"2": {"normalization": 2.5, "coefficients": {"": "1"}}}}),
+            "normalization must be a nonzero integer, got 2.5",
+        ),
+        (
+            json.dumps({"monotone": {"2": {"normalization": "2", "coefficients": {"1": 3.7}}}}),
+            "entry '1': 3.7 must be an integer coefficient",
+        ),
+        (
+            json.dumps({"monotone": {"2": {"normalization": "2", "coefficients": {"1": True}}}}),
+            "entry '1': True must be an integer coefficient",
+        ),
+        (
+            json.dumps(
+                {"monotone": {"2": {"normalization": "2", "coefficients": {"2,1": "1", "1,2": "9"}}}}
+            ),
+            "entries '2,1' and '1,2' name one partition",
+        ),
     ],
     ids=[
         "missing",
@@ -83,6 +102,10 @@ def test_env_override(tmp_path):
         "table-not-object",
         "no-coefficients",
         "non-integer-coefficient",
+        "float-normalization",
+        "float-coefficient",
+        "bool-coefficient",
+        "repeated-partition",
     ],
 )
 def test_bad_tables_file_exits_2_naming_it(tmp_path, content, message):
