@@ -68,11 +68,8 @@ class AuxSeries:
 def _aux(one: MSeries, j_max: int, base, main) -> AuxSeries:
     """The series with q_k coefficients base(k), main(k) and k^j main(k)
     for j = 1..j_max, in the grading of the series one."""
-    bounds = one.bounds
-    mains = tuple(
-        one.linear(lambda k, j=j: k**j * main(k), *bounds) for j in range(1, j_max + 1)
-    )
-    return AuxSeries(one.linear(base, *bounds), one.linear(main, *bounds), mains)
+    mains = tuple(one.linear(lambda k, j=j: k**j * main(k)) for j in range(1, j_max + 1))
+    return AuxSeries(one.linear(base), one.linear(main), mains)
 
 
 def aux_series(one: MSeries, j_max: int = 0) -> AuxSeries:

@@ -91,23 +91,16 @@ def delta1_element(g: int) -> RingElement:
     return normalized_delta1(g).shift_u2(1).shift_v(2 * g - 1)
 
 
-def _basis_u_poly(j: int) -> dict[int, Fraction]:
-    """U-polynomial of basis element j after multiplying by (1-4y)^(1/2):
-    degree exactly j."""
-    if j == 0:
-        return {0: Fraction(1)}
-    if j == 1:
-        return {1: Fraction(1), 0: Fraction(-1)}
-    return dict(eta_y_upoly(j - 1))
-
-
 @lru_cache(maxsize=None)
 def _basis_int_poly(j: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Basis element j's U-polynomial as integer coefficients over a
+    """The U-polynomial of basis element j after multiplying by
+    (1-4y)^(1/2), of degree exactly j, as integer coefficients over a
     positive denominator q: (q, ((e, q * coefficient), ...))."""
-    poly = _basis_u_poly(j)
-    q = lcm(*(c.denominator for c in poly.values()))
-    return q, tuple((e, c.numerator * (q // c.denominator)) for e, c in poly.items())
+    if j < 2:
+        return (1, ((0, 1),)) if j == 0 else (1, ((1, 1), (0, -1)))
+    poly = eta_y_upoly(j - 1)
+    q = lcm(*(c.denominator for _e, c in poly))
+    return q, tuple((e, c.numerator * (q // c.denominator)) for e, c in poly)
 
 
 def decompose_basis(g: int, E: RingElement) -> tuple[RingElement, ...]:
@@ -171,7 +164,8 @@ def recompose_basis(B: tuple[RingElement, ...]) -> RingElement:
     out = RingElement.zero()
     for j, Fj in enumerate(B):
         if Fj:
-            out = out + RingElement.from_u_poly(_basis_u_poly(j)) * Fj
+            q, basis = _basis_int_poly(j)
+            out = out + RingElement.from_nums({(2 * e, 0, ()): n for e, n in basis}, q) * Fj
     return out
 
 

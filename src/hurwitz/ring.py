@@ -53,6 +53,10 @@ closed form:
 
     T(U^e) = sum_{i=1}^{e-1} 4^i proj(i)
              ( sum_{a=0}^{e-i} C(e-1-a, i-1) U^a - C(e, i) ).
+
+D and T are both term maps: each term of the input adds a multiple of a
+cached element (a factor of D, or the row T(U^e)), times part of the
+term's own monomial, into one integer accumulator.
 """
 
 from __future__ import annotations
@@ -400,36 +404,16 @@ def _t_rows(e: int):
 
 
 def apply_T(F: RingElement) -> RingElement:
-    """T on an honest element (integer U exponents), linear over V, H_k."""
-    groups: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
-    for (u2, v, hs), n in F.nums.items():
-        if u2 % 2:
-            raise ValueError("T is defined on integer U exponents only")
-        groups.setdefault((v, hs), []).append((u2 // 2, n))
-    rows = {e: _t_rows(e) for items in groups.values() for e, _n in items}
+    """T on an honest element (integer U exponents), linear over V, H_k:
+    each term n U^e V^v H_hs adds n V^v H_hs T(U^e)."""
+    if any(u2 % 2 for (u2, _v, _hs) in F.nums):
+        raise ValueError("T is defined on integer U exponents only")
+    rows = {u2: _t_rows(u2 // 2) for (u2, _v, _hs) in F.nums}
     den = lcm(*(d for d, _row in rows.values()))
     out: dict[Key, int] = {}
-    get = out.get
-    for (v, hs), items in groups.items():
-        # combine the rows of the group's U powers, then attach V^v H_hs
-        cols: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
-        for e, n in items:
-            d, row = rows[e]
-            f = n * (den // d)
-            for vh, col in row:
-                acc = cols.get(vh)
-                if acc is None:
-                    cols[vh] = {u2: f * c for u2, c in col}
-                    continue
-                acc_get = acc.get
-                for u2, c in col:
-                    acc[u2] = acc_get(u2, 0) + f * c
-        for (dv, dh), acc in cols.items():
-            vv, merged = v + dv, _merge(hs, dh)
-            for u2, s in acc.items():
-                if s:
-                    key = (u2, vv, merged)
-                    out[key] = get(key, 0) + s
+    for (u2, v, hs), n in F.nums.items():
+        d, row = rows[u2]
+        _add_times(out, 0, v, hs, n * (den // d), row)
     return _reduced(out, F.den * den)
 
 

@@ -23,9 +23,10 @@ stored.
 
 The arithmetic here (cleaning, +, -, scale, *, ==, pow, inverse, exp
 and log) reads the grading only through a few hooks: the bounds tuple,
-the canonical key, the weight of a key and the largest weight that fits,
-whether a key fits the bounds, the join of two keys under a product, and
-how many constant-free factors a nonzero product can have.
+the canonical key, whether a key fits the bounds, the join of two keys
+under a product, and how many constant-free factors a nonzero product can
+have.  The product and `linear` weigh a key by the sum of its parts and
+take ``max_weight`` as the largest weight that fits.
 `qyseries.BiSeries` is this class graded by (q-weight, y1-degree,
 y2-degree): it overrides the bounds, key and fit hooks to add two
 catalytic y-degrees and shares the rest, except that it multiplies by
@@ -134,10 +135,6 @@ class MSeries:
     _canon = staticmethod(_key)
 
     @staticmethod
-    def _weight(key) -> int:
-        return sum(key)
-
-    @staticmethod
     def _fits(key, bounds) -> bool:
         return sum(key) <= bounds[0]
 
@@ -145,11 +142,6 @@ class MSeries:
     def _join(k1, k2, bounds):
         """Key of the product of two terms whose weights fit, or None."""
         return _key(k1 + k2)
-
-    @staticmethod
-    def _cap(bounds) -> int:
-        """The largest q-weight of a key that fits."""
-        return bounds[0]
 
     @staticmethod
     def _depth(bounds) -> int:
@@ -168,10 +160,10 @@ class MSeries:
             out.den = value.denominator
         return out
 
-    @classmethod
-    def linear(cls, coeff_of_index, *bounds) -> "MSeries":
-        """Series sum_k c(k) v_k with c given by a callable on k."""
-        return cls(*bounds, {(k,): coeff_of_index(k) for k in range(1, cls._cap(bounds) + 1)})
+    def linear(self, coeff_of_index) -> "MSeries":
+        """Series sum_k c(k) v_k in this series' grading, c a callable on k."""
+        terms = {(k,): coeff_of_index(k) for k in range(1, self.max_weight + 1)}
+        return type(self)(*self.bounds, terms)
 
     def _new(self, bounds, nums: dict, den: int = 1) -> "MSeries":
         """A series of this type from numerators in canonical form."""
@@ -240,18 +232,17 @@ class MSeries:
 
     def __mul__(self, other) -> "MSeries":
         bounds = self._shared_bounds(other)
-        cap = self._cap(bounds)
-        weight, join = self._weight, self._join
+        cap, join = self.max_weight, self._join
         # iterate the smaller operand outside; the inner one, sorted by
         # weight once, is cut at the first term that no longer fits
         a, b = self.nums, other.nums
         if len(a) > len(b):
             a, b = b, a
-        inner = sorted(((weight(k), k, n) for k, n in b.items()), key=itemgetter(0))
+        inner = sorted(((sum(k), k, n) for k, n in b.items()), key=itemgetter(0))
         out: dict = {}
         get = out.get
         for k1, n1 in a.items():
-            room = cap - weight(k1)
+            room = cap - sum(k1)
             for w2, k2, n2 in inner:
                 if w2 > room:
                     break
@@ -350,10 +341,6 @@ class DivisorSeries(MSeries):
     def _join(k1, k2, bounds):
         key = _key(k1 + k2)
         return key if key in divisors(bounds[0]) else None
-
-    @staticmethod
-    def _cap(bounds) -> int:
-        return sum(bounds[0])
 
     @staticmethod
     def _depth(bounds) -> int:

@@ -33,17 +33,28 @@ def _parse_alpha(text: str) -> Partition:
     return Partition(int(p) for p in text.split(","))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a key that appears twice."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"the key {key!r} appears twice in one object")
+        out[key] = value
+    return out
+
+
 @lru_cache(maxsize=None)
 def _load() -> tuple[str, dict]:
     """Where the tables come from, for error messages, and the tables."""
     path = os.environ.get(ENV_VAR)
     if not path:
         ref = resources.files("hurwitz").joinpath("data/paper_tables.json")
-        return "the shipped tables", json.loads(ref.read_text(encoding="utf-8"))
+        text = ref.read_text(encoding="utf-8")
+        return "the shipped tables", json.loads(text, object_pairs_hook=_unique_keys)
     source = f"{ENV_VAR}={path}"
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:
         raise ValueError(f"{source}: cannot read the tables: {exc}") from exc
     if not isinstance(data, dict):

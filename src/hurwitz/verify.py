@@ -40,6 +40,12 @@ from .ring import RingElement, apply_T, apply_delta1
 from .tables import paper_form
 
 
+# The formula checks run up to the join-cut route's |alpha| cap,
+# cli.JOINCUT_D_CAP (cli imports this module, so a test ties the two), and
+# read genus g from a join-cut table with r <= 2g - 2 + 2 FORMULA_D.
+FORMULA_D = 9
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -101,22 +107,22 @@ def check_joincut_vs_oracle(monotone: bool, dmax: int, rmax: int) -> tuple[bool,
 
 
 def check_genus0_formula() -> tuple[bool, str]:
-    """Genus-0 product formula equals the join-cut slice for d <= 8."""
-    table = solve_monotone(8, 14)
+    """Genus-0 product formula equals the join-cut slice for d <= 9."""
+    table = solve_monotone(FORMULA_D, 2 * FORMULA_D - 2)
     return _compare("{n} partitions", (
         (tuple(alpha), "formula", monotone_genus0(alpha), "joincut", table.genus_value(0, alpha))
-        for d in range(1, 9)
+        for d in range(1, FORMULA_D + 1)
         for alpha in partitions(d)
     ))
 
 
 def check_genus1_formula() -> tuple[bool, str]:
-    """Genus-1 formula and the log form both match join-cut for d <= 6."""
-    table = solve_monotone(6, 12)
+    """Genus-1 formula and the log form both match join-cut for d <= 9."""
+    table = solve_monotone(FORMULA_D, 2 * FORMULA_D)
     log_form = genus1_closed()
     return _compare("{n} partitions x 2 routes", (
         (tuple(alpha), route, fn(alpha), "joincut", table.genus_value(1, alpha))
-        for d in range(1, 7)
+        for d in range(1, FORMULA_D + 1)
         for alpha in partitions(d)
         for route, fn in (
             ("formula", monotone_genus1),
@@ -127,14 +133,14 @@ def check_genus1_formula() -> tuple[bool, str]:
 
 def check_classical_formulas() -> tuple[bool, str]:
     """Classical genus-0/1 formulas and the checked-in classical tables
-    all reproduce the classical join-cut numbers for d <= 5."""
-    table = solve_classical(5, 16)
+    all reproduce the classical join-cut numbers for d <= 9."""
+    table = solve_classical(FORMULA_D, 2 * FORMULA_D + 4)
     routes = {0: ("formula", classical_genus0), 1: ("formula", classical_genus1)}
     for g in (2, 3):
         routes[g] = ("table", partial(value_from_form, paper_form(g, classical=True)))
     return _compare("{n} partitions x 4 genera", (
         (tuple(alpha), f"g{g} {route}", fn(alpha), "joincut", table.genus_value(g, alpha))
-        for d in range(1, 6)
+        for d in range(1, FORMULA_D + 1)
         for alpha in partitions(d)
         for g, (route, fn) in routes.items()
     ))

@@ -16,8 +16,8 @@ CRITERIA = {
         "join-cut vs oracle (monotone and classical, d<=7 r<=14)",
         ["joincut-monotone-vs-oracle", "joincut-classical-vs-oracle"],
     ),
-    3: ("genus-0 formula vs join-cut slice, d<=8", ["genus0-formula"]),
-    4: ("genus-1 formula and log form vs join-cut slice, d<=6", ["genus1-formula"]),
+    3: ("genus-0 formula vs join-cut slice, d<=9", ["genus0-formula"]),
+    4: ("genus-1 formula and log form vs join-cut slice, d<=9", ["genus1-formula"]),
     5: ("pipeline reproduces the genus-2 rational form", ["pipeline-genus2-table"]),
     6: ("pipeline reproduces the genus-3 rational form", ["pipeline-genus3-table"]),
     7: ("Bernoulli constant law, g=2..7", ["bernoulli-law"]),
@@ -35,8 +35,8 @@ DETAILS = {
     "oracle-dfs-vs-dp": f"162 cases; {EQUAL}",
     "joincut-monotone-vs-oracle": f"660 cases; {EQUAL}",
     "joincut-classical-vs-oracle": f"660 cases; {EQUAL}",
-    "genus0-formula": f"66 partitions; {EQUAL}",
-    "genus1-formula": f"29 partitions x 2 routes; {EQUAL}",
+    "genus0-formula": f"96 partitions; {EQUAL}",
+    "genus1-formula": f"96 partitions x 2 routes; {EQUAL}",
     "pipeline-genus2-table": f"7 coefficients + constant; {EQUAL}",
     "pipeline-genus3-table": f"30 coefficients + constant; {EQUAL}",
     "bernoulli-law": f"g=2..7; {EQUAL}",

@@ -346,3 +346,18 @@ def test_keys_differing_in_part_order_are_summed():
     bi = BiSeries(3, 1, 1, {((1, 2), 1, 0): 2, ((2, 1), 1, 0): -2, ((1,), 0, 1): 1})
     assert bi == BiSeries(3, 1, 1, {((1,), 0, 1): 1})
     assert DivisorSeries((2, 1), {(1, 2): 1, (2, 1): 1}).coeffs == {(2, 1): 2}
+
+
+def test_linear_series_takes_the_grading_of_its_unit():
+    def c(k):
+        return Fraction(k * k + 1, k)
+
+    one = DivisorSeries.constant(1, (3, 3, 1))
+    s = one.linear(c)
+    assert type(s) is DivisorSeries and s.bounds == one.bounds
+    assert set(s.coeffs) == {(3,), (1,)}
+    assert s.coeffs == {(3,): c(3), (1,): c(1)}
+    one = MSeries.constant(1, 5)
+    s = one.linear(c)
+    assert type(s) is MSeries and s.bounds == one.bounds
+    assert s.coeffs == {(k,): c(k) for k in range(1, 6)}

@@ -93,6 +93,12 @@ def test_env_override(tmp_path):
             ),
             "entries '2,1' and '1,2' name one partition",
         ),
+        (
+            # a literal: json.dumps cannot write one key twice
+            '{"monotone": {"2": {"normalization": "2", '
+            '"coefficients": {"2,1": "1", "2,1": "9"}}}}',
+            "the key '2,1' appears twice in one object",
+        ),
     ],
     ids=[
         "missing",
@@ -106,6 +112,7 @@ def test_env_override(tmp_path):
         "float-coefficient",
         "bool-coefficient",
         "repeated-partition",
+        "repeated-key",
     ],
 )
 def test_bad_tables_file_exits_2_naming_it(tmp_path, content, message):

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hurwitz import verify
+from hurwitz import cli, verify
 from hurwitz.closedforms import classical_genus0
 from hurwitz.forms import RationalForm
 from hurwitz.partitions import Partition
@@ -18,7 +18,7 @@ def test_a_mismatch_names_both_values(monkeypatch):
     result = verify.run_check("classical-formulas")
     assert not result.passed
     assert result.detail == (
-        f"18 partitions x 4 genera; 1 mismatches: (3,): g0 formula={want + 1} joincut={want}"
+        f"96 partitions x 4 genera; 1 mismatches: (3,): g0 formula={want + 1} joincut={want}"
     )
 
 
@@ -49,3 +49,7 @@ def test_each_check_starts_with_cold_caches(monkeypatch):
     assert rational_form.cache_info().currsize > 0
     verify.run_check("probe")
     assert seen == [0]
+
+
+def test_formula_checks_reach_the_joincut_cap():
+    assert verify.FORMULA_D == cli.JOINCUT_D_CAP
