@@ -39,8 +39,9 @@ METHODS = ("auto", "oracle", "joincut", "closed-form", "pipeline", "lagrange")
 
 # |alpha| cap of the one-coefficient extraction (pipeline and lagrange).  The
 # extraction works on the divisors of alpha; at |alpha| = 16 the worst shape,
-# (4,3,2,2,1,1,1,1,1) with 72 divisors, takes 0.2-0.3 s in either family at
-# genus 3 on a 2-vCPU machine.
+# (4,3,2,2,1,1,1,1,1) with 72 divisors, takes 24-26 ms (monotone) and 19-21 ms
+# (classical) at genus 3, cold (compute --timing elapsed_ms, one process
+# each, 2-vCPU VM).
 EXTRACTION_CAP = 16
 
 # r cap of the join-cut route, r = 2g - 2 + len(alpha) + |alpha|: the largest

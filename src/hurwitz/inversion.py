@@ -34,7 +34,12 @@ the unit series `one` of the grading it works in).  Every coefficient the
 quotient keeps is the exact coefficient of the full series, so the
 extracted values are exact; for alpha = (6, 6) the quotient has 3
 monomials where weight 12 has 272.  Whole series (`expand_rational_form`,
-`expand_log_form`) stay truncated by weight.
+`expand_log_form`) stay truncated by weight.  `value_from_form` builds the
+change of variables once and hands it to both the expander and the kernel.
+
+`expand_rational_form` makes one product per prefix of the sorted terms
+(the trie of their parts): a term multiplies the main_j of its prefix
+shared with the term before it by one main_j per further part.
 """
 
 from __future__ import annotations
@@ -98,48 +103,77 @@ def _project(F: MSeries, alpha: Partition) -> DivisorSeries:
     return out
 
 
-def lagrange_extract(F: MSeries, alpha) -> Fraction:
-    """[p_alpha] of a q-basis series F, via Lagrange inversion."""
+def lagrange_extract(F: MSeries, alpha, aux: AuxSeries | None = None) -> Fraction:
+    """[p_alpha] of a q-basis series F, via Lagrange inversion.  ``aux`` is
+    gamma and eta in the divisor grading of alpha, built here when None."""
     alpha = Partition(alpha)
     Fa = _project(F, alpha)
     one = DivisorSeries.constant(1, alpha)
-    aux = aux_series(one)
+    if aux is None:
+        aux = aux_series(one)
     return ((one - aux.main) * (one - aux.base).pow(-(2 * alpha.size + 1)) * Fa)[alpha]
 
 
-def classical_extract(F: MSeries, alpha) -> Fraction:
-    """[p_alpha] of an r-basis series F, via the classical analogue."""
+def classical_extract(F: MSeries, alpha, aux: AuxSeries | None = None) -> Fraction:
+    """[p_alpha] of an r-basis series F, via the classical analogue.  ``aux``
+    is delta and phi in the divisor grading of alpha, built here when None."""
     alpha = Partition(alpha)
     Fa = _project(F, alpha)
     one = DivisorSeries.constant(1, alpha)
-    aux = classical_aux_series(one)
+    if aux is None:
+        aux = classical_aux_series(one)
     return (aux.base.scale(alpha.size).exp() * (one - aux.main) * Fa)[alpha]
 
 
-def expand_log_form(form: LogForm, one: MSeries) -> MSeries:
+def _form_aux(form: LogForm | RationalForm, one: MSeries) -> AuxSeries:
+    """The change of variables of a form's family in the grading of the
+    series one, with main_j for every part of the form's terms."""
+    if isinstance(form, LogForm):
+        return aux_series(one)
+    j_max = max((max(a) for a in form.terms if a), default=0)
+    return (classical_aux_series if form.classical else aux_series)(one, j_max)
+
+
+def expand_log_form(form: LogForm, one: MSeries, aux: AuxSeries | None = None) -> MSeries:
     """q-series of a log(1/(1-eta)), log(1/(1-gamma)) combination, in the
-    grading of the series one."""
-    aux = aux_series(one, 0)
+    grading of the series one.  ``aux`` is gamma and eta in that grading,
+    built here when None."""
+    if aux is None:
+        aux = _form_aux(form, one)
     return aux.main.log_geometric().scale(form.coeff_eta) + aux.base.log_geometric().scale(
         form.coeff_gamma
     )
 
 
-def expand_rational_form(form: RationalForm, one: MSeries) -> MSeries:
+def expand_rational_form(
+    form: RationalForm, one: MSeries, aux: AuxSeries | None = None
+) -> MSeries:
     """Series of a rational form in its own basis (q monotone, r classical),
-    in the grading of the series one."""
-    j_max = max((max(a) for a in form.terms if a), default=0)
-    aux = (classical_aux_series if form.classical else aux_series)(one, j_max)
+    in the grading of the series one.  ``aux`` is the form's change of
+    variables in that grading, with main_j for every part of its terms,
+    built here when None."""
+    if aux is None:
+        aux = _form_aux(form, one)
     # by_power[k] = sum of c_alpha main_alpha over the alpha with
     # (1 - main)^(-k); the constant sits at k = 0
     top = max(map(form.denominator_power, form.terms), default=0)
     by_power = [one.scale(form.constant)] + [one.scale(0)] * top
-    for alpha, c in form.terms.items():
-        term = one.scale(c)
-        for j in alpha:
-            term = term * aux.main_j(j)
+    # prefix[i] = product of main_j over the first i + 1 parts of the term
+    # before; in sorted order, a term reuses the products of the prefix it
+    # shares with that term
+    prefix: list[MSeries] = []
+    previous: tuple = ()
+    for alpha in sorted(form.terms):
+        i = 0
+        while i < len(prefix) and i < len(alpha) and alpha[i] == previous[i]:
+            i += 1
+        del prefix[i:]
+        for j in alpha[i:]:
+            prefix.append(prefix[-1] * aux.main_j(j) if prefix else aux.main_j(j))
+        term = prefix[-1] if alpha else one
         k = form.denominator_power(alpha)
-        by_power[k] = by_power[k] + term
+        by_power[k] = by_power[k] + term.scale(form.terms[alpha])
+        previous = alpha
     # sum_k by_power[k] (1 - main)^(-k), by Horner from the top power down
     inv = (one - aux.main).inverse()
     total = by_power[top]
@@ -156,11 +190,13 @@ def value_from_form(form: LogForm | RationalForm, alpha) -> Fraction:
     the expanded form, times r! for a classical one."""
     alpha = Partition(alpha)
     one = DivisorSeries.constant(1, alpha)
+    # one change of variables for the expander and the kernel
+    aux = _form_aux(form, one)
     d = alpha.size
     if isinstance(form, LogForm):
-        return factorial(d) * lagrange_extract(expand_log_form(form, one), alpha)
-    series = expand_rational_form(form, one)
+        return factorial(d) * lagrange_extract(expand_log_form(form, one, aux), alpha, aux)
+    series = expand_rational_form(form, one, aux)
     if form.classical:
         r = 2 * form.genus - 2 + alpha.length + d
-        return factorial(d) * factorial(r) * classical_extract(series, alpha)
-    return factorial(d) * lagrange_extract(series, alpha)
+        return factorial(d) * factorial(r) * classical_extract(series, alpha, aux)
+    return factorial(d) * lagrange_extract(series, alpha, aux)

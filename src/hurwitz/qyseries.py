@@ -35,6 +35,7 @@ show on both sides alike.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 
 from .inversion import aux_series
 from .ring import RingElement
@@ -151,8 +152,10 @@ def _by_q_monomial(nums: dict) -> list:
 # -- the literal operators ------------------------------------------------
 
 
+@lru_cache(maxsize=16)
 def _one_minus_eta_inverse(wq: int, w1: int, w2: int) -> BiSeries:
-    """(1-eta)^(-1), a series in q alone."""
+    """(1-eta)^(-1), a series in q alone; shared by every caller, which is
+    safe because no operation changes a series in place."""
     one = MSeries.constant(1, wq)
     return BiSeries.from_mseries((one - aux_series(one).main).inverse(), wq, w1, w2)
 

@@ -23,16 +23,18 @@ stored.
 
 The arithmetic here (cleaning, +, -, scale, *, ==, pow, inverse, exp
 and log) reads the grading only through a few hooks: the bounds tuple,
-the canonical key, whether a key fits the bounds, the join of two keys
-under a product, and how many constant-free factors a nonzero product can
-have.  The product and `linear` weigh a key by the sum of its parts and
-take ``max_weight`` as the largest weight that fits.
-`qyseries.BiSeries` is this class graded by (q-weight, y1-degree,
+the canonical key, whether a key fits the bounds, the `_product` loop over
+the term pairs of two operands, and how many constant-free factors a
+nonzero product can have.  `MSeries._product` and `linear` weigh a key by
+the sum of its parts and take ``max_weight`` as the largest weight that
+fits.  `qyseries.BiSeries` is this class graded by (q-weight, y1-degree,
 y2-degree): it overrides the bounds, key and fit hooks to add two
 catalytic y-degrees and shares the rest, except that it multiplies by
 its own loop, grouped by q-monomial.
 `DivisorSeries` keeps only the monomials that divide one fixed monomial
-q_alpha.
+q_alpha; its `_product` reads the key of each term pair from
+`join_table(alpha)`, built once per alpha, in place of sorting the joined
+parts.
 
 `ring.RingElement` stays outside this kernel on purpose, and so does its
 normaliser: this module keeps its own `_canonical` although
@@ -139,9 +141,22 @@ class MSeries:
         return sum(key) <= bounds[0]
 
     @staticmethod
-    def _join(k1, k2, bounds):
-        """Key of the product of two terms whose weights fit, or None."""
-        return _key(k1 + k2)
+    def _product(a: dict, b: dict, bounds) -> dict:
+        """The unreduced numerators of the product of the terms ``a`` and
+        ``b``, ``a`` the smaller: the inner operand, sorted by weight once,
+        is cut at the first term that no longer fits."""
+        cap = bounds[0]
+        inner = sorted(((sum(k), k, n) for k, n in b.items()), key=itemgetter(0))
+        out: dict = {}
+        get = out.get
+        for k1, n1 in a.items():
+            room = cap - sum(k1)
+            for w2, k2, n2 in inner:
+                if w2 > room:
+                    break
+                key = _key(k1 + k2)
+                out[key] = get(key, 0) + n1 * n2
+        return out
 
     @staticmethod
     def _depth(bounds) -> int:
@@ -232,23 +247,11 @@ class MSeries:
 
     def __mul__(self, other) -> "MSeries":
         bounds = self._shared_bounds(other)
-        cap, join = self.max_weight, self._join
-        # iterate the smaller operand outside; the inner one, sorted by
-        # weight once, is cut at the first term that no longer fits
+        # iterate the smaller operand outside
         a, b = self.nums, other.nums
         if len(a) > len(b):
             a, b = b, a
-        inner = sorted(((sum(k), k, n) for k, n in b.items()), key=itemgetter(0))
-        out: dict = {}
-        get = out.get
-        for k1, n1 in a.items():
-            room = cap - sum(k1)
-            for w2, k2, n2 in inner:
-                if w2 > room:
-                    break
-                key = join(k1, k2, bounds)
-                if key is not None:
-                    out[key] = get(key, 0) + n1 * n2
+        out = self._product(a, b, bounds)
         return self._new(bounds, *_canonical(out, self.den * other.den))
 
     def _power_sum(self, coeff) -> "MSeries":
@@ -310,6 +313,18 @@ def divisors(alpha: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     )
 
 
+@lru_cache(maxsize=64)
+def join_table(alpha: tuple[int, ...]) -> dict[tuple, dict[tuple, tuple]]:
+    """The products that divide q_alpha: for each divisor k1 of q_alpha,
+    the map from each divisor k2 with k1 k2 dividing q_alpha to the key of
+    k1 k2.  The keys are the tuples of ``divisors(alpha)``."""
+    divs = {k: k for k in divisors(alpha)}
+    return {
+        k1: {k2: divs[key] for k2 in divs if (key := _key(k1 + k2)) in divs}
+        for k1 in divs
+    }
+
+
 class DivisorSeries(MSeries):
     """`MSeries` graded by divisibility: only the monomials that divide
     q_alpha, for one fixed partition alpha, are kept.
@@ -333,14 +348,31 @@ class DivisorSeries(MSeries):
     def bounds(self) -> tuple[tuple[int, ...]]:
         return (self.alpha,)
 
+    def _new(self, bounds, nums: dict, den: int = 1) -> "DivisorSeries":
+        # bounds[0] is already a weakly decreasing tuple: no __init__ again
+        out = DivisorSeries.__new__(DivisorSeries)
+        out.alpha = bounds[0]
+        out.max_weight = sum(out.alpha)
+        out.nums = nums
+        out.den = den
+        return out
+
     @staticmethod
     def _fits(key, bounds) -> bool:
         return key in divisors(bounds[0])
 
     @staticmethod
-    def _join(k1, k2, bounds):
-        key = _key(k1 + k2)
-        return key if key in divisors(bounds[0]) else None
+    def _product(a: dict, b: dict, bounds) -> dict:
+        table = join_table(bounds[0])
+        out: dict = {}
+        get = out.get
+        for k1, n1 in a.items():
+            row = table[k1]
+            for k2, n2 in b.items():
+                key = row.get(k2)
+                if key is not None:
+                    out[key] = get(key, 0) + n1 * n2
+        return out
 
     @staticmethod
     def _depth(bounds) -> int:

@@ -93,6 +93,28 @@ def test_rational_form_expansion_equals_per_term_reference(genus, classical):
     assert expand_rational_form(form, one) == ref
 
 
+@pytest.mark.parametrize(
+    "one", [MSeries.constant(1, 12), DivisorSeries.constant(1, (4, 3, 2, 2, 1, 1, 1, 1, 1))]
+)
+def test_rational_form_expansion_makes_one_product_per_prefix(monkeypatch, one):
+    # DivisorSeries multiplies through MSeries.__mul__, so both gradings count
+    assert "__mul__" not in vars(DivisorSeries)
+    calls = []
+    mul = MSeries.__mul__
+    monkeypatch.setattr(MSeries, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for genus in (2, 3):
+        for classical in (False, True):
+            form = paper_form(genus, classical)
+            calls.clear()
+            expand_rational_form(form, one)
+            # one product per prefix of two or more parts of a term (a single
+            # part is main_j itself), one per Horner step over the powers of
+            # (1 - main)^(-1), and one per power of main in its inverse
+            prefixes = {a[:i] for a in form.terms for i in range(2, len(a) + 1)}
+            top = max(map(form.denominator_power, form.terms))
+            assert len(calls) == len(prefixes) + top + one._depth(one.bounds), (genus, classical)
+
+
 def test_round_trip_through_the_change_of_variables():
     rng = random.Random(7)
     monos = [tuple(a) for d in range(6) for a in partitions(d)]

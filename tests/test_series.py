@@ -1,5 +1,6 @@
 import operator
 import re
+from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from hurwitz.partitions import partitions
 from hurwitz.qyseries import BiSeries
-from hurwitz.series import DivisorSeries, MSeries, divisors
+from hurwitz.series import DivisorSeries, MSeries, _key, divisors, join_table
 
 COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -142,6 +143,24 @@ def test_divisor_projection_is_a_ring_map(a, b, alpha):
     free = b - MSeries.constant(b.constant_term(), b.max_weight)
     assert proj(free.exp()) == proj(free).exp()
     assert proj(free.log_geometric()) == proj(free).log_geometric()
+
+
+@pytest.mark.parametrize("alpha", [(3, 2, 2, 1, 1), (1,) * 12, (4, 3, 2, 2, 1, 1, 1, 1, 1)])
+def test_join_table_against_brute_force(alpha):
+    divs = divisors(alpha)
+    table = join_table(alpha)
+    assert set(table) == divs
+    for k1 in divs:
+        row = table[k1]
+        for k2 in divs:
+            # q_k1 q_k2 divides q_alpha when no part occurs more often
+            joined = Counter(k1) + Counter(k2)
+            if joined <= Counter(alpha):
+                assert row[k2] == _key(k1 + k2)
+            else:
+                assert k2 not in row
+    if alpha == (4, 3, 2, 2, 1, 1, 1, 1, 1):  # the EXTRACTION_CAP worst shape
+        assert len(divs) == 72
 
 
 def test_inverse_and_pow():
