@@ -52,9 +52,11 @@ from .ring import (
     invert_one_minus_T,
 )
 
-# The largest genus whose cold ``hurwitz rational-form --genus g`` finishes
-# within 60 s on a 2-vCPU Xeon VM (Python 3.11.7): g = 9 / 10 / 11 take
-# 6.7-9.4 / 18.5-25.8 / 62.5 s cold (g = 11 with the cap raised).
+# Set as the largest genus whose cold ``hurwitz rational-form --genus g``
+# finished within 60 s on a 2-vCPU Xeon VM (Python 3.11.7).  With the ring's
+# level accumulators g = 9 / 10 take 5.4-5.6 / 10.8-15.3 s cold, and g = 11
+# (cap raised) 44 s at 269 MB peak RSS: it now fits, but a raised cap needs a
+# check at its edge first.
 GENUS_CAP = 10
 
 
@@ -151,10 +153,16 @@ def decompose_basis(g: int, E: RingElement) -> tuple[RingElement, ...]:
         if Fj and Fj.weighted_degree() > 3 * g - 1 - j:
             raise AssertionError(f"F_{j} exceeds weighted degree {3*g-1-j}")
     if g >= 2:
-        ident = comps[1].scale(-1)
-        for j in range(2, 3 * g):
-            ident = ident + comps[j] * RingElement.monomial(hs=(j - 1,))
-        if ident:
+        # -F_1 + sum_j F_j H_{j-1} as numerators over the components' lcm
+        common = lcm(*(Fj.den for Fj in comps[1:]))
+        ident: dict[tuple[int, ...], int] = {}
+        for j in range(1, 3 * g):
+            f = common // comps[j].den
+            f, extra = (-f, ()) if j == 1 else (f, (j - 1,))
+            for (_u2, _v, hs), n in comps[j].nums.items():
+                key = tuple(sorted(hs + extra))
+                ident[key] = ident.get(key, 0) + f * n
+        if any(ident.values()):
             raise AssertionError("gamma-cancellation identity failed")
     return tuple(comps)
 

@@ -54,9 +54,16 @@ closed form:
     T(U^e) = sum_{i=1}^{e-1} 4^i proj(i)
              ( sum_{a=0}^{e-i} C(e-1-a, i-1) U^a - C(e, i) ).
 
-D and T are both term maps: each term of the input adds a multiple of a
-cached element (a factor of D, or the row T(U^e)), times part of the
-term's own monomial, into one integer accumulator.
+D and T are both term maps into integer accumulators; neither builds an
+intermediate element.  D groups its input by (V power, H part), and each
+group's U column times a cached factor of D adds into numerators kept by
+(V power, H part), then by U power, so H parts merge once per group and
+factor row, not once per term (products group both sides the same way).
+T adds each term n U^e V^v H_hs, as n V^v H_hs times the cached row
+T(U^e), into one dict per U level keyed by (v, hs).  (1 - T)^(-1) runs
+on those level dicts over one running denominator: going down from the
+top, each level is final when the pass reaches it, moves to the output,
+and adds its T into the levels below.
 """
 
 from __future__ import annotations
@@ -134,14 +141,25 @@ def _rows(x: "RingElement"):
     return x.den, tuple((vh, tuple(col)) for vh, col in rows.items())
 
 
-def _add_times(out: dict[Key, int], u2: int, v: int, hs, f: int, rows):
-    """out += f U^(u2/2) V^v H_hs * (the element with numerator ``rows``)."""
-    get = out.get
-    for (dv, dh), col in rows:
-        vv, merged = v + dv, _merge(hs, dh)
-        for du, c in col:
-            key = (u2 + du, vv, merged)
-            out[key] = get(key, 0) + f * c
+Groups = dict[tuple[int, tuple[int, ...]], dict[int, int]]
+
+
+def _add_times(groups: Groups, col, v: int, hs, rows):
+    """groups += sum_{(u2, f) in col} f U^(u2/2) V^v H_hs * (the element with
+    numerator ``rows``), as numerators by (V power, H part), then by u2: each
+    row merges its H part with hs once and sums its U products under int keys."""
+    for (dv, dh), rcol in rows:
+        acc = groups.setdefault((v + dv, _merge(hs, dh)), {})
+        get = acc.get
+        for du, c in rcol:
+            for u2, f in col:
+                u = u2 + du
+                acc[u] = get(u, 0) + f * c
+
+
+def _ungroup(groups: Groups) -> dict[Key, int]:
+    """The numerators of ``groups`` by monomial."""
+    return {(u, v, hs): n for (v, hs), acc in groups.items() for u, n in acc.items()}
 
 
 class RingElement:
@@ -212,21 +230,12 @@ class RingElement:
         return _reduced({k: p * n for k, n in self.nums.items()}, self.den * c.denominator)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
-        # group both sides by (V power, H part), so each pair of groups merges
-        # its H parts once and sums its U products under int keys
-        groups: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
-        _, left_rows = _rows(self)
+        # group both sides by (V power, H part): one _add_times per left group
+        groups: Groups = {}
         _, right_rows = _rows(other)
-        for (v1, h1), left in left_rows:
-            for (v0, h0), right in right_rows:
-                acc = groups.setdefault((v1 + v0, _merge(h1, h0)), {})
-                get = acc.get
-                for u1, c1 in left:
-                    for u0, c0 in right:
-                        u = u1 + u0
-                        acc[u] = get(u, 0) + c1 * c0
-        out = {(u, v, hs): n for (v, hs), acc in groups.items() for u, n in acc.items()}
-        return _reduced(out, self.den * other.den)
+        for (v, hs), left in _rows(self)[1]:
+            _add_times(groups, left, v, hs, right_rows)
+        return _reduced(_ungroup(groups), self.den * other.den)
 
     def __eq__(self, other) -> bool:
         return (
@@ -331,24 +340,28 @@ def _dh_factor(j: int):
 
 
 def apply_delta1(F: RingElement) -> RingElement:
-    """The lifting derivation applied to F, by the product rule."""
+    """The lifting derivation applied to F, by the product rule, one
+    (V power, H part) group of F's terms at a time."""
     du_den, du = _rows(_DU)
     dv_den, dv = _dv_factor()
-    dh = {j: _dh_factor(j) for j in {j for (_u2, _v, hs) in F.nums for j in hs}}
+    _, groups = _rows(F)
+    dh = {j: _dh_factor(j) for j in {j for (_v, hs), _col in groups for j in hs}}
     # one denominator for every factor: (u2/2) D U, D V / V and the D H_j
     den = lcm(2 * du_den, dv_den, *(d for d, _ in dh.values()))
-    out: dict[Key, int] = {}
-    for (u2, v, hs), n in F.nums.items():
-        if u2:
-            _add_times(out, u2, v, hs, n * u2 * (den // (2 * du_den)), du)
+    fu = den // (2 * du_den)
+    out: Groups = {}
+    for (v, hs), col in groups:
+        _add_times(out, [(u2, n * u2 * fu) for u2, n in col if u2], v, hs, du)
         if v:
-            _add_times(out, u2, v, hs, n * v * (den // dv_den), dv)
+            f = v * (den // dv_den)
+            _add_times(out, [(u2, n * f) for u2, n in col], v, hs, dv)
         for j in set(hs):
             stripped = list(hs)
             stripped.remove(j)
             d, rows = dh[j]
-            _add_times(out, u2, v, tuple(stripped), n * hs.count(j) * (den // d), rows)
-    return _reduced(out, F.den * den)
+            f = hs.count(j) * (den // d)
+            _add_times(out, [(u2, n * f) for u2, n in col], v, tuple(stripped), rows)
+    return _reduced(_ungroup(out), F.den * den)
 
 
 def delta1_sq_H0() -> RingElement:
@@ -403,17 +416,34 @@ def _t_rows(e: int):
     return _rows(_reduced(out, den))
 
 
+def _t_into(levels: dict[int, dict], v: int, hs, m: int, row) -> None:
+    """The term map of T: levels[u2][(v, hs')] += m c for each term
+    c U^(u2/2) H_dh of ``row``, with hs' the merge of hs and dh.  With ``row``
+    the numerators of T(U^e), this adds m V^v H_hs T(U^e) to the levels."""
+    for (_v, dh), col in row:
+        vh = (v, _merge(hs, dh))
+        for u2, c in col:
+            level = levels[u2]
+            level[vh] = level.get(vh, 0) + m * c
+
+
+def _require_integer_u(F: RingElement) -> None:
+    if any(u2 % 2 for (u2, _v, _hs) in F.nums):
+        raise ValueError("T is defined on integer U exponents only")
+
+
 def apply_T(F: RingElement) -> RingElement:
     """T on an honest element (integer U exponents), linear over V, H_k:
     each term n U^e V^v H_hs adds n V^v H_hs T(U^e)."""
-    if any(u2 % 2 for (u2, _v, _hs) in F.nums):
-        raise ValueError("T is defined on integer U exponents only")
+    _require_integer_u(F)
     rows = {u2: _t_rows(u2 // 2) for (u2, _v, _hs) in F.nums}
     den = lcm(*(d for d, _row in rows.values()))
-    out: dict[Key, int] = {}
+    # T(U^e) reaches U^(e-1) at most
+    levels: dict[int, dict] = {u2: {} for u2 in range(0, F.u_degree2(), 2)}
     for (u2, v, hs), n in F.nums.items():
         d, row = rows[u2]
-        _add_times(out, 0, v, hs, n * (den // d), row)
+        _t_into(levels, v, hs, n * (den // d), row)
+    out = {(u2, v, hs): n for u2, level in levels.items() for (v, hs), n in level.items()}
     return _reduced(out, F.den * den)
 
 
@@ -421,16 +451,40 @@ def invert_one_minus_T(F: RingElement) -> RingElement:
     """(1 - T)^(-1) F: the X with X = F + T X, one U level at a time.
 
     T writes only lower U exponents, and T(1) = T(U) = 0.  So X starts as F,
-    and going down the U exponents from the top, X's U^e part is final when
-    the pass reaches it; adding T of that part to X leaves X = F + T X.
+    held as one dict per U level over one running denominator, and going
+    down the levels from the top, X's U^e part is final when the pass
+    reaches it: it moves to the output and adds its T into the levels below,
+    which leaves X = F + T X.
 
     Post-verifies (1 - T)(result) == F exactly.
     """
-    X = F
-    for u2 in range(F.u_degree2(), 3, -2):
-        level = {k: n for k, n in X.nums.items() if k[0] == u2}
-        if level:
-            X = X + apply_T(RingElement.from_nums(level, X.den))
+    _require_integer_u(F)
+    top = F.u_degree2()
+    levels: dict[int, dict] = {u2: {} for u2 in range(0, top + 1, 2)}
+    for (u2, v, hs), n in F.nums.items():
+        levels[u2][(v, hs)] = n
+    den = F.den
+    out: dict[Key, int] = {}
+    for u2 in range(top, -1, -2):
+        level = {vh: n for vh, n in levels.pop(u2).items() if n}
+        k = 1
+        if u2 >= 4 and level:
+            d, row = _t_rows(u2 // 2)
+            g = gcd(d, *level.values())
+            k = d // g
+            if k != 1:
+                # T of the level is over den * k: widen what is still open
+                for lower in levels.values():
+                    for vh in lower:
+                        lower[vh] *= k
+                for key in out:
+                    out[key] *= k
+                den *= k
+            for (v, hs), n in level.items():
+                _t_into(levels, v, hs, n // g, row)
+        for (v, hs), n in level.items():
+            out[(u2, v, hs)] = n * k
+    X = _reduced(out, den)
     if X - apply_T(X) != F:
         raise AssertionError("(1 - T) inverse verification failed")
     return X

@@ -62,8 +62,10 @@ def _load() -> tuple[str, dict]:
     return source, data
 
 
+@lru_cache(maxsize=None)
 def paper_form(genus: int, classical: bool = False) -> RationalForm:
-    """The published genus-2/3 rational form as exact coefficients."""
+    """The published genus-2/3 rational form as exact coefficients, built
+    once per (genus, classical) and shared, as ``rational_form`` is."""
     source, data = _load()
     family = "classical" if classical else "monotone"
     tables = data.get(family, {})

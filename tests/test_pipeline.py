@@ -227,6 +227,13 @@ def test_basis_decomp_container():
     assert isinstance(rational_form(2), RationalForm)
 
 
+def test_decompose_checks_the_gamma_cancellation_identity():
+    comps = list(decompose_basis(3, normalized_delta1(3)))
+    comps[3] = comps[3] + H1
+    with pytest.raises(AssertionError, match="gamma-cancellation identity failed"):
+        decompose_basis(3, recompose_basis(tuple(comps)))
+
+
 def test_decompose_rejects_dishonest_elements():
     with pytest.raises(ValueError):
         decompose_basis(1, RingElement.monomial(u2=1))  # half power

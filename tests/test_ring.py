@@ -109,15 +109,56 @@ def test_inversion_applies_T_once_per_level_and_once_to_check(monkeypatch):
     pipeline.delta1_element.cache_clear()
     for g in range(1, 6):
         pipeline.normalized_delta1(g)
-    terms_in = []
-    monkeypatch.setattr(ring, "apply_T", lambda F: terms_in.append(len(F.nums)) or apply_T(F))
+    # every input term of T's term map, with the U exponent of its row, split
+    # into the pass and the check (the call inside apply_T)
+    pass_in, check_in, checks = [], [], []
+    t_into = ring._t_into
+
+    def counted_t_into(levels, v, hs, m, row):
+        if checks:
+            check_in.append((v, hs))
+        else:  # rows of e >= 2 are distinct; with U^e popped, U^(e-1) is the top open level
+            e = next(e for e in range(2, max(levels) // 2 + 2) if _t_rows(e)[1] is row)
+            pass_in.append((2 * e, v, hs))
+        t_into(levels, v, hs, m, row)
+
+    def counted_apply_T(F):
+        checks.append(len(F.nums))
+        return apply_T(F)
+
+    monkeypatch.setattr(ring, "_t_into", counted_t_into)
+    monkeypatch.setattr(ring, "apply_T", counted_apply_T)
     for F in rhs[1:]:
-        terms_in.clear()
+        for seen in (pass_in, check_in, checks):
+            seen.clear()
         X = invert_one_minus_T(F)
-        # T meets each term of X once in the pass and once in the check
-        assert sum(terms_in) <= 2 * len(X.nums)
-        # one application per nonempty level U^e with e >= 2, plus the check
-        assert len(terms_in) == len({u2 for (u2, _v, _hs) in X.nums if u2 >= 4}) + 1
+        # the pass meets each term of each nonempty level U^e, e >= 2, once
+        assert sorted(pass_in) == sorted((u2, v, hs) for (u2, v, hs) in X.nums if u2 >= 4)
+        # apply_T runs once, for the check, and meets each term of X once
+        assert checks == [len(X.nums)]
+        assert sorted(check_in) == sorted((v, hs) for (_u2, v, hs) in X.nums)
+        assert len(pass_in) + len(check_in) <= 2 * len(X.nums)
+
+
+def test_inversion_matches_the_neumann_sum():
+    # F + T F + T^2 F + ... stops, because T lowers the U degree
+    rng = random.Random(19)
+    widened = 0
+    for _ in range(16):
+        terms = {(24, rng.randint(0, 2), (1,)): Fraction(rng.randint(1, 9), rng.choice([1, 3, 7]))}
+        for _ in range(rng.randint(1, 10)):
+            key = (2 * rng.randint(0, 12), rng.randint(0, 3), rng.choice([(), (1,), (2,), (1, 1), (1, 3)]))
+            terms[key] = Fraction(rng.randint(-9, 9) or 1, rng.choice([1, 2, 3, 5, 9, 16, 35]))
+        F = RingElement(terms)
+        want = power = F
+        while power:
+            power = apply_T(power)
+            want = want + power
+        X = invert_one_minus_T(F)
+        assert X == want
+        # X's denominator divides F's unless the pass widened its own
+        widened += bool(F.den % X.den)
+    assert widened
 
 
 def test_delta_annihilates_constants():
