@@ -49,6 +49,20 @@ visited.  The sources of each alpha (with equal keys merged, and the two
 orders of a product pair folded into one) are built once per partition,
 on plain tuples, with each split of alpha - {s} enumerated once.
 
+Shared tables.  Each family keeps one store, by_genus[alpha] = [H_0(alpha),
+H_1(alpha), ...], that every solve extends in place of starting again
+from |alpha| = 1.  A solve walks the same loops and computes only the
+entries past the end of each list.  This is exact: A and B read the same
+size at r - 1, and C reads smaller sizes at r' < r, so every entry a new
+one reads was filled earlier in the same pass or by an earlier solve,
+whatever (D, R) that solve had.  A TruncatedH copies its own bounds out of
+the store, so a table does not depend on the order of the solves.  The
+store is itself an lru_cache, so cache_clear() (and verify's cold start)
+empties it.  A solve that raises, whether by the checked division or by an
+interrupt, empties its family's store before the error propagates: the
+entries it stored before the raise may be integral and still wrong, and
+would otherwise feed every later solve.
+
 The recurrence is property-tested against a literal forward evaluation of
 the PDE residual on truncated series, and against the Fraction slice
 recurrence it replaced (tests/test_joincut.py).
@@ -160,15 +174,39 @@ class TruncatedH:
         return self[alpha, r]
 
 
+@lru_cache(maxsize=None)
+def _genus_lists(monotone: bool) -> dict[Partition, list[int]]:
+    """The family's store: by_genus[alpha][g] = H_g(alpha), grown by each solve."""
+    return {}
+
+
 def _solve(D: int, R: int, monotone: bool) -> TruncatedH:
-    # by_genus[alpha][g] = H_g(alpha), for every g whose r is at most R
-    by_genus: dict[Partition, list[int]] = {}
+    by_genus = _genus_lists(monotone)
+    try:
+        _extend(by_genus, D, R, monotone)
+    except BaseException:
+        by_genus.clear()  # a partial or wrong entry must not reach a later solve
+        raise
+    table = TruncatedH(D, R, monotone)
+    alphas = [(a, a.size + len(a) - 2) for d in range(1, D + 1) for a in partitions(d)]
+    for r in range(R + 1):
+        for alpha, r0 in alphas:
+            if r >= r0 and (r - r0) % 2 == 0:
+                h = by_genus[alpha][(r - r0) // 2]
+                if h:
+                    table.counts[(alpha, r)] = h
+    return table
+
+
+def _extend(by_genus: dict[Partition, list[int]], D: int, R: int, monotone: bool) -> None:
+    """Fill by_genus[alpha][g] for every |alpha| <= D whose r is at most R,
+    computing only the entries no earlier solve stored."""
     binoms = [] if monotone else [[comb(r, k) for k in range(r + 1)] for r in range(R)]
     for d in range(1, D + 1):
         divisor = d if monotone else 2
         rows = []
         for alpha in partitions(d):
-            by_genus[alpha] = []
+            by_genus.setdefault(alpha, [])
         for alpha in partitions(d):
             linear, quadratic = _plan(alpha)
             lin = [(by_genus[b], 0 if len(b) < len(alpha) else 1, w) for b, w in linear]
@@ -179,6 +217,8 @@ def _solve(D: int, R: int, monotone: bool) -> TruncatedH:
                 if r < r0 or (r - r0) % 2:
                     continue
                 g = (r - r0) // 2
+                if g < len(out):
+                    continue  # stored by an earlier solve
                 if r == 0:
                     out.append(1)  # the seed H_0((1))
                     continue
@@ -197,15 +237,6 @@ def _solve(D: int, R: int, monotone: bool) -> TruncatedH:
                 if rem:
                     raise AssertionError(f"non-integral count at {tuple(alpha)}, r={r}: {total}/{divisor}")
                 out.append(h)
-    table = TruncatedH(D, R, monotone)
-    alphas = [(a, a.size + len(a) - 2) for d in range(1, D + 1) for a in partitions(d)]
-    for r in range(R + 1):
-        for alpha, r0 in alphas:
-            if r >= r0 and (r - r0) % 2 == 0:
-                h = by_genus[alpha][(r - r0) // 2]
-                if h:
-                    table.counts[(alpha, r)] = h
-    return table
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
@@ -7,6 +8,7 @@ import pytest
 
 from test_series import derivative
 
+from hurwitz import joincut
 from hurwitz.closedforms import classical_genus0, classical_genus1, monotone_genus0, monotone_genus1
 from hurwitz.joincut import TruncatedH, _plan, solve_classical, solve_monotone
 from hurwitz.oracle import count_classical_transitive, count_monotone_transitive
@@ -312,3 +314,65 @@ def test_counts_at_9_26_unchanged():
         items = [(tuple(a), r, h) for (a, r), h in solve(9, 26).counts.items()]
         assert len(items) == 890
         assert hashlib.sha256(repr(items).encode()).hexdigest() == digest, solve.__name__
+
+
+# -- the genus-list store each family's solves share --------------------------
+
+
+def _cold(solve, D, R):
+    for f in (solve_monotone, solve_classical, _plan, joincut._genus_lists):
+        f.cache_clear()
+    return solve(D, R)
+
+
+def test_tables_do_not_depend_on_the_order_of_solves():
+    keys = [(D, R) for D in range(1, 10) for R in range(27)]
+    random.Random(1).shuffle(keys)
+    for solve in (solve_monotone, solve_classical):
+        for f in (solve, _plan, joincut._genus_lists):
+            f.cache_clear()
+        tables = {key: solve(*key) for key in keys}
+        # the store now reaches (9, 26); a small table still ends at its own bounds
+        with pytest.raises(KeyError):
+            tables[3, 4][(4,), 2]
+        with pytest.raises(KeyError):
+            tables[3, 4][(2,), 5]
+        for key, table in tables.items():
+            assert list(table.counts.items()) == list(_cold(solve, *key).counts.items()), key
+
+
+def test_a_failed_solve_empties_its_store(monkeypatch):
+    real = joincut._plan
+    target = Partition((3, 1))
+
+    def planted(alpha):
+        # one weight of (3,1) off by one: its values stay integral, and
+        # wrong, up to r = 18, and the checked division raises at r = 20
+        linear, quadratic = real(alpha)
+        if alpha == target:
+            (b, w), rest = linear[1], linear[2:]
+            linear = linear[:1] + ((b, w + 1),) + rest
+        return linear, quadratic
+
+    for f in (solve_monotone, solve_classical, joincut._genus_lists):
+        f.cache_clear()
+    solve_monotone(9, 26)
+    monkeypatch.setattr(joincut, "_plan", planted)
+    with pytest.raises(AssertionError, match=r"non-integral count at \(3, 1\), r=20"):
+        solve_classical(9, 26)
+    assert joincut._genus_lists(False) == {}
+    assert len(joincut._genus_lists(True)) == 96  # the other family keeps its store
+
+    def interrupted(alpha):
+        if alpha.size == 5:
+            raise KeyboardInterrupt
+        return real(alpha)
+
+    monkeypatch.setattr(joincut, "_plan", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        solve_classical(9, 26)
+    assert joincut._genus_lists(False) == {}
+
+    monkeypatch.setattr(joincut, "_plan", real)
+    items = [(tuple(a), r, h) for (a, r), h in solve_classical(9, 26).counts.items()]
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == COUNTS_9_26[solve_classical]

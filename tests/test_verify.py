@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hurwitz import cli, verify
+from hurwitz import cli, joincut, verify
 from hurwitz.closedforms import classical_genus0
 from hurwitz.forms import RationalForm
 from hurwitz.partitions import Partition
@@ -49,6 +49,20 @@ def test_each_check_starts_with_cold_caches(monkeypatch):
     assert rational_form.cache_info().currsize > 0
     verify.run_check("probe")
     assert seen == [0]
+
+
+def test_each_check_starts_with_empty_joincut_stores(monkeypatch):
+    seen = []
+
+    def probe():
+        seen.append([len(joincut._genus_lists(monotone)) for monotone in (True, False)])
+        return True, ""
+
+    monkeypatch.setitem(verify.CHECKS, "probe", probe)
+    verify.run_check("genus0-formula")
+    assert len(joincut._genus_lists(True)) == 96
+    verify.run_check("probe")
+    assert seen == [[0, 0]]
 
 
 def test_formula_checks_reach_the_joincut_cap():
