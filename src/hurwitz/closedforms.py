@@ -142,60 +142,40 @@ def _monotone_value(g: int, alpha) -> Fraction:
     return value_from_form(rational_form(g), alpha)
 
 
-# polynomiality_extract samples partitions with parts <= _MAX_PART, keeps
-# the last _HOLDOUTS of them out of the fit, and tries degrees up to
-# _MAX_DEGREE
-_MAX_PART = 8
+# polynomiality_extract keeps the last _HOLDOUTS sample partitions out of the fit
 _HOLDOUTS = 3
-_MAX_DEGREE = 8
 
 
 def _sample_partitions(ell: int, count: int):
-    """Distinct partitions with exactly ell parts, small sizes first."""
+    """The first count partitions with exactly ell parts, by ascending size."""
     out = []
     size = ell
-    while len(out) < count and size <= ell * _MAX_PART:
-        for a in partitions(size):
-            if a.length == ell and a[0] <= _MAX_PART:
-                out.append(a)
+    while len(out) < count:
+        out.extend(a for a in partitions(size) if a.length == ell)
         size += 1
-    if len(out) < count:
-        raise ValueError(f"cannot find {count} sample partitions with {ell} parts")
-    return out
+    return out[:count]
 
 
 def polynomiality_extract(g: int, ell: int) -> PolynomialQ:
     """Interpolate the polynomial behind the normalized monotone numbers.
 
-    The degree is raised until an exact fit on the sample partitions (with
-    every coordinate permutation included, since the polynomial is
-    symmetric) verifies on held-out partitions.  Raises on failure.
+    The fit is at the degree the theorem states, 3g - 3 + ell, on one sample
+    partition per monomial (with every coordinate permutation included,
+    since the polynomial is symmetric).  Raises unless the fit has that
+    degree and verifies on held-out partitions.
     """
     if (g, ell) in {(0, 1), (0, 2)}:
         raise ValueError(f"no polynomial exists for (g, ell) = {(g, ell)}")
     from itertools import permutations as iperm
 
-    samples = _sample_partitions(ell, {1: 8, 2: 33}.get(ell, 26))
+    degree = 3 * g - 3 + ell
+    samples = _sample_partitions(ell, len(monomials_upto(ell, degree)) + _HOLDOUTS)
     held = samples[-_HOLDOUTS:]
-    fit = samples[:-_HOLDOUTS]
     values = {a: normalized_value(g, a) for a in samples}
-
-    points = []
-    for a in fit:
-        for perm in set(iperm(tuple(a))):
-            points.append((perm, values[a]))
-
-    last_error: Exception | None = None
-    for degree in range(_MAX_DEGREE + 1):
-        if len(points) < len(monomials_upto(ell, degree)):
-            continue
-        try:
-            poly = interpolate(points, degree)
-        except InconsistentDataError as exc:
-            last_error = exc
-            continue
-        if all(poly(tuple(a)) == values[a] for a in held):
-            return poly
-    raise InconsistentDataError(
-        f"no polynomial of degree <= {_MAX_DEGREE} verifies for (g, ell) = {(g, ell)}"
-    ) from last_error
+    points = [(perm, values[a]) for a in samples[:-_HOLDOUTS] for perm in set(iperm(tuple(a)))]
+    poly = interpolate(points, degree)
+    if not any(sum(e) == degree for e in poly.coeffs):
+        raise InconsistentDataError(f"the fit for (g, ell) = {(g, ell)} is not of degree {degree}")
+    if any(poly(tuple(a)) != values[a] for a in held):
+        raise InconsistentDataError(f"the fit for (g, ell) = {(g, ell)} fails a held-out partition")
+    return poly

@@ -26,7 +26,7 @@ from .closedforms import (
 )
 from .inversion import value_from_form
 from .joincut import solve_classical, solve_monotone
-from .oracle import count_monotone_transitive, dfs_tables, transitive_counts
+from .oracle import count_monotone_transitive, literal_counts, transitive_counts
 from .partitions import partitions
 from .pipeline import (
     decompose_basis,
@@ -80,17 +80,20 @@ def _notes(notes: list[str], diffs: list[str]) -> tuple[bool, str]:
     return not diffs, "; ".join(notes + ([_diff_report(diffs)] if diffs else []))
 
 
-def check_oracle_dfs_vs_dp() -> tuple[bool, str]:
-    """Two independent monotone counters agree for d <= 5, r <= 8."""
-    dp = transitive_counts(5, 8, True)
-    # one enumeration per d: the DFS tree to depth 8 counts every r <= 8
-    dfs = {key: n for d in range(1, 6) for key, n in dfs_tables(d, 8).items()}
-    return _compare("{n} cases", (
-        (f"{tuple(alpha)},r={r}", "dp", dp[alpha, r], "dfs", dfs.get((alpha, r), 0))
-        for d in range(1, 6)
-        for alpha in partitions(d)
-        for r in range(9)
-    ))
+def check_oracle_literal_vs_dp() -> tuple[bool, str]:
+    """The literal counter equals the block DP with its inclusion-exclusion,
+    in both families, for d <= 6, r <= 10."""
+    rows = []
+    for monotone, family in ((True, "monotone"), (False, "classical")):
+        dp = transitive_counts(6, 10, monotone)
+        for d in range(1, 7):
+            literal = literal_counts(d, 10, monotone)
+            rows.extend(
+                (f"{family} {tuple(alpha)},r={r}", "dp", dp[alpha, r], "literal", literal.get((alpha, r), 0))
+                for alpha in partitions(d)
+                for r in range(11)
+            )
+    return _compare("{n} cases", rows)
 
 
 def check_joincut_vs_oracle(monotone: bool, dmax: int, rmax: int) -> tuple[bool, str]:
@@ -165,14 +168,20 @@ def check_bernoulli_law() -> tuple[bool, str]:
 
 
 def check_matsumoto_novak() -> tuple[bool, str]:
-    """Single-cycle formula vs pipeline (g <= 3, d <= 6) and oracle (d <= 5)."""
+    """Single-cycle formula vs join-cut (g <= 10, d <= 9), pipeline (g <= 3,
+    d <= 6) and oracle (g <= 3, d <= 5).  The join-cut rows check Miller's
+    recurrence for the series to z^20, not only to z^6."""
     forms = {1: genus1_closed(), 2: rational_form(2), 3: rational_form(3)}
+    gmax = 10
+    table = solve_monotone(FORMULA_D, 2 * gmax - 1 + FORMULA_D)
     rows = []
-    for g in range(1, 4):
-        for d in range(1, 7):
+    for g in range(1, gmax + 1):
+        for d in range(1, FORMULA_D + 1):
             label, want = f"g={g},d={d}", mn_single_cycle(g, d)
-            rows.append((label, "pipeline", value_from_form(forms[g], (d,)), "formula", want))
-            if d <= 5:
+            rows.append((label, "joincut", table.genus_value(g, (d,)), "formula", want))
+            if g <= 3 and d <= 6:
+                rows.append((label, "pipeline", value_from_form(forms[g], (d,)), "formula", want))
+            if g <= 3 and d <= 5:
                 oracle = count_monotone_transitive((d,), 2 * g - 1 + d)
                 rows.append((label, "oracle", oracle, "formula", want))
     return _compare("{n} (g,d) pairs", rows)
@@ -264,7 +273,7 @@ def check_structural_assertions() -> tuple[bool, str]:
 
 
 CHECKS = {
-    "oracle-dfs-vs-dp": check_oracle_dfs_vs_dp,
+    "oracle-literal-vs-dp": check_oracle_literal_vs_dp,
     "joincut-monotone-vs-oracle": partial(check_joincut_vs_oracle, True, 7, 14),
     "joincut-classical-vs-oracle": partial(check_joincut_vs_oracle, False, 7, 14),
     "genus0-formula": check_genus0_formula,
@@ -282,7 +291,7 @@ CHECKS = {
 
 SUITES = {
     "oracle-vs-joincut": [
-        "oracle-dfs-vs-dp",
+        "oracle-literal-vs-dp",
         "joincut-monotone-vs-oracle",
         "joincut-classical-vs-oracle",
     ],

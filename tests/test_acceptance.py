@@ -9,8 +9,8 @@ from hurwitz.verify import run_check
 
 CRITERIA = {
     1: (
-        "oracle cross-validation (DFS vs DP+Moebius, d<=5, r<=8)",
-        ["oracle-dfs-vs-dp"],
+        "oracle cross-validation (literal vs DP+Moebius, both families, d<=6, r<=10)",
+        ["oracle-literal-vs-dp"],
     ),
     2: (
         "join-cut vs oracle (monotone and classical, d<=7 r<=14)",
@@ -21,7 +21,10 @@ CRITERIA = {
     5: ("pipeline reproduces the genus-2 rational form", ["pipeline-genus2-table"]),
     6: ("pipeline reproduces the genus-3 rational form", ["pipeline-genus3-table"]),
     7: ("Bernoulli constant law, g=2..7", ["bernoulli-law"]),
-    8: ("Matsumoto-Novak vs pipeline (g<=3, d<=6) and oracle (d<=5)", ["matsumoto-novak"]),
+    8: (
+        "Matsumoto-Novak vs join-cut (g<=10, d<=9), pipeline (g<=3, d<=6) and oracle (d<=5)",
+        ["matsumoto-novak"],
+    ),
     9: ("scaling law between monotone and classical top coefficients", ["scaling-law"]),
     10: ("polynomiality interpolants verify on held-out partitions", ["polynomiality"]),
     11: ("operator series oracle, 20 randomized elements", ["operator-series-oracle"]),
@@ -32,7 +35,7 @@ CRITERIA = {
 # the PASS detail of every check, word for word: `hurwitz verify` prints it
 EQUAL = "all values equal"
 DETAILS = {
-    "oracle-dfs-vs-dp": f"162 cases; {EQUAL}",
+    "oracle-literal-vs-dp": f"638 cases; {EQUAL}",
     "joincut-monotone-vs-oracle": f"660 cases; {EQUAL}",
     "joincut-classical-vs-oracle": f"660 cases; {EQUAL}",
     "genus0-formula": f"96 partitions; {EQUAL}",
@@ -40,7 +43,7 @@ DETAILS = {
     "pipeline-genus2-table": f"7 coefficients + constant; {EQUAL}",
     "pipeline-genus3-table": f"30 coefficients + constant; {EQUAL}",
     "bernoulli-law": f"g=2..7; {EQUAL}",
-    "matsumoto-novak": f"18 (g,d) pairs; {EQUAL}",
+    "matsumoto-novak": f"90 (g,d) pairs; {EQUAL}",
     "scaling-law": f"g=2,3 top coefficients; {EQUAL}",
     "polynomiality": "(0,3):deg0; (0,4):deg1; (1,1):deg1; (1,2):deg2; (2,1):deg4; (2,2):deg5",
     "operator-series-oracle": f"20 random elements x 2 operators; {EQUAL}",

@@ -9,7 +9,7 @@ from hurwitz.oracle import (
     ResourceLimitError,
     count_classical_transitive,
     count_monotone_transitive,
-    dfs_tables,
+    literal_counts,
     transitive_counts,
     _classical_totals,
     _monotone_totals,
@@ -30,13 +30,19 @@ def test_classical_examples():
     assert count_classical_transitive((1, 1), 2) == 1
 
 
-def test_dfs_agrees_with_dp_small():
-    # the full d <= 5, r <= 8 comparison is acceptance criterion 1
-    for d in range(1, 5):
-        for alpha in partitions(d):
-            for r in range(7):
-                dfs = dfs_tables(d, r).get((alpha, r), 0)
-                assert count_monotone_transitive(alpha, r) == dfs, (alpha, r)
+def test_literal_counter_agrees_with_dp_small():
+    # the full d <= 6, r <= 10 comparison is acceptance criterion 1
+    for monotone, count in ((True, count_monotone_transitive), (False, count_classical_transitive)):
+        for d in range(1, 5):
+            literal = literal_counts(d, 6, monotone)
+            for alpha in partitions(d):
+                for r in range(7):
+                    assert count(alpha, r) == literal.get((alpha, r), 0), (monotone, alpha, r)
+
+
+def test_literal_counter_refuses_too_many_points():
+    with pytest.raises(ResourceLimitError):
+        literal_counts(oracle.LITERAL_MAX_POINTS + 1, 2, True)
 
 
 def test_monotone_at_most_classical_and_parity():
@@ -50,14 +56,29 @@ def test_monotone_at_most_classical_and_parity():
                     assert mono == 0 and full == 0
 
 
-def _brute_totals(n, rmax, monotone):
+def _connected(n, seq):
+    """Whether the transpositions of seq, as edges, connect all n points."""
+    component, grew = {0}, True
+    while grew:
+        grew = False
+        for a, b in seq:
+            if (a in component) != (b in component):
+                component |= {a, b}
+                grew = True
+    return len(component) == n
+
+
+def _brute_totals(n, rmax, monotone, transitive=False):
     """(cycle type of the product, r) -> count over every transposition
-    sequence of length <= rmax on n points, monotone ones only if asked."""
+    sequence of length <= rmax on n points, monotone ones only if asked, and
+    only those whose transpositions connect all n points if asked."""
     taus = list(combinations(range(n), 2))
     out = {}
     for r in range(rmax + 1):
         for seq in product(taus, repeat=r):
             if monotone and any(s[1] > t[1] for s, t in zip(seq, seq[1:])):
+                continue
+            if transitive and not _connected(n, seq):
                 continue
             img = list(range(n))
             for a, b in seq:
@@ -81,11 +102,24 @@ def test_block_dp_totals_match_brute_force():
         assert _classical_totals(n, 5) == _brute_totals(n, 5, False), n
 
 
+def test_literal_counter_matches_brute_force():
+    for n in range(1, 5):
+        for monotone in (True, False):
+            want = _brute_totals(n, 5, monotone, transitive=True)
+            assert literal_counts(n, 5, monotone) == want, (n, monotone)
+
+
+def _transposition(n, a, b):
+    img = list(range(n))
+    img[a], img[b] = img[b], img[a]
+    return tuple(img)
+
+
 def _dict_layered_totals(n, rmax, blocks):
     """The block DP on dicts of permutation tuples, as it was before ranks:
     layers[r] maps each product of r transpositions to its count."""
-    blocks = [[oracle.transposition(n, a, b) for a, b in block] for block in blocks]
-    layers = [{oracle.identity(n): 1}] + [{} for _ in range(rmax)]
+    blocks = [[_transposition(n, a, b) for a, b in block] for block in blocks]
+    layers = [{tuple(range(n)): 1}] + [{} for _ in range(rmax)]
     for block in blocks:
         for r in range(1, rmax + 1):
             layer = layers[r]

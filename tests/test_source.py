@@ -70,26 +70,25 @@ def test_counting_routes_share_only_partitions():
         assert _package_imports(package / name) == {"partitions"}, name
 
 
-def test_dfs_oracle_uses_no_ranked_table():
-    # `oracle-dfs-vs-dp` checks two monotone counters against each other;
-    # that check means something only while the DFS shares no kernel with
-    # the ranked block DP
+def test_literal_oracle_shares_no_kernel_or_reduction():
+    # `oracle-literal-vs-dp` checks two counters against each other; that
+    # check means something only while the literal counter shares neither
+    # the ranked block DP nor its inclusion-exclusion
     package = Path(hurwitz.__file__).parent
     tree = ast.parse((package / "oracle.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    reached, todo = set(), ["dfs_tables"]
+    # every name the counter references, through the oracle functions it calls
+    reached, todo = set(), ["literal_counts"]
     while todo:
         name = todo.pop()
         if name in reached:
             continue
         reached.add(name)
-        todo.extend(
-            node.id
-            for node in ast.walk(functions[name])
-            if isinstance(node, ast.Name) and node.id in functions
-        )
+        if name in functions:
+            todo.extend(node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name))
     assert "compose" in reached
-    assert not {"_ranked", "_layered_totals"} & reached, sorted(reached)
+    forbidden = {"_ranked", "_layered_totals", "transitive_counts", "subpartitions"}
+    assert not forbidden & reached, sorted(reached)
 
 
 def _referenced_names(node, own=frozenset()):
