@@ -74,7 +74,8 @@ def fmt_fraction(x) -> str:
 
 def parse_partition(text: str) -> Partition:
     try:
-        parts = [int(p) for p in text.split(",") if p.strip()]
+        # every field of a nonempty partition must be a part: "3,,1" is refused
+        parts = [int(p) for p in text.split(",")] if text.strip() else []
         return Partition(parts)
     except ValueError as exc:
         raise RangeError(f"invalid partition {text!r}: {exc}") from exc

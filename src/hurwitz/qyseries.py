@@ -13,6 +13,15 @@ of the lift's derivative, the split and the projection) map the
 numerators directly and reduce once per result with the kernel's own
 normaliser, not the ring's.
 
+No operator here builds a series inverse.  The factor (1-eta)^(-1) of
+the lift and of T is `over_one_minus_eta`: it solves S = F + eta S one
+q-weight at a time, reading each S[m] off the S of the monomials below
+it, and moves each q-monomial's y-terms together.  `expand_ring_element`
+groups a ring element's terms by (V power, H part): each group is one
+q-part, prod eta_j (1-eta)^(-(v + len hs)) through the same solve, times
+one integer y1-polynomial, the sum of its terms' c (1-4y1)^(-u2/2); the
+outer products of all groups go into one dict, reduced once.
+
 This module is the series-level oracle for the algebraic operator ring:
 everything here is defined directly from the operator formulas
 
@@ -34,10 +43,10 @@ show on both sides alike.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 
 from .inversion import aux_series
+from .partitions import partitions
 from .ring import RingElement
 from .series import MSeries, _canonical, _key
 
@@ -122,21 +131,22 @@ class BiSeries(MSeries):
     @classmethod
     def y_binomial(cls, numer2: int, wq: int, w1: int, w2: int, var=1) -> "BiSeries":
         """(1 - 4 y_var)^(numer2 / 2) expanded in the chosen y variable."""
-        cap = w1 if var == 1 else w2
-        nums = {}
-        c = 1
-        for m in range(cap + 1):
-            if m:
-                # c_m = 4^m (s)_m / m! for s = -numer2/2, so c_m m =
-                # c_(m-1) 2 (2m - 2 - numer2); c_m is an integer (no odd
-                # prime divides a denominator of binom(s, m), and 2 divides
-                # them at most 2m - 1 times), so the division is exact
-                c = c * 2 * (2 * m - 2 - numer2) // m
-            if c:
-                nums[((), m, 0) if var == 1 else ((), 0, m)] = c
+        coeffs = _binomial_coeffs(numer2, w1 if var == 1 else w2)
         out = cls(wq, w1, w2)
-        out.nums = nums
+        out.nums = {((), m, 0) if var == 1 else ((), 0, m): c for m, c in enumerate(coeffs) if c}
         return out
+
+
+def _binomial_coeffs(numer2: int, cap: int) -> list[int]:
+    """The coefficients of y^0..y^cap in (1 - 4y)^(numer2 / 2)."""
+    out = [1]
+    for m in range(1, cap + 1):
+        # c_m = 4^m (s)_m / m! for s = -numer2/2, so c_m m =
+        # c_(m-1) 2 (2m - 2 - numer2); c_m is an integer (no odd prime
+        # divides a denominator of binom(s, m), and 2 divides them at most
+        # 2m - 1 times), so the division is exact
+        out.append(out[-1] * 2 * (2 * m - 2 - numer2) // m)
+    return out
 
 
 def _by_q_monomial(nums: dict) -> list:
@@ -153,11 +163,53 @@ def _by_q_monomial(nums: dict) -> list:
 
 
 @lru_cache(maxsize=16)
-def _one_minus_eta_inverse(wq: int, w1: int, w2: int) -> BiSeries:
-    """(1-eta)^(-1), a series in q alone; shared by every caller, which is
-    safe because no operation changes a series in place."""
-    one = MSeries.constant(1, wq)
-    return BiSeries.from_mseries((one - aux_series(one).main).inverse(), wq, w1, w2)
+def _eta_coefficients(wq: int) -> dict[int, int]:
+    """k -> the q_k coefficient of eta, k <= wq, read from `aux_series`;
+    they are the integers (2k+1) C(2k,k), so eta's den is 1."""
+    return {k: n for (k,), n in aux_series(MSeries.constant(1, wq)).main.nums.items()}
+
+
+@lru_cache(maxsize=16)
+def _monomials(wq: int) -> tuple:
+    """Every q-monomial of weight <= wq in ascending weight, each with the
+    pairs (k, the monomial less one part k) over its distinct parts k."""
+    out = []
+    for w in range(wq + 1):
+        for mono in map(tuple, partitions(w)):
+            drops = []
+            for k in set(mono):
+                i = mono.index(k)
+                drops.append((k, mono[:i] + mono[i + 1:]))
+            out.append((mono, drops))
+    return tuple(out)
+
+
+def over_one_minus_eta(F: BiSeries, power: int = 1) -> BiSeries:
+    """F (1-eta)^(-power), without a series inverse: ``power`` solves of
+    S = F + eta S, each in ascending q-weight,
+
+        S[m] = F[m] + sum over the distinct parts k of m of c_k S[m less one k],
+
+    c_k the q_k coefficient of eta.  Each q-monomial's y-terms move together."""
+    c = _eta_coefficients(F.wq)
+    rows: dict = {}
+    for (mono, a, b), n in F.nums.items():
+        rows.setdefault(mono, {})[(a, b)] = n
+    for _ in range(power):
+        solved: dict = {}
+        for mono, drops in _monomials(F.wq):
+            row = dict(rows.get(mono, ()))
+            get = row.get
+            for k, rest in drops:
+                if rest in solved:
+                    ck = c[k]
+                    for ab, n in solved[rest].items():
+                        row[ab] = get(ab, 0) + ck * n
+            if row:
+                solved[mono] = row
+        rows = solved
+    out = {(mono, a, b): n for mono, row in rows.items() for (a, b), n in row.items()}
+    return F._new(F.bounds, *_canonical(out, F.den))
 
 
 def lift_literal(G: BiSeries) -> BiSeries:
@@ -170,17 +222,17 @@ def lift_literal(G: BiSeries) -> BiSeries:
         # sum_k k y1^k d/dq_k sends q^mono y1^a y2^b, for each part k of
         # multiplicity m, to k m q^(mono - k) y1^(a + k) y2^b; terms of
         # different sources meet on one key
-        for k, m in Counter(mono).items():
+        for k in set(mono):
             if a + k <= bounds[1]:
                 i = mono.index(k)
                 key = (mono[:i] + mono[i + 1:], a + k, b)
-                jacobi[key] = get(key, 0) + k * m * n
+                jacobi[key] = get(key, 0) + k * mono.count(k) * n
         # sum_k k q_k d/dq_k + y1 d/dy1 + y2 d/dy2 scales q^mono y1^a y2^b
         # by its total degree |mono| + a + b
         euler[(mono, a, b)] = (sum(mono) + a + b) * n
     # the prefactor 4 y1 (1-4y1)^(-3/2) (1-eta)^(-1) as its q and y factors
     y_part = BiSeries(*bounds, {((), 1, 0): 4}) * BiSeries.y_binomial(-3, *bounds)
-    euler_part = G._new(bounds, *_canonical(euler, G.den)) * _one_minus_eta_inverse(*bounds)
+    euler_part = over_one_minus_eta(G._new(bounds, *_canonical(euler, G.den)))
     return G._new(bounds, *_canonical(jacobi, G.den)) + euler_part * y_part
 
 
@@ -222,28 +274,36 @@ def transfer_literal(F: BiSeries) -> BiSeries:
     )
     inner = split_1_to_2(one_minus_4y1 * F)
     inner = BiSeries.y_binomial(-3, wq, w1, w2, var=2) * inner
-    return _one_minus_eta_inverse(wq, w1, w2) * project_2(inner)
+    return over_one_minus_eta(project_2(inner))
 
 
 # -- expanding ring elements into series -----------------------------------
 
 
 def expand_ring_element(E: RingElement, wq: int, w1: int, w2: int = 0) -> BiSeries:
-    """Concrete (q, y1)-series of a ring element."""
+    """Concrete (q, y1)-series of a ring element, one (V power, H part)
+    group at a time: the group's q-part prod eta_j (1-eta)^(-(v + len hs))
+    times its y1-polynomial, the sum of c (1-4y1)^(-u2/2) over its terms."""
+    polys: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    for (u2, v, hs), n in E.nums.items():
+        poly = polys.setdefault((v, hs), [0] * (w1 + 1))
+        for a, c in enumerate(_binomial_coeffs(-u2, w1)):
+            poly[a] += n * c
     one = MSeries.constant(1, wq)
-    aux = aux_series(one, j_max=max((max(hs) for (_, _, hs) in E.terms if hs), default=0))
-    v_series = (one - aux.main).inverse()
-    out = BiSeries(wq, w1, w2)
-    qcache: dict[tuple[int, tuple[int, ...]], MSeries] = {}
-    for (u2, v, hs), c in E.terms.items():
-        key = (v, hs)
-        if key not in qcache:
-            qpart = v_series.pow(v + len(hs))
-            for j in hs:
-                qpart = qpart * aux.main_j(j)
-            qcache[key] = qpart
-        term = BiSeries.from_mseries(qcache[key], wq, w1, w2).scale(c)
-        if u2:
-            term = term * BiSeries.y_binomial(-u2, wq, w1, w2)
-        out = out + term
-    return out
+    aux = aux_series(one, j_max=max((max(hs) for (_, hs) in polys if hs), default=0))
+    out: dict[QKey, int] = {}
+    get = out.get
+    for (v, hs), poly in polys.items():
+        ys = [(a, c) for a, c in enumerate(poly) if c]
+        q = one
+        for j in hs:
+            q = q * aux.main_j(j)
+        # eta and the eta_j have integer coefficients: the q-part's den is 1
+        q = over_one_minus_eta(BiSeries.from_mseries(q, wq, 0, 0), v + len(hs))
+        for (mono, _, _), n in q.nums.items():
+            for a, c in ys:
+                key = (mono, a, 0)
+                out[key] = get(key, 0) + n * c
+    series = BiSeries(wq, w1, w2)
+    series.nums, series.den = _canonical(out, E.den)
+    return series

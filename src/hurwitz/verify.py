@@ -202,8 +202,10 @@ def check_scaling_law() -> tuple[bool, str]:
 
 
 def check_polynomiality() -> tuple[bool, str]:
-    """Interpolants exist and verify on held-out partitions (parts <= 8)."""
-    cases = [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1), (2, 2)]
+    """Interpolants of degree 3g - 3 + ell exist and verify on held-out
+    partitions, for g <= 3; the samples are the smallest partitions of
+    length ell, one per monomial up to that degree, plus the holdouts."""
+    cases = [(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
     diffs = []
     degrees = []
     for g, ell in cases:

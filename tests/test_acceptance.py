@@ -45,7 +45,9 @@ DETAILS = {
     "bernoulli-law": f"g=2..7; {EQUAL}",
     "matsumoto-novak": f"90 (g,d) pairs; {EQUAL}",
     "scaling-law": f"g=2,3 top coefficients; {EQUAL}",
-    "polynomiality": "(0,3):deg0; (0,4):deg1; (1,1):deg1; (1,2):deg2; (2,1):deg4; (2,2):deg5",
+    "polynomiality": (
+        "(0,3):deg0; (0,4):deg1; (1,1):deg1; (1,2):deg2; (1,3):deg3; (2,1):deg4; (2,2):deg5; (3,1):deg7"
+    ),
     "operator-series-oracle": f"20 random elements x 2 operators; {EQUAL}",
     "structural-assertions": "g=1:deg2; g=2:deg5; g=3:deg8; g=4:deg11",
 }

@@ -23,8 +23,10 @@ def test_fmt_fraction():
 
 def test_parse_partition():
     assert parse_partition("3,1,1") == Partition((3, 1, 1))
-    with pytest.raises(Exception):
-        parse_partition("3,x")
+    assert parse_partition(" 3, 1") == Partition((3, 1))
+    for text in ("3,x", "3,,1", "3,", ",3", " , "):
+        with pytest.raises(cli.RangeError, match="invalid partition"):
+            parse_partition(text)
 
 
 def test_compute_examples(capsys):
@@ -166,6 +168,12 @@ def test_exit_code_2_on_range_errors(capsys):
 
     code, _, err = run_cli(capsys, "compute", "--genus", "1", "--partition", "")
     assert code == 2 and "nonempty" in err
+
+    # an empty field is refused, not dropped: "3,,1" is not (3, 1)
+    for text in ("3,,1", "3,", ",3"):
+        code, out, err = run_cli(capsys, "compute", "--genus", "1", "--partition", text)
+        assert code == 2 and not out, text
+        assert err.startswith("error:") and repr(text) in err, err
 
 
 def test_rational_form_text_and_caps(capsys):

@@ -13,6 +13,7 @@ from hurwitz.qyseries import (
     BiSeries,
     expand_ring_element,
     lift_literal,
+    over_one_minus_eta,
     project_2,
     split_1_to_2,
     transfer_literal,
@@ -194,3 +195,59 @@ def test_y_binomial_against_fraction_formula():
                 for m in range(8)
             }
             assert_matches(got, (BiSeries, (1, 7, 7), clean(want)))
+
+
+# -- the solve for (1-eta)^(-1) and the grouped expansion ---------------------
+
+
+def _v(bounds):
+    """(1-eta)^(-1) built as a series inverse, in the grading ``bounds``."""
+    one = MSeries.constant(1, bounds[0])
+    return BiSeries.from_mseries((one - aux_series(one).main).inverse(), *bounds)
+
+
+@given(F=KINDS[1], power=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_solve_equals_product_with_the_inverse(F, power):
+    assert over_one_minus_eta(F, power) == F * _v(F.bounds).pow(power)
+
+
+def per_term_expansion(E, wq, w1, w2=0):
+    """A ring element's series term by term: c V^(v + len hs) prod eta_j
+    (1-4y1)^(-u2/2) as one series product per term, V a series inverse."""
+    one = MSeries.constant(1, wq)
+    j_max = max((max(hs) for (_, _, hs) in E.terms if hs), default=0)
+    aux = aux_series(one, j_max=j_max)
+    out = BiSeries(wq, w1, w2)
+    for (u2, v, hs), c in E.terms.items():
+        qpart = (one - aux.main).inverse().pow(v + len(hs))
+        for j in hs:
+            qpart = qpart * aux.main_j(j)
+        term = BiSeries.from_mseries(qpart, wq, w1, w2).scale(c)
+        if u2:
+            term = term * BiSeries.y_binomial(-u2, wq, w1, w2)
+        out = out + term
+    return out
+
+
+def test_grouped_expansion_equals_per_term_expansion():
+    hs_choices = [(), (1,), (1, 1), (3,)]
+    elements = [
+        RingElement.monomial(),
+        RingElement.monomial(u2=3, v=2, hs=(1, 1), coeff=Fraction(-7, 6)),
+        # odd and even u2, v = 0..2 and every H part, several terms per
+        # (V, H) group
+        RingElement(
+            {
+                (u2, v, hs): Fraction((-1) ** u2 * (u2 + 2 * v + 1), 1 + len(hs) + v)
+                for u2 in range(6)
+                for v in range(3)
+                for hs in hs_choices
+            }
+        ),
+        # 1 - (1-4y1)^(-1) in one group: the y-polynomial's constant cancels
+        RingElement({(0, 1, (3,)): 1, (2, 1, (3,)): -1, (1, 0, ()): Fraction(-3, 2)}),
+    ]
+    for E in elements:
+        for bounds in ((3, 4, 0), (5, 2, 3), (0, 3, 1), (4, 0, 0)):
+            assert expand_ring_element(E, *bounds) == per_term_expansion(E, *bounds), bounds

@@ -46,6 +46,31 @@ def test_series_kernel_and_ring_stay_independent():
     assert not {"series", "qyseries"} & _package_imports(package / "ring.py")
 
 
+def test_literal_operators_take_only_the_element_type_from_the_ring():
+    # `operator-series-oracle` checks the literal operators of qyseries
+    # against the ring's; they may read a RingElement's numerators, but
+    # may use none of the ring's kernels, so the two sides compute apart
+    package = Path(hurwitz.__file__).parent
+    tree = ast.parse((package / "qyseries.py").read_text())
+    from_ring = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # neither `from . import ring` nor `import hurwitz.ring`
+            assert not any(alias.name.split(".")[-1] == "ring" for alias in node.names)
+        if isinstance(node, ast.ImportFrom) and node.module in ("ring", "hurwitz.ring"):
+            from_ring.update(alias.name for alias in node.names)
+    assert from_ring == {"RingElement"}, from_ring
+    ring = ast.parse((package / "ring.py").read_text())
+    kernels = {node.name for node in ring.body if isinstance(node, ast.FunctionDef)}
+    assert {"_rows", "_reduced", "apply_T", "_t_into"} <= kernels
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert not kernels & used, sorted(kernels & used)
+
+
 def test_cli_and_verify_import_no_private_names():
     # the front ends use each route through its public names only
     package = Path(hurwitz.__file__).parent
