@@ -304,7 +304,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (RangeError, ResourceLimitError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str is the repr of its message; print the message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -3,10 +3,10 @@ literal lifting/projection/splitting operators acting on them.
 
 `BiSeries` is `series.MSeries` graded by (q-weight, y1-degree,
 y2-degree): it supplies that grading (keys (q monomial, y1 degree,
-y2 degree) within the bounds (wq, w1, w2)) and its own product, which
-groups each operand's terms by q-monomial, joins each pair of q-monomials
-once and convolves their y-degrees with loops cut at (w1, w2); cleaning,
-+, -, ==, scale and powers are the MSeries code.  Like every series of
+y2 degree) within the bounds (wq, w1, w2)) and the `_product` hook, one
+loop over the term pairs that drops each pair beyond the bounds and sorts
+no q-monomial when either factor's is empty; cleaning, +, -, *, ==,
+scale and powers are the MSeries code.  Like every series of
 that kernel a BiSeries holds integer numerators over one denominator in
 canonical form.  The operators below that act term by term (both parts
 of the lift's derivative, the split and the projection) map the
@@ -56,8 +56,8 @@ QKey = tuple[tuple[int, ...], int, int]  # (q monomial, y1 degree, y2 degree)
 class BiSeries(MSeries):
     """`MSeries` graded by (q-weight, y1-degree, y2-degree): a series in
     Q[[q]][[y1, y2]] truncated at q-weight wq and y-degrees w1, w2.  Keys
-    are (q monomial, y1 degree, y2 degree).  The product is grouped by
-    q-monomial; the rest of the arithmetic is inherited."""
+    are (q monomial, y1 degree, y2 degree).  The arithmetic is inherited;
+    only the grading hooks are its own."""
 
     __slots__ = ("w1", "w2")
 
@@ -87,32 +87,27 @@ class BiSeries(MSeries):
     def _fits(key, bounds) -> bool:
         return sum(key[0]) <= bounds[0] and key[1] <= bounds[1] and key[2] <= bounds[2]
 
-    def __mul__(self, other) -> "BiSeries":
-        wq, w1, w2 = bounds = self._shared_bounds(other)
-        # each q pair is joined once; the y-lists, sorted by y1-degree, are
-        # cut at w1 and skip what passes w2
-        inner = _by_q_monomial(other.nums)
+    @staticmethod
+    def _product(a: dict, b: dict, bounds) -> dict:
+        """The unreduced numerators of the product of the terms ``a`` and
+        ``b``: one loop over the term pairs, the inner operand's q-weights
+        computed once; a pair with an empty q-monomial skips the sort."""
+        wq, w1, w2 = bounds
+        inner = [(sum(m), m, a2, b2, n2) for (m, a2, b2), n2 in b.items()]
         out: dict[QKey, int] = {}
         get = out.get
-        for wt1, m1, ys1 in _by_q_monomial(self.nums):
-            room = wq - wt1
-            for wt2, m2, ys2 in inner:
-                if wt2 > room:
-                    break
-                mono = _key(m1 + m2)
-                for a1, b1, n1 in ys1:
-                    ra, rb = w1 - a1, w2 - b1
-                    for a2, b2, n2 in ys2:
-                        if a2 > ra:
-                            break
-                        if b2 <= rb:
-                            key = (mono, a1 + a2, b1 + b2)
-                            out[key] = get(key, 0) + n1 * n2
-        return self._new(bounds, *_canonical(out, self.den * other.den))
+        for (m1, a1, b1), n1 in a.items():
+            room, ra, rb = wq - sum(m1), w1 - a1, w2 - b1
+            for wt2, m2, a2, b2, n2 in inner:
+                if wt2 <= room and a2 <= ra and b2 <= rb:
+                    key = (_key(m1 + m2) if m1 and m2 else m1 or m2, a1 + a2, b1 + b2)
+                    out[key] = get(key, 0) + n1 * n2
+        return out
 
     # Bound in this class's own dict, not only inherited, so that per-layer
     # tracing, which wraps the functions a class itself defines, keeps
-    # BiSeries sums apart from MSeries ones.
+    # BiSeries products and sums apart from MSeries ones.
+    __mul__ = MSeries.__mul__
     __add__ = MSeries.__add__
 
     def __repr__(self) -> str:
@@ -147,16 +142,6 @@ def _binomial_coeffs(numer2: int, cap: int) -> list[int]:
         # 2m - 1 times), so the division is exact
         out.append(out[-1] * 2 * (2 * m - 2 - numer2) // m)
     return out
-
-
-def _by_q_monomial(nums: dict) -> list:
-    """The terms as (q-weight, q monomial, [(y1-degree, y2-degree, numerator)])
-    groups, sorted by q-weight, each group's y-terms by y1-degree."""
-    groups: dict = {}
-    for (mono, a, b), n in nums.items():
-        groups.setdefault(mono, []).append((a, b, n))
-    # monomials and (a, b) pairs are distinct, so no numerator is compared
-    return sorted((sum(m), m, sorted(ys)) for m, ys in groups.items())
 
 
 # -- the literal operators ------------------------------------------------

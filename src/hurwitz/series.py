@@ -25,12 +25,16 @@ The arithmetic here (cleaning, +, -, scale, *, ==, pow, inverse, exp
 and log) reads the grading only through a few hooks: the bounds tuple,
 the canonical key, whether a key fits the bounds, the `_product` loop over
 the term pairs of two operands, and how many constant-free factors a
-nonzero product can have.  `MSeries._product` and `linear` weigh a key by
+nonzero product can have.  Every product is `MSeries.__mul__` around one
+`_product`.  Every power is one `_power_sum`, sum_m c(m) x^m over the
+powers of a constant-free x: `pow(n)` is the binomial sum
+c0^n sum_m binom(n, m) t^m with t = self/c0 - 1, which stops at m = n for
+n >= 0, `inverse` is `pow(-1)`, and `exp` and `log_geometric` are their
+own coefficient sequences.  `MSeries._product` and `linear` weigh a key by
 the sum of its parts and take ``max_weight`` as the largest weight that
 fits.  `qyseries.BiSeries` is this class graded by (q-weight, y1-degree,
-y2-degree): it overrides the bounds, key and fit hooks to add two
-catalytic y-degrees and shares the rest, except that it multiplies by
-its own loop, grouped by q-monomial.
+y2-degree): it overrides the bounds, key, fit and product hooks to add
+two catalytic y-degrees and shares the rest.
 `DivisorSeries` keeps only the monomials that divide one fixed monomial
 q_alpha; its `_product` reads the key of each term pair from
 `join_table(alpha)`, built once per alpha, in place of sorting the joined
@@ -52,12 +56,17 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import itemgetter
 
 
 def _key(mono) -> tuple[int, ...]:
     return tuple(sorted(mono, reverse=True))
+
+
+def _binomial(n: int, m: int) -> int:
+    """binom(n, m) for any integer n and m >= 0."""
+    return comb(n, m) if n >= 0 else (-1) ** m * comb(m - n - 1, m)
 
 
 def _canonical(nums: dict, den: int) -> tuple[dict, int]:
@@ -254,12 +263,16 @@ class MSeries:
         out = self._product(a, b, bounds)
         return self._new(bounds, *_canonical(out, self.den * other.den))
 
-    def _power_sum(self, coeff) -> "MSeries":
-        """sum_m coeff(m) x^m for this constant-free series x: exact after
-        _depth(bounds) terms, since each factor raises the grading."""
+    def _power_sum(self, coeff, top=None) -> "MSeries":
+        """sum_m coeff(m) x^m for this constant-free series x, m <= top:
+        exact after _depth(bounds) terms, since each factor raises the
+        grading."""
+        last = self._depth(self.bounds)
+        if top is not None:
+            last = min(last, top)
         power = self.constant(1, *self.bounds)
         out = power.scale(coeff(0))
-        for m in range(1, self._depth(self.bounds) + 1):
+        for m in range(1, last + 1):
             power = power * self
             if power.is_zero():
                 break
@@ -267,27 +280,20 @@ class MSeries:
         return out
 
     def pow(self, n: int) -> "MSeries":
-        """Integer power; negative n requires an invertible constant term."""
-        if n < 0:
-            return self.inverse().pow(-n)
-        result = self.constant(1, *self.bounds)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        """Integer power: c0^n sum_m binom(n, m) t^m, t = self/c0 - 1, a sum
+        that stops at m = n for n >= 0.  A constant-free series has x^n for
+        n >= 0 only."""
+        c0 = self.constant_term()
+        if not c0:
+            if n < 0:
+                raise ZeroDivisionError("series has zero constant term")
+            return self._power_sum(lambda m: int(m == n), n)
+        t = self.scale(1 / c0) - self.constant(1, *self.bounds)
+        return t._power_sum(lambda m: _binomial(n, m), n if n >= 0 else None).scale(c0**n)
 
     def inverse(self) -> "MSeries":
         """Multiplicative inverse; constant term must be nonzero."""
-        c0 = self.constant_term()
-        if c0 == 0:
-            raise ZeroDivisionError("series has zero constant term")
-        # 1/(c0 (1 + t)) with t = self/c0 - 1 of positive degree: an
-        # alternating geometric sum
-        t = self.scale(1 / c0) - self.constant(1, *self.bounds)
-        return t._power_sum(lambda m: (-1) ** m).scale(1 / c0)
+        return self.pow(-1)
 
     def exp(self) -> "MSeries":
         """exp of a constant-free series."""

@@ -13,6 +13,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from pathlib import Path
 
 from .forms import RationalForm
 from .partitions import Partition
@@ -47,14 +48,13 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def _load() -> tuple[str, dict]:
     """Where the tables come from, for error messages, and the tables."""
     path = os.environ.get(ENV_VAR)
-    if not path:
-        ref = resources.files("hurwitz").joinpath("data/paper_tables.json")
-        text = ref.read_text(encoding="utf-8")
-        return "the shipped tables", json.loads(text, object_pairs_hook=_unique_keys)
-    source = f"{ENV_VAR}={path}"
+    if path:
+        source, file = f"{ENV_VAR}={path}", Path(path)
+    else:
+        source = "the shipped tables"
+        file = resources.files("hurwitz").joinpath("data/paper_tables.json")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, object_pairs_hook=_unique_keys)
+        data = json.loads(file.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:
         raise ValueError(f"{source}: cannot read the tables: {exc}") from exc
     if not isinstance(data, dict):
@@ -73,7 +73,7 @@ def paper_form(genus: int, classical: bool = False) -> RationalForm:
         raise ValueError(f"{source}: the {family} tables must be a JSON object")
     entry = tables.get(str(genus))
     if entry is None:
-        raise KeyError(f"no checked-in {family} table for genus {genus}")
+        raise KeyError(f"{source}: no checked-in {family} table for genus {genus}")
     where = f"{source}: the {family} genus-{genus}"
     if not isinstance(entry, dict) or not isinstance(entry.get("coefficients"), dict):
         raise ValueError(f"{where} table must be a JSON object with a 'coefficients' object")

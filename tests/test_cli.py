@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -453,3 +456,17 @@ def test_pipeline_matches_joincut_on_rerouted_strata():
                 method, value = cli.compute_value(g, alpha, False, "pipeline")
                 assert method == "pipeline"
                 assert value == solve_monotone(d, r)[alpha, r], (g, alpha)
+
+
+def test_tables_file_without_the_table_exits_2_naming_it(tmp_path):
+    path = tmp_path / "tables.json"
+    path.write_text("{}")
+    out = subprocess.run(
+        [sys.executable, "-m", "hurwitz.cli", "compute", "--genus", "2", "--partition", "2",
+         "--method", "lagrange"],
+        env={**os.environ, "HURWITZ_TABLES": str(path)},
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == f"error: HURWITZ_TABLES={path}: no checked-in monotone table for genus 2\n"

@@ -234,6 +234,17 @@ def test_decompose_checks_the_gamma_cancellation_identity():
         decompose_basis(3, recompose_basis(tuple(comps)))
 
 
+def test_decompose_widens_the_running_denominator():
+    # U^2 - U = (2/3) * basis 2, whose U^2 coefficient is 3/2: the leading
+    # numerator 3 does not divide the top row's 1, so the rows below are
+    # put over a denominator 3 times wider before basis 2 is subtracted
+    E = RingElement({(4, 0, ()): 1, (2, 0, ()): -1})
+    decomp = decompose_basis(1, E)
+    assert decomp[:2] == (RingElement.zero(), RingElement.zero())
+    assert decomp[2] == RingElement.monomial().scale(Fraction(2, 3))
+    assert recompose_basis(decomp) == E
+
+
 def test_decompose_rejects_dishonest_elements():
     with pytest.raises(ValueError):
         decompose_basis(1, RingElement.monomial(u2=1))  # half power

@@ -380,6 +380,13 @@ def test_terms_view_builds_fractions_on_access():
     assert RingElement.zero().den == 1 and not RingElement.zero().terms
 
 
+def test_numerators_over_a_negative_denominator_are_reduced():
+    x = RingElement.from_nums({(0, 0, ()): 6, (2, 0, (1,)): 3, (0, 1, ()): 0}, -9)
+    assert_canonical(x)
+    assert (x.den, x.nums) == (3, {(0, 0, ()): -2, (2, 0, (1,)): -1})
+    assert x == RingElement({(0, 0, ()): Fraction(-2, 3), (2, 0, (1,)): Fraction(-1, 3)})
+
+
 def test_keys_differing_in_h_order_are_summed():
     x = RingElement({(0, 0, (1, 2)): 1, (0, 0, (2, 1)): 1})
     assert_canonical(x)

@@ -42,7 +42,7 @@ def small_biseries():
 def dense_biseries(draw, bounds=None):
     """BiSeries with bounds up to (5, 4, 4) and several (y1, y2) degrees on
     each q-monomial, all within the y bounds, so that sums of two y-degrees
-    often pass w1 or w2 and the grouped product's y cuts bind."""
+    often pass w1 or w2 and the product's bound checks bind."""
     wq, w1, w2 = bounds or draw(st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4)))
     monos = st.lists(st.integers(1, wq), max_size=3)
     ys = st.lists(
@@ -175,6 +175,8 @@ def test_inverse_and_pow():
 def test_inverse_requires_unit():
     with pytest.raises(ZeroDivisionError):
         MSeries(3, {(1,): 1}).inverse()
+    with pytest.raises(ZeroDivisionError):
+        MSeries(3, {(1,): 1}).pow(-2)
 
 
 def test_exp_log_inverse_on_geometric():
@@ -303,7 +305,7 @@ def assert_matches(got, want):
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_kernel_against_fraction_reference(data):
-    for kind in KINDS:
+    for kind in (*KINDS, dense_biseries()):
         a = data.draw(kind)
         b = regrade(data.draw(kind), a.bounds)
         c = data.draw(COEFF)
@@ -337,6 +339,54 @@ def test_grouped_biseries_product_against_fraction_reference(data):
     b = data.draw(dense_biseries(a.bounds))
     assert_matches(a * b, ref_mul(ref(a), ref(b)))
     assert_matches(b * a, ref_mul(ref(b), ref(a)))
+
+
+def count_products(monkeypatch) -> list:
+    """A list that grows by one entry per series product from here on."""
+    calls = []
+
+    def counted(mul):
+        def wrapper(a, b):
+            calls.append((a, b))
+            return mul(a, b)
+
+        return wrapper
+
+    for cls in (MSeries, BiSeries):
+        monkeypatch.setattr(cls, "__mul__", counted(cls.__mul__))
+    return calls
+
+
+@pytest.mark.parametrize("alpha", [(3, 2, 2, 1, 1), (1,) * 7, (5, 4, 3)])
+def test_negative_power_is_one_power_sum(monkeypatch, alpha):
+    # (1 - gamma)^(-(2d+1)) of the lagrange extraction, gamma = sum_k k q_k
+    d = sum(alpha)
+    one = DivisorSeries.constant(1, alpha)
+    base = one - one.linear(lambda k: k)
+    want = ref_pow(ref(base), -(2 * d + 1))
+    calls = count_products(monkeypatch)
+    got = base.pow(-(2 * d + 1))
+    assert len(calls) <= len(alpha)
+    assert_matches(got, want)
+
+
+def test_power_makes_at_most_n_products(monkeypatch):
+    series = (
+        MSeries(6, {(): 2, (1,): 1, (2, 1): Fraction(-3, 2)}),
+        MSeries(6, {(1,): 1, (2,): 2}),
+        BiSeries(4, 3, 2, {((), 0, 0): -1, ((1,), 1, 0): 2, ((), 0, 1): 3}),
+        BiSeries(4, 3, 2, {((2,), 0, 0): 1, ((), 1, 1): -2}),
+        DivisorSeries((3, 2, 2, 1), {(): 3, (2, 1): 1, (1,): -1}),
+        DivisorSeries((3, 2, 2, 1), {(2,): 1, (1,): 5}),
+    )
+    for x in series:
+        for n in range(8):
+            want = ref_pow(ref(x), n)
+            calls = count_products(monkeypatch)
+            got = x.pow(n)
+            monkeypatch.undo()
+            assert len(calls) <= n, (x, n)
+            assert_matches(got, want)
 
 
 def test_grouped_biseries_product_of_overshooting_pairs_is_zero():

@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from hurwitz import tables
 from hurwitz.partitions import Partition
 from hurwitz.tables import paper_form
 
@@ -26,8 +28,23 @@ def test_classical_forms_have_no_constant():
 
 
 def test_missing_table():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="the shipped tables: no checked-in monotone table"):
         paper_form(4)
+
+
+def test_shipped_tables_are_checked_like_an_override(monkeypatch, tmp_path):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "paper_tables.json").write_text("[]")
+    monkeypatch.delenv(tables.ENV_VAR, raising=False)
+    monkeypatch.setattr(tables, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    tables._load.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="^the shipped tables: the tables must be a JSON object"):
+            tables._load()
+    finally:
+        monkeypatch.undo()
+        tables._load.cache_clear()
+    assert tables._load()[0] == "the shipped tables"
 
 
 def test_env_override(tmp_path):
