@@ -13,20 +13,44 @@ Two independent counters serve both families:
 
 * a literal count (literal_counts), a forward DP over (product, component
   label of each point) that needs no reduction, and
-* a dynamic program over blocks of transpositions (_layered_totals) that
-  counts sequences without the transitivity condition, followed by an
-  inclusion-exclusion over the orbit set partition.  The DP works on
-  ranks: the permutations of n points are numbered once (_ranked), each
-  transposition becomes a list mapping rank(p) to rank(p * (a b)), and a
-  layer of products is a dense list of counts indexed by rank.  Disjoint-support
-  monotone sequences merge in exactly one monotone interleaving (their
-  b-values are disjoint sets), so the reduction needs no interleaving
-  factors; the classical reduction needs the binomial C(r, r') to choose
-  time slots.
+* a dynamic program on permutation ranks that counts sequences without the
+  transitivity condition, followed by an inclusion-exclusion over the
+  orbit set partition (transitive_counts).
 
-Both walk the same blocks: one block J_b = {(a b) : a < b} per b, in order,
-for monotone sequences (the terms of h_r(J_2, ..., J_d)), and one block of
-every transposition for classical ones (the terms of (J_2 + ... + J_d)^r).
+The ranked DP numbers the permutations of n points once (_ranked): each
+transposition becomes a list mapping rank(p) to rank(p * (a b)), and a
+rank layer, the products of r transpositions, is a dense list of counts
+indexed by rank.  Monotone sequences are the terms of h_r(J_2, ..., J_n),
+J_b = sum_{a<b} (a b), classical ones those of (J_2 + ... + J_n)^r.
+
+One store per family (_rank_store) holds, for each number of points n,
+the totals by cycle type of every layer r reached so far, and the layers
+a later growth can still read.  A request grows the store only past its
+end (_grow, one layer per _step), so no table is counted twice in a
+session, whatever the order of the requests:
+
+    classical:  layers_n[r] = (every transposition) . layers_n[r - 1]
+    monotone:   layers_n[r] = embed(layers_{n-1}[r]) + J_n . layers_n[r - 1]
+
+The monotone recursion is h_r(J_2..J_n) = h_r(J_2..J_{n-1}) +
+h_{r-1}(J_2..J_n) J_n: level n is level n - 1, embedded as the
+permutations that fix the last point, plus the sequences whose last
+transposition moves it, so a step costs n - 1 transpositions, not
+C(n, 2).  A classical level keeps only its last layer; a monotone level
+keeps its last layer and those the level above has not read yet (none at
+the top level, DP_MAX_POINTS).  A layer and its totals are appended
+together, and a growth that raises, by a bug or an interrupt, empties its
+family's store before the error propagates.  The store is an lru_cache,
+so cache_clear() (and verify's cold start) empties it.
+
+The inclusion-exclusion reads the totals by type as rows in r, and the
+splits of each partition alpha from one cached reduction plan
+(_reduction_plan): for each size of the orbit of the point 1, its number
+of point sets and the pairs (type of that orbit, type of the rest).
+Disjoint-support monotone sequences merge in exactly one monotone
+interleaving (their b-values are disjoint sets), so the monotone
+reduction needs no interleaving factors; the classical reduction needs
+the binomial C(r, r') to choose time slots.
 """
 
 from __future__ import annotations
@@ -38,14 +62,16 @@ from math import comb, factorial
 from .partitions import Partition, partitions, subpartitions
 
 DP_MAX_POINTS = 8
-# Bound on d!*r^2: the DP extends up to d! ranks through r layers per block,
-# and the inclusion-exclusion is quadratic in r.  Cold tables at the edge
-# r = isqrt(DP_MAX_WORK // d!) (one process each, 2-vCPU VM): the slowest is
-# classical (4, 1639) at 4.9-5.4 s, 26 MB peak RSS; classical (5, 733) 2.2 s,
-# (7, 113) 1.2 s, (8, 40) 3.1-3.9 s (81 MB, the largest RSS); monotone at most
-# 2.4 s, at (8, 40).  The constant was set when the classical reduction
-# recomputed each binomial C(r, r') and (4, 1639) took 39-41 s; it has not
-# been re-measured since the binomials are stepped along r.
+# Bound on d!*r^2: a level of the DP grows through r layers of up to d!
+# ranks, and the inclusion-exclusion is quadratic in r.  Cold tables at the
+# edge r = isqrt(DP_MAX_WORK // d!), four runs, one process each, 2-vCPU VM:
+# classical (4, 1639) 3.2-3.7 s and 23 MB peak RSS, (5, 733) 1.3-2.0 s,
+# (6, 299) 0.6-0.8 s, (7, 113) 0.8-0.9 s, (8, 40) 2.4-3.1 s and 36 MB;
+# monotone (4, 1639) 0.5-0.8 s, (5, 733) 0.6 s, (6, 299) 0.2-0.4 s,
+# (7, 113) 0.4 s, (8, 40) 1.2-1.5 s and 39 MB, the largest RSS.  Before the
+# store the same edges took up to 4.9 s (classical (4, 1639)) and 80 MB
+# (classical (8, 40)).  The constant was set when classical (4, 1639) took
+# 39-41 s; every edge is now far inside a 60 s budget, so it could rise.
 DP_MAX_WORK = factorial(8) * 40**2
 # Bound on d for literal_counts, whose states are (product, labels): up to
 # d! times the Bell number of d.  Cold tables (one process each, 2-vCPU VM):
@@ -91,12 +117,14 @@ def cycle_type(p: tuple[int, ...]) -> Partition:
 def literal_counts(d: int, rmax: int, monotone: bool) -> dict:
     """Transitive counts (alpha, r) -> int for every |alpha| = d, r <= rmax.
 
-    The block walk of _layered_totals on states (product, labels), where a
-    point's label is the smallest point of its component under the edges
-    so far: layers[r] maps label -> product -> number of sequences, and a
-    transposition (a b) composes the product and merges the labels of a and
-    b.  The edges connect every point (so the group they generate, which
-    contains rho, is transitive) exactly when all labels are 0.
+    A walk over blocks of transpositions on states (product, labels): one
+    block J_b = {(a b) : a < b} per b, in order, for monotone sequences, one
+    of every transposition for classical ones.  A point's label is the
+    smallest point of its component under the edges so far: layers[r] maps
+    label -> product -> number of sequences, and a transposition (a b)
+    composes the product and merges the labels of a and b.  The edges
+    connect every point (so the group they generate, which contains rho, is
+    transitive) exactly when all labels are 0.
     """
     if d > LITERAL_MAX_POINTS:
         raise ResourceLimitError(f"literal oracle refuses d={d} > {LITERAL_MAX_POINTS}")
@@ -128,12 +156,14 @@ def literal_counts(d: int, rmax: int, monotone: bool) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _ranked(n: int) -> tuple[list, dict]:
+def _ranked(n: int) -> tuple[list, dict, list]:
     """The permutations of n points in lexicographic order, so that rank 0 is
-    the identity: the cycle type of each rank, and for each transposition
-    (a b), a < b, its action, the list rank(p * (a b)) indexed by rank(p).
-    A permutation is a bytes of its images here, so p * (a b), which swaps
-    the values a and b, is one translate."""
+    the identity: the ranks of each cycle type; for each transposition
+    (a b), a < b, its action, the list rank(p * (a b)) indexed by rank(p);
+    and the embedding, the rank of each permutation of n - 1 points (in its
+    own rank order) extended by the fixed point n - 1.  A permutation is a
+    bytes of its images here, so p * (a b), which swaps the values a and b,
+    is one translate."""
     perms = [bytes(p) for p in permutations(range(n))]
     rank = {p: i for i, p in enumerate(perms)}
     actions = {}
@@ -141,47 +171,110 @@ def _ranked(n: int) -> tuple[list, dict]:
         for a in range(b):
             swap = bytes.maketrans(bytes((a, b)), bytes((b, a)))
             actions[a, b] = [rank[p.translate(swap)] for p in perms]
-    return [cycle_type(p) for p in perms], actions
+    fixed = bytes((n - 1,))
+    embed = [rank[bytes(p) + fixed] for p in permutations(range(n - 1))]
+    classes: dict[Partition, list[int]] = {}
+    for i, p in enumerate(perms):
+        classes.setdefault(cycle_type(p), []).append(i)
+    return list(classes.items()), actions, embed
 
 
-def _layered_totals(n: int, rmax: int, blocks) -> dict:
-    """Non-transitive counts on n points, (type(product), r) -> count, of the
-    sequences made of a run of transpositions (a, b) from each block in turn.
+@lru_cache(maxsize=None)
+def _rank_store(monotone: bool) -> dict[int, tuple[list, dict]]:
+    """The family's store: level n -> (by_type, layers), where by_type[r]
+    maps each cycle type to the number of the family's sequences of r
+    transpositions on n points whose product has that type, and layers[r]
+    is the rank layer of those products, kept only while a later growth
+    can read it."""
+    return {}
 
-    layers[r][i] counts the sequences of r transpositions whose product has
-    rank i.  A block extends the layers in place with r ascending, so that
-    layers[r - 1] already holds the runs from this block that the next (a b)
-    may follow.
-    """
-    types, actions = _ranked(n)
-    layers = [[0] * len(types) for _ in range(rmax + 1)]
-    layers[0][0] = 1
-    for block in blocks:
-        acts = [actions[t] for t in block]
-        for r in range(1, rmax + 1):
-            layer = layers[r]
-            nonzero = [(i, c) for i, c in enumerate(layers[r - 1]) if c]
-            for act in acts:
-                for i, c in nonzero:
-                    layer[act[i]] += c
-    out: dict[tuple[Partition, int], int] = {}
-    for r, layer in enumerate(layers):
-        for kind, cnt in zip(types, layer):
-            if cnt:
-                out[kind, r] = out.get((kind, r), 0) + cnt
-    return out
+
+def _step(store: dict, n: int, monotone: bool) -> None:
+    """Append the next rank layer of level n, by the recursion of its
+    family, and its totals by type.  Then drop the layers no later growth
+    can read: this level's previous one once the level above has read it
+    (at once classically, and at the top level DP_MAX_POINTS), and the
+    layer r of the level below, unless it is that level's last."""
+    classes, actions, embed = _ranked(n)
+    by_type, layers = store[n]
+    r = len(by_type)
+    layer = [0] * factorial(n)
+    if r == 0:
+        layer[0] = 1
+    else:
+        if not monotone:
+            acts = list(actions.values())
+        else:
+            acts = [actions[a, n - 1] for a in range(n - 1)]
+            if n > 1:
+                for i, c in zip(embed, store[n - 1][1][r]):
+                    if c:
+                        layer[i] = c
+        nonzero = [(i, c) for i, c in enumerate(layers[r - 1]) if c]
+        for act in acts:
+            for i, c in nonzero:
+                layer[act[i]] += c
+    totals = {}
+    for kind, ranks in classes:
+        c = sum(map(layer.__getitem__, ranks))
+        if c:
+            totals[kind] = c
+    by_type.append(totals)
+    layers[r] = layer
+    if r:
+        above = store.get(n + 1)
+        if not monotone or n == DP_MAX_POINTS or (above and len(above[0]) >= r):
+            del layers[r - 1]
+    if monotone and n > 1:
+        below_by_type, below = store[n - 1]
+        if r < len(below_by_type) - 1:
+            del below[r]
+
+
+def _grow(store: dict, n: int, rmax: int, monotone: bool) -> None:
+    """Extend level n of the store to layer rmax; a monotone level first
+    extends the level below it, whose layer r it reads."""
+    if monotone and n > 1:
+        _grow(store, n - 1, rmax, monotone)
+    by_type, _ = store.setdefault(n, ([], {}))
+    while len(by_type) <= rmax:
+        _step(store, n, monotone)
+
+
+def _totals(n: int, rmax: int, monotone: bool) -> dict:
+    """Non-transitive counts on n points, (type(product), r) -> count, r <= rmax,
+    read from the family's store after growing it past its end."""
+    if n > DP_MAX_POINTS:
+        raise ResourceLimitError(f"DP oracle refuses n={n} > {DP_MAX_POINTS}")
+    store = _rank_store(monotone)
+    try:
+        _grow(store, n, rmax, monotone)
+    except BaseException:
+        store.clear()  # a level grown in part must not reach a later request
+        raise
+    by_type = store[n][0]
+    return {(kind, r): c for r in range(rmax + 1) for kind, c in by_type[r].items()}
 
 
 @lru_cache(maxsize=None)
 def _monotone_totals(n: int, rmax: int) -> dict:
-    """h_r(J_2, ..., J_n) with J_b = sum_{a<b} (a b): one block per b, in order."""
-    return _layered_totals(n, rmax, [[(a, b) for a in range(b)] for b in range(1, n)])
+    """h_r(J_2, ..., J_n) with J_b = sum_{a<b} (a b)."""
+    return _totals(n, rmax, True)
 
 
 @lru_cache(maxsize=None)
 def _classical_totals(n: int, rmax: int) -> dict:
-    """(J_2 + ... + J_n)^r: one block of every transposition."""
-    return _layered_totals(n, rmax, [[(a, b) for b in range(1, n) for a in range(b)]])
+    """(J_2 + ... + J_n)^r."""
+    return _totals(n, rmax, False)
+
+
+@lru_cache(maxsize=None)
+def _reduction_plan(alpha: Partition) -> tuple:
+    """The orbit reduction of alpha: for each size nsub < |alpha| of the orbit
+    of the point 1, its C(|alpha| - 1, nsub - 1) point sets and the splits
+    (beta, delta) of alpha into that orbit's type and the rest's."""
+    n = alpha.size
+    return tuple((nsub, comb(n - 1, nsub - 1), tuple(subpartitions(alpha, nsub))) for nsub in range(1, n))
 
 
 @lru_cache(maxsize=None)
@@ -211,27 +304,33 @@ def transitive_counts(d: int, rmax: int, monotone: bool) -> dict:
             f"{factorial(d) * rmax * rmax}"
         )
     totals = _monotone_totals if monotone else _classical_totals
+    width = rmax + 1
+    sums: list[dict[Partition, list[int]]] = [{}]  # sums[n][kind][r]: totals on n points
     trans: dict[tuple[Partition, int], int] = {}
+    rows: dict[Partition, list[int]] = {}
     for n in range(1, d + 1):
-        tot = totals(n, rmax)
+        by_kind: dict[Partition, list[int]] = {}
+        for (kind, r), c in totals(n, rmax).items():
+            by_kind.setdefault(kind, [0] * width)[r] = c
+        sums.append(by_kind)
         for alpha in partitions(n):
-            row = [tot.get((alpha, r), 0) for r in range(rmax + 1)]
-            for nsub in range(1, n):
-                rest = totals(n - nsub, rmax)
-                ways = comb(n - 1, nsub - 1)
-                for beta, delta in subpartitions(alpha, nsub):
-                    for rsub in range(rmax + 1):
-                        t = trans.get((beta, rsub), 0)
+            row = list(by_kind.get(alpha, [0] * width))
+            for nsub, ways, splits in _reduction_plan(alpha):
+                for beta, delta in splits:
+                    rest = sums[n - nsub].get(delta)
+                    if rest is None:
+                        continue
+                    for rsub, t in enumerate(rows[beta]):
                         if not t:
                             continue
                         wt = ways * t
-                        c = 1  # the interleavings C(r, rsub), stepped along r
-                        for r in range(rsub, rmax + 1):
-                            if r > rsub and not monotone:
-                                c = c * r // (r - rsub)
-                            a = rest.get((delta, r - rsub), 0)
+                        c = 1  # the interleavings C(rsub + k, rsub), stepped along k
+                        for k, a in enumerate(rest[: width - rsub]):
+                            if k and not monotone:
+                                c = c * (rsub + k) // k
                             if a:
-                                row[r] -= wt * c * a
+                                row[rsub + k] -= wt * c * a
+            rows[alpha] = row
             for r, val in enumerate(row):
                 trans[(alpha, r)] = val
                 # a count lives at r = 2g - 2 + |alpha| + len(alpha), g >= 0

@@ -1,10 +1,11 @@
 import hashlib
+import random
 from itertools import combinations, product
 from math import comb
 
 import pytest
 
-from hurwitz import oracle
+from hurwitz import oracle, verify
 from hurwitz.oracle import (
     ResourceLimitError,
     count_classical_transitive,
@@ -135,16 +136,99 @@ def _dict_layered_totals(n, rmax, blocks):
     return out
 
 
+def _blocks(n, monotone):
+    """The blocks of the dict DP: one per b in order, or one of every transposition."""
+    blocks = [[(a, b) for a in range(b)] for b in range(1, n)]
+    return blocks if monotone else [[t for block in blocks for t in block]]
+
+
+FAMILIES = ((True, _monotone_totals), (False, _classical_totals))
+
+
 @pytest.mark.parametrize("n, rmax", [(n, 12) for n in range(1, 7)] + [(7, 6)])
 def test_ranked_dp_matches_dict_dp(n, rmax):
-    monotone = [[(a, b) for a in range(b)] for b in range(1, n)]
-    classical = [[t for block in monotone for t in block]]
-    for totals, blocks in ((_monotone_totals, monotone), (_classical_totals, classical)):
-        want = _dict_layered_totals(n, rmax, blocks)
+    for monotone, totals in FAMILIES:
+        want = _dict_layered_totals(n, rmax, _blocks(n, monotone))
         # layer r depends only on the layers below it: every smaller rmax
         # reads a prefix of the same table
         for r in range(rmax + 1):
             assert totals(n, r) == {k: v for k, v in want.items() if k[1] <= r}, (n, r)
+
+
+def test_tables_do_not_depend_on_the_order_of_requests():
+    # the stores grow past their ends in whatever order requests come, and
+    # every request reads the same table as a cold ascending sweep
+    rng = random.Random(7)
+    grid = [(n, r) for n in range(1, 7) for r in range(13)]
+    requests = [(monotone, n, r) for monotone in (True, False) for n, r in grid]
+    rng.shuffle(requests)
+    verify._clear_caches()
+    shuffled = {(m, d, r): transitive_counts(d, r, m) for m, d, r in requests}
+    verify._clear_caches()
+    rng.shuffle(requests)
+    totals_of = dict(FAMILIES)
+    shuffled_totals = {(m, n, r): totals_of[m](n, r) for m, n, r in requests}
+    verify._clear_caches()
+    for monotone in (True, False):
+        for n, r in grid:
+            assert transitive_counts(n, r, monotone) == shuffled[monotone, n, r], (monotone, n, r)
+    for monotone, totals in FAMILIES:
+        for n in range(1, 7):
+            want = _dict_layered_totals(n, 12, _blocks(n, monotone))
+            for r in range(13):
+                table = totals(n, r)
+                assert table == shuffled_totals[monotone, n, r], (monotone, n, r)
+                assert table == {k: v for k, v in want.items() if k[1] <= r}, (monotone, n, r)
+
+
+def test_store_keeps_only_the_layers_a_later_growth_can_read():
+    verify._clear_caches()
+    _monotone_totals(6, 10)
+    _classical_totals(6, 10)
+    mono, classical = oracle._rank_store(True), oracle._rank_store(False)
+    # a classical level reads no other and keeps only its last layer
+    assert list(classical) == [6] and list(classical[6][1]) == [10]
+    # level n + 1 has read every layer of level n but its last, which
+    # level n extends from; level 7 has yet to read those of level 6
+    assert [list(mono[n][1]) for n in range(1, 6)] == [[10]] * 5
+    assert sorted(mono[6][1]) == list(range(11))
+    _monotone_totals(7, 4)
+    assert sorted(mono[6][1]) == list(range(5, 11))
+    # no level above DP_MAX_POINTS reads the top level
+    _monotone_totals(8, 2)
+    assert sorted(mono[7][1]) == [3, 4] and list(mono[8][1]) == [2]
+    with pytest.raises(ResourceLimitError):
+        _monotone_totals(oracle.DP_MAX_POINTS + 1, 1)
+
+
+def test_clear_caches_empties_the_stores():
+    _monotone_totals(4, 3)
+    _classical_totals(4, 3)
+    verify._clear_caches()
+    assert oracle._rank_store(True) == {} and oracle._rank_store(False) == {}
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_growth_that_raises_empties_its_store(monkeypatch, error):
+    step = oracle._step
+
+    def failing(store, n, monotone):
+        if n == 5 and len(store[n][0]) == 4:
+            raise error("planted")
+        step(store, n, monotone)
+
+    for monotone, totals in FAMILIES:
+        verify._clear_caches()
+        want = dict(transitive_counts(5, 8, monotone))
+        verify._clear_caches()
+        totals(4, 9)  # levels that the failure must not leave half grown
+        monkeypatch.setattr(oracle, "_step", failing)
+        with pytest.raises(error, match="planted"):
+            transitive_counts(5, 8, monotone)
+        assert oracle._rank_store(monotone) == {}
+        monkeypatch.setattr(oracle, "_step", step)
+        assert transitive_counts(5, 8, monotone) == want
+        assert totals(5, 8) == _dict_layered_totals(5, 8, _blocks(5, monotone))
 
 
 def test_transitive_tables_match_frozen_digests():

@@ -112,7 +112,10 @@ def test_literal_oracle_shares_no_kernel_or_reduction():
         if name in functions:
             todo.extend(node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name))
     assert "compose" in reached
-    forbidden = {"_ranked", "_layered_totals", "transitive_counts", "subpartitions"}
+    forbidden = {
+        "_ranked", "_rank_store", "_step", "_grow", "_totals", "_monotone_totals",
+        "_classical_totals", "_reduction_plan", "transitive_counts", "subpartitions",
+    }
     assert not forbidden & reached, sorted(reached)
 
 
