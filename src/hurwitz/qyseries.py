@@ -22,6 +22,17 @@ q-part, prod eta_j (1-eta)^(-(v + len hs)) through the same solve, times
 one integer y1-polynomial, the sum of its terms' c (1-4y1)^(-u2/2); the
 outer products of all groups go into one dict, reduced once.
 
+Each literal operator returns exactly the box its truncated input
+determines, with no parameter for it.  `lift_literal` takes G at
+(wq, w1, w2) to its lift at (wq - w1, w1, w2), since sum_k k y1^k d/dq_k
+trades q-weight for y1-degree, and refuses wq < w1; `transfer_literal`
+takes a y2-free F at (wq, W1, W2) to T(F) at (wq, W1 - wq, 0), since the
+projection turns y2-degree into q-weight, and refuses W1 < wq or W2 < wq.
+Both refusals are ValueError naming the bounds.  So the lift of a ring
+element expanded at (wq + w1, w1) and the transfer of one expanded at
+(wq, w1 + wq, wq) land on the box (wq, w1, 0) of the ring operator's
+expansion, and the two compare coefficient by coefficient.
+
 This module is the series-level oracle for the algebraic operator ring:
 everything here is defined directly from the operator formulas
 
@@ -198,42 +209,57 @@ def over_one_minus_eta(F: BiSeries, power: int = 1) -> BiSeries:
 
 
 def lift_literal(G: BiSeries) -> BiSeries:
-    """The transformed-coordinate lifting operator, term by term."""
-    bounds = G.bounds
+    """The transformed-coordinate lifting operator, term by term, on the
+    box its input determines: G at (wq, w1, w2) gives the lift at
+    (wq - w1, w1, w2).  The d/dq_k part sends q-weight w + k and y1-degree
+    b - k to (w, b), so an output term reads input q-weights up to
+    w + b <= wq and no truncated one; the Euler part keeps both degrees.
+    Raises ValueError if wq < w1, where that box is empty."""
+    wq, w1, w2 = G.bounds
+    if wq < w1:
+        raise ValueError(f"the lift needs q-weight wq >= y1-degree w1, got wq={wq}, w1={w1}")
+    bounds = (wq - w1, w1, w2)
     jacobi: dict[QKey, int] = {}
     get = jacobi.get
     euler: dict[QKey, int] = {}
     for (mono, a, b), n in G.nums.items():
+        weight = sum(mono)
+        if weight + a > wq:  # lands beyond q-weight wq - w1 or y1-degree w1
+            continue
         # sum_k k y1^k d/dq_k sends q^mono y1^a y2^b, for each part k of
         # multiplicity m, to k m q^(mono - k) y1^(a + k) y2^b; terms of
         # different sources meet on one key
         for k in set(mono):
-            if a + k <= bounds[1]:
+            if weight - k <= bounds[0] and a + k <= w1:
                 i = mono.index(k)
                 key = (mono[:i] + mono[i + 1:], a + k, b)
                 jacobi[key] = get(key, 0) + k * mono.count(k) * n
         # sum_k k q_k d/dq_k + y1 d/dy1 + y2 d/dy2 scales q^mono y1^a y2^b
-        # by its total degree |mono| + a + b
-        euler[(mono, a, b)] = (sum(mono) + a + b) * n
-    # the prefactor 4 y1 (1-4y1)^(-3/2) (1-eta)^(-1) as its q and y factors
-    y_part = BiSeries(*bounds, {((), 1, 0): 4}) * BiSeries.y_binomial(-3, *bounds)
+        # by its total degree |mono| + a + b; the prefactor's y1 needs a < w1
+        if weight <= bounds[0] and a < w1:
+            euler[(mono, a, b)] = (weight + a + b) * n
+    # the prefactor 4 y1 (1-4y1)^(-3/2) (1-eta)^(-1) as its q and y factors,
+    # the y factor's y1^m the coefficient of y1^(m-1) in (1-4y1)^(-3/2)
+    y_part = BiSeries(*bounds)
+    coeffs = _binomial_coeffs(-3, w1 - 1)
+    y_part.nums = {((), m, 0): 4 * c for m, c in enumerate(coeffs, 1) if m <= w1}
     euler_part = over_one_minus_eta(G._new(bounds, *_canonical(euler, G.den)))
     return G._new(bounds, *_canonical(jacobi, G.den)) + euler_part * y_part
 
 
-def split_1_to_2(F: BiSeries) -> BiSeries:
-    """(y2 F(y1) - y1 F(y2)) / (y1 - y2) + F(0) for a y2-free series."""
+def split_1_to_2(F: BiSeries, caps=None) -> BiSeries:
+    """(y2 F(y1) - y1 F(y2)) / (y1 - y2) + F(0) for a y2-free series, cut
+    at the y-degrees ``caps`` = (w1, w2), F's own by default."""
+    w1, w2 = caps or (F.w1, F.w2)
     out: dict[QKey, int] = {}
     for (mono, n, b), c in F.nums.items():
         if b:
             raise ValueError("split expects a y2-free series")
         # y1^n maps to sum_{i=1}^{n-1} y1^i y2^(n-i); constants and y1 die;
         # (mono, i, n - i) determines n, so no two terms meet
-        for i in range(1, n):
-            if i > F.w1 or n - i > F.w2:
-                continue
+        for i in range(max(1, n - w2), min(n, w1 + 1)):
             out[(mono, i, n - i)] = c
-    return F._new(F.bounds, *_canonical(out, F.den))
+    return F._new((F.wq, w1, w2), *_canonical(out, F.den))
 
 
 def project_2(M: BiSeries) -> BiSeries:
@@ -252,14 +278,22 @@ def project_2(M: BiSeries) -> BiSeries:
 
 
 def transfer_literal(F: BiSeries) -> BiSeries:
-    """T as literally composed from split, the y2 weight, and projection."""
-    wq, w1, w2 = F.wq, F.w1, F.w2
-    one_minus_4y1 = BiSeries(
-        wq, w1, w2, {((), 0, 0): 1, ((), 1, 0): -4}
-    )
-    inner = split_1_to_2(one_minus_4y1 * F)
-    inner = BiSeries.y_binomial(-3, wq, w1, w2, var=2) * inner
-    return over_one_minus_eta(project_2(inner))
+    """T as literally composed from split, the y2 weight, and projection,
+    on the box its input determines: F y2-free at (wq, W1, W2) gives T(F)
+    at (wq, W1 - wq, 0).  The split sends y1^n to y1^i y2^(n - i), and the
+    projection turns y2^j into q_j with j <= wq, so an output term of
+    y1-degree i reads input y1-degrees up to i + wq <= W1 and y2-degrees
+    up to wq <= W2.  Raises ValueError if W1 < wq or W2 < wq."""
+    wq, W1, W2 = F.bounds
+    if W1 < wq or W2 < wq:
+        raise ValueError(
+            f"the transfer needs y-degrees W1, W2 >= q-weight wq, got wq={wq}, W1={W1}, W2={W2}"
+        )
+    one_minus_4y1 = BiSeries(wq, W1, W2, {((), 0, 0): 1, ((), 1, 0): -4})
+    inner = split_1_to_2(one_minus_4y1 * F, (W1 - wq, wq))
+    inner = BiSeries.y_binomial(-3, *inner.bounds, var=2) * inner
+    projected = project_2(inner)
+    return over_one_minus_eta(projected._new((wq, W1 - wq, 0), projected.nums, projected.den))
 
 
 # -- expanding ring elements into series -----------------------------------

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_series import KINDS, assert_matches, clean, derivative, ref
+from test_series import COEFF, KINDS, assert_matches, clean, derivative, ref, regrade
 
 from hurwitz.combinat import rising
 
@@ -66,13 +66,8 @@ def test_lift_matches_algebra_on_a_mixed_element():
     elem = RingElement({(2, 0, (1,)): Fraction(2, 3), (1, 1, ()): Fraction(-1, 2)})
     alg = expand_ring_element(apply_delta1(elem), wq, w1)
     lit = lift_literal(expand_ring_element(elem, wq + w1, w1))
-
-    def region(s):
-        return {
-            k: v for k, v in s.coeffs.items() if sum(k[0]) <= wq and k[1] <= w1
-        }
-
-    assert region(alg) == region(lit)
+    assert lit.bounds == alg.bounds == (wq, w1, 0)
+    assert alg == lit
 
 
 def test_transfer_matches_algebra_on_powers():
@@ -81,13 +76,8 @@ def test_transfer_matches_algebra_on_powers():
         elem = RingElement.monomial(u2=2 * e)
         alg = expand_ring_element(apply_T(elem), wq, w1)
         lit = transfer_literal(expand_ring_element(elem, wq, w1 + wq, w2=wq))
-        region_a = {
-            k: v for k, v in alg.coeffs.items() if sum(k[0]) <= wq and k[1] <= w1
-        }
-        region_l = {
-            k: v for k, v in lit.coeffs.items() if sum(k[0]) <= wq and k[1] <= w1
-        }
-        assert region_a == region_l, e
+        assert lit.bounds == alg.bounds == (wq, w1, 0)
+        assert alg == lit, e
 
 
 def test_pi2_projection_against_literal_series():
@@ -173,16 +163,72 @@ def product_lift(G):
     return out + prefactor * euler
 
 
-@given(G=KINDS[1])
+# outside the lift's box (wq - w1, w1, w2) both sides read truncated input
+@given(G=KINDS[1].filter(lambda G: G.wq >= G.w1))
 @settings(max_examples=60, deadline=None)
 def test_lift_term_map_against_product_composition(G):
-    assert lift_literal(G) == product_lift(G)
+    assert lift_literal(G) == regrade(product_lift(G), (G.wq - G.w1, G.w1, G.w2))
 
 
 def test_lift_term_map_adds_colliding_terms():
     # d/dq_2 of q_2 q_1 and d/dq_1 of q_1^2 y1 both land on q_1 y1^2
     G = BiSeries(3, 2, 1, {((2, 1), 0, 0): Fraction(1, 3), ((1, 1), 1, 0): 5})
-    assert lift_literal(G) == product_lift(G)
+    assert lift_literal(G)[((1,), 2, 0)] == Fraction(32, 3)
+    assert lift_literal(G) == regrade(product_lift(G), (1, 2, 1))
+
+
+# -- each literal operator returns exactly the box its input determines ------
+
+# extra terms: (q monomial, y1 degree, y2 degree, coefficient)
+BEYOND = st.lists(
+    st.tuples(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(0, 6), st.integers(0, 2), COEFF
+    ),
+    max_size=6,
+)
+
+
+@given(G=KINDS[1].filter(lambda G: G.wq >= G.w1), extra=BEYOND)
+@settings(max_examples=60, deadline=None)
+def test_lift_is_exact_on_its_box(G, extra):
+    # terms of q-weight > wq, which G truncated away, leave the lift unchanged
+    wq, w1, w2 = G.bounds
+    beyond = {(tuple(m), min(a, w1), min(b, w2)): c for m, a, b, c in extra if sum(m) > wq}
+    wider = BiSeries(wq + 3, w1, w2, {**G.coeffs, **beyond})
+    lifted = lift_literal(G)
+    assert lifted.bounds == (wq - w1, w1, w2)
+    assert regrade(lift_literal(wider), lifted.bounds) == lifted
+
+
+@st.composite
+def y2_free_series(draw):
+    """A y2-free BiSeries at (wq, W1, W2) with W1, W2 >= wq."""
+    wq = draw(st.integers(1, 3))
+    W1, W2 = draw(st.integers(wq, wq + 3)), draw(st.integers(wq, wq + 1))
+    monos = st.lists(st.integers(1, wq), max_size=3)
+    terms = draw(st.lists(st.tuples(monos, st.integers(0, W1), COEFF), max_size=6))
+    return BiSeries(wq, W1, W2, {(tuple(m), a, 0): c for m, a, c in terms})
+
+
+@given(F=y2_free_series(), extra=BEYOND)
+@settings(max_examples=60, deadline=None)
+def test_transfer_is_exact_on_its_box(F, extra):
+    # terms of y1-degree > W1, which F truncated away, leave T(F) unchanged
+    wq, W1, W2 = F.bounds
+    beyond = {(tuple(m), W1 + 1 + a % 3, 0): c for m, a, _b, c in extra}
+    wider = BiSeries(wq, W1 + 3, W2, {**F.coeffs, **beyond})
+    transferred = transfer_literal(F)
+    assert transferred.bounds == (wq, W1 - wq, 0)
+    assert regrade(transfer_literal(wider), transferred.bounds) == transferred
+
+
+def test_operators_refuse_an_empty_box():
+    with pytest.raises(ValueError, match="wq=2, w1=3"):
+        lift_literal(BiSeries(2, 3, 0))
+    with pytest.raises(ValueError, match="wq=3, W1=2, W2=3"):
+        transfer_literal(BiSeries(3, 2, 3))
+    with pytest.raises(ValueError, match="wq=3, W1=5, W2=2"):
+        transfer_literal(BiSeries(3, 5, 2))
 
 
 def test_y_binomial_against_fraction_formula():
