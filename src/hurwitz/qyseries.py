@@ -224,11 +224,9 @@ def lift_literal(G: BiSeries) -> BiSeries:
     euler: dict[QKey, int] = {}
     for (mono, a, b), n in G.nums.items():
         weight = sum(mono)
-        if weight + a > wq:  # lands beyond q-weight wq - w1 or y1-degree w1
-            continue
         # sum_k k y1^k d/dq_k sends q^mono y1^a y2^b, for each part k of
-        # multiplicity m, to k m q^(mono - k) y1^(a + k) y2^b; terms of
-        # different sources meet on one key
+        # multiplicity m, to k m q^(mono - k) y1^(a + k) y2^b, kept if it
+        # lands in the box; terms of different sources meet on one key
         for k in set(mono):
             if weight - k <= bounds[0] and a + k <= w1:
                 i = mono.index(k)
@@ -247,19 +245,19 @@ def lift_literal(G: BiSeries) -> BiSeries:
     return G._new(bounds, *_canonical(jacobi, G.den)) + euler_part * y_part
 
 
-def split_1_to_2(F: BiSeries, caps=None) -> BiSeries:
-    """(y2 F(y1) - y1 F(y2)) / (y1 - y2) + F(0) for a y2-free series, cut
-    at the y-degrees ``caps`` = (w1, w2), F's own by default."""
-    w1, w2 = caps or (F.w1, F.w2)
+def split_1_to_2(F: BiSeries) -> BiSeries:
+    """(y2 F(y1) - y1 F(y2)) / (y1 - y2) + F(0) for a y2-free series."""
     out: dict[QKey, int] = {}
     for (mono, n, b), c in F.nums.items():
         if b:
             raise ValueError("split expects a y2-free series")
         # y1^n maps to sum_{i=1}^{n-1} y1^i y2^(n-i); constants and y1 die;
         # (mono, i, n - i) determines n, so no two terms meet
-        for i in range(max(1, n - w2), min(n, w1 + 1)):
+        for i in range(1, n):
+            if i > F.w1 or n - i > F.w2:
+                continue
             out[(mono, i, n - i)] = c
-    return F._new((F.wq, w1, w2), *_canonical(out, F.den))
+    return F._new(F.bounds, *_canonical(out, F.den))
 
 
 def project_2(M: BiSeries) -> BiSeries:
@@ -280,20 +278,22 @@ def project_2(M: BiSeries) -> BiSeries:
 def transfer_literal(F: BiSeries) -> BiSeries:
     """T as literally composed from split, the y2 weight, and projection,
     on the box its input determines: F y2-free at (wq, W1, W2) gives T(F)
-    at (wq, W1 - wq, 0).  The split sends y1^n to y1^i y2^(n - i), and the
-    projection turns y2^j into q_j with j <= wq, so an output term of
-    y1-degree i reads input y1-degrees up to i + wq <= W1 and y2-degrees
-    up to wq <= W2.  Raises ValueError if W1 < wq or W2 < wq."""
+    at (wq, W1 - wq, 0).  The split sends y1^n to y1^i y2^(n - i), cut at
+    F's y-degrees (W1, W2), and the projection turns y2^j into q_j with
+    j <= wq, so an output term of y1-degree i reads input y1-degrees up to
+    i + wq <= W1 and split y2-degrees up to wq <= W2.  Raises ValueError
+    if W1 < wq or W2 < wq."""
     wq, W1, W2 = F.bounds
     if W1 < wq or W2 < wq:
         raise ValueError(
             f"the transfer needs y-degrees W1, W2 >= q-weight wq, got wq={wq}, W1={W1}, W2={W2}"
         )
     one_minus_4y1 = BiSeries(wq, W1, W2, {((), 0, 0): 1, ((), 1, 0): -4})
-    inner = split_1_to_2(one_minus_4y1 * F, (W1 - wq, wq))
-    inner = BiSeries.y_binomial(-3, *inner.bounds, var=2) * inner
+    inner = split_1_to_2(one_minus_4y1 * F)
+    inner = BiSeries.y_binomial(-3, wq, W1, W2, var=2) * inner
     projected = project_2(inner)
-    return over_one_minus_eta(projected._new((wq, W1 - wq, 0), projected.nums, projected.den))
+    exact = {key: n for key, n in projected.nums.items() if key[1] <= W1 - wq}
+    return over_one_minus_eta(F._new((wq, W1 - wq, 0), *_canonical(exact, projected.den)))
 
 
 # -- expanding ring elements into series -----------------------------------

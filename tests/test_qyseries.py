@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_series import COEFF, KINDS, assert_matches, clean, derivative, ref, regrade
+from test_series import COEFF, KINDS, assert_matches, clean, dense_biseries, derivative, ref, regrade
 
 from hurwitz.combinat import rising
 
@@ -163,8 +163,14 @@ def product_lift(G):
     return out + prefactor * euler
 
 
-# outside the lift's box (wq - w1, w1, w2) both sides read truncated input
-@given(G=KINDS[1].filter(lambda G: G.wq >= G.w1))
+# outside the lift's box (wq - w1, w1, w2) both sides read truncated input;
+# wq - w1 >= 1 keeps q-weights 1-4 in the box, where terms collide
+LIFT_INPUTS = st.integers(1, 3).flatmap(
+    lambda w1: st.tuples(st.integers(w1 + 1, w1 + 4), st.just(w1), st.integers(0, 2))
+).flatmap(lambda bounds: dense_biseries(bounds))
+
+
+@given(G=LIFT_INPUTS)
 @settings(max_examples=60, deadline=None)
 def test_lift_term_map_against_product_composition(G):
     assert lift_literal(G) == regrade(product_lift(G), (G.wq - G.w1, G.w1, G.w2))
@@ -222,7 +228,7 @@ def test_transfer_is_exact_on_its_box(F, extra):
     assert regrade(transfer_literal(wider), transferred.bounds) == transferred
 
 
-def test_operators_refuse_an_empty_box():
+def test_operators_refuse_bounds_they_cannot_be_exact_on():
     with pytest.raises(ValueError, match="wq=2, w1=3"):
         lift_literal(BiSeries(2, 3, 0))
     with pytest.raises(ValueError, match="wq=3, W1=2, W2=3"):
