@@ -1,4 +1,4 @@
-"""Brute-force counting of transitive transposition factorizations in S_d.
+"""Counting of transitive transposition factorizations in S_d, two ways.
 
 A factorization of type (alpha, r) is a tuple (rho, tau_1, ..., tau_r) with
 rho of cycle type alpha, each tau_i a transposition, rho tau_1 ... tau_r
@@ -13,35 +13,25 @@ Two independent counters serve both families:
 
 * a literal count (literal_counts), a forward DP over (product, component
   label of each point) that needs no reduction, and
-* a dynamic program on permutation ranks that counts sequences without the
-  transitivity condition, followed by an inclusion-exclusion over the
-  orbit set partition (transitive_counts).
+* totals that count sequences without the transitivity condition, read
+  off the character table of S_n, followed by an inclusion-exclusion over
+  the orbit set partition (transitive_counts).
 
-The ranked DP numbers the permutations of n points once (_ranked): each
-transposition becomes a list mapping rank(p) to rank(p * (a b)), and a
-rank layer, the products of r transpositions, is a dense list of counts
-indexed by rank.  Monotone sequences are the terms of h_r(J_2, ..., J_n),
-J_b = sum_{a<b} (a b), classical ones those of (J_2 + ... + J_n)^r.
+Monotone sequences of r transpositions on n points are the terms of
+h_r(J_2, ..., J_n), J_b = sum_{a<b} (a b) the Jucys-Murphy elements, and
+classical ones those of (J_2 + ... + J_n)^r.  Both elements are central,
+so each acts on the irreducible V_lambda by a scalar: h_r of the contents
+j - i of the boxes (i, j) of lambda, or the r-th power of their sum
+(Jucys 1974, Murphy 1981).  A central element acting by eig_lambda is
+sum_lambda eig_lambda dim(lambda) / n! sum_sigma chi^lambda(sigma) sigma,
+so its sequences with a product of cycle type mu number
 
-One store per family (_rank_store) holds, for each number of points n,
-the totals by cycle type of every layer r reached so far, and the layers
-a later growth can still read.  A request grows the store only past its
-end (_grow, one layer per _step), so no table is counted twice in a
-session, whatever the order of the requests:
+    |C_mu| / n! * sum_lambda dim(lambda) chi^lambda(mu) eig_lambda(r).
 
-    classical:  layers_n[r] = (every transposition) . layers_n[r - 1]
-    monotone:   layers_n[r] = embed(layers_{n-1}[r]) + J_n . layers_n[r - 1]
-
-The monotone recursion is h_r(J_2..J_n) = h_r(J_2..J_{n-1}) +
-h_{r-1}(J_2..J_n) J_n: level n is level n - 1, embedded as the
-permutations that fix the last point, plus the sequences whose last
-transposition moves it, so a step costs n - 1 transpositions, not
-C(n, 2).  A classical level keeps only its last layer; a monotone level
-keeps its last layer and those the level above has not read yet (none at
-the top level, DP_MAX_POINTS).  A layer and its totals are appended
-together, and a growth that raises, by a bug or an interrupt, empties its
-family's store before the error propagates.  The store is an lru_cache,
-so cache_clear() (and verify's cold start) empties it.
+The characters come from the Murnaghan-Nakayama rule on beta-sets
+(_character), dim(lambda) = chi^lambda(1^n), and each total is one exact
+division by n!: a remainder, which only a wrong character or eigenvalue
+can leave, raises AssertionError.
 
 The inclusion-exclusion reads the totals by type as rows in r, and the
 splits of each partition alpha from one cached reduction plan
@@ -56,23 +46,24 @@ the binomial C(r, r') to choose time slots.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import mul
 
-from .partitions import Partition, partitions, subpartitions
+from .partitions import Partition, aut_order, partitions, subpartitions
 
-DP_MAX_POINTS = 8
-# Bound on d!*r^2: a level of the DP grows through r layers of up to d!
-# ranks, and the inclusion-exclusion is quadratic in r.  Cold tables at the
-# edge r = isqrt(DP_MAX_WORK // d!), four runs, one process each, 2-vCPU VM:
-# classical (4, 1639) 3.2-3.7 s and 23 MB peak RSS, (5, 733) 1.3-2.0 s,
-# (6, 299) 0.6-0.8 s, (7, 113) 0.8-0.9 s, (8, 40) 2.4-3.1 s and 36 MB;
-# monotone (4, 1639) 0.5-0.8 s, (5, 733) 0.6 s, (6, 299) 0.2-0.4 s,
-# (7, 113) 0.4 s, (8, 40) 1.2-1.5 s and 39 MB, the largest RSS.  Before the
-# store the same edges took up to 4.9 s (classical (4, 1639)) and 80 MB
-# (classical (8, 40)).  The constant was set when classical (4, 1639) took
-# 39-41 s; every edge is now far inside a 60 s budget, so it could rise.
-DP_MAX_WORK = factorial(8) * 40**2
+# Bound on 2^d*max(d, r)^2 for transitive_counts: the inclusion-exclusion
+# walks about r^2 pairs of ever longer integers for each split of a
+# partition, and the splits and the character table grow with d about as
+# fast as 2^d; r counts as at least d, since no transitive count on d
+# points is nonzero below r = d - 1.  Set so that the slowest cold table
+# stays inside a 60 s budget with room for run-to-run noise.  Cold
+# tables at the edge r = isqrt(ORACLE_MAX_WORK >> d), one process each,
+# 2-vCPU VM: classical (6, 1700) 47.8 s and 43 MB peak RSS, the slowest,
+# (7, 1202) 44.9 s, (5, 2404) 37.9 s, (8, 850) 35.0 s, (9, 601) 27.0 s,
+# (4, 3400) 21.5 s, (10, 425) 19.8 s, (12, 212) 10.4 s, (3, 4808) 9.6 s,
+# (14, 106) 4.5 s, (16, 53) 3.7 s, (18, 26) 4.7 s and 110 MB, the largest
+# RSS; monotone 11.5 s at most ((9, 601)).  No r fits at d >= 19.
+ORACLE_MAX_WORK = 2**6 * 1700**2
 # Bound on d for literal_counts, whose states are (product, labels): up to
 # d! times the Bell number of d.  Cold tables (one process each, 2-vCPU VM):
 # (6, 10) 0.10 s monotone, 0.25 s classical, 18 MB peak RSS; (7, 12) 1.3 s
@@ -152,108 +143,61 @@ def literal_counts(d: int, rmax: int, monotone: bool) -> dict:
     return table
 
 
-# -- route 2: DP totals + set-partition inclusion-exclusion ------------
+# -- route 2: character totals + set-partition inclusion-exclusion -----
 
 
 @lru_cache(maxsize=None)
-def _ranked(n: int) -> tuple[list, dict, list]:
-    """The permutations of n points in lexicographic order, so that rank 0 is
-    the identity: the ranks of each cycle type; for each transposition
-    (a b), a < b, its action, the list rank(p * (a b)) indexed by rank(p);
-    and the embedding, the rank of each permutation of n - 1 points (in its
-    own rank order) extended by the fixed point n - 1.  A permutation is a
-    bytes of its images here, so p * (a b), which swaps the values a and b,
-    is one translate."""
-    perms = [bytes(p) for p in permutations(range(n))]
-    rank = {p: i for i, p in enumerate(perms)}
-    actions = {}
-    for b in range(1, n):
-        for a in range(b):
-            swap = bytes.maketrans(bytes((a, b)), bytes((b, a)))
-            actions[a, b] = [rank[p.translate(swap)] for p in perms]
-    fixed = bytes((n - 1,))
-    embed = [rank[bytes(p) + fixed] for p in permutations(range(n - 1))]
-    classes: dict[Partition, list[int]] = {}
-    for i, p in enumerate(perms):
-        classes.setdefault(cycle_type(p), []).append(i)
-    return list(classes.items()), actions, embed
+def _character(beta: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """chi^lambda(mu) by Murnaghan-Nakayama, lambda given by a beta-set beta
+    (increasing): removing a rim hook of length k moves a bead x to a free
+    position x - k >= 0, with the sign (-1)^(beads strictly between)."""
+    if not mu:
+        return 1
+    k, rest = mu[0], mu[1:]
+    out = 0
+    for x in beta:
+        y = x - k
+        if y >= 0 and y not in beta:
+            sign = -1 if sum(y < z < x for z in beta) % 2 else 1
+            out += sign * _character(tuple(sorted(y if z == x else z for z in beta)), rest)
+    return out
 
 
-@lru_cache(maxsize=None)
-def _rank_store(monotone: bool) -> dict[int, tuple[list, dict]]:
-    """The family's store: level n -> (by_type, layers), where by_type[r]
-    maps each cycle type to the number of the family's sequences of r
-    transpositions on n points whose product has that type, and layers[r]
-    is the rank layer of those products, kept only while a later growth
-    can read it."""
-    return {}
-
-
-def _step(store: dict, n: int, monotone: bool) -> None:
-    """Append the next rank layer of level n, by the recursion of its
-    family, and its totals by type.  Then drop the layers no later growth
-    can read: this level's previous one once the level above has read it
-    (at once classically, and at the top level DP_MAX_POINTS), and the
-    layer r of the level below, unless it is that level's last."""
-    classes, actions, embed = _ranked(n)
-    by_type, layers = store[n]
-    r = len(by_type)
-    layer = [0] * factorial(n)
-    if r == 0:
-        layer[0] = 1
-    else:
-        if not monotone:
-            acts = list(actions.values())
-        else:
-            acts = [actions[a, n - 1] for a in range(n - 1)]
-            if n > 1:
-                for i, c in zip(embed, store[n - 1][1][r]):
-                    if c:
-                        layer[i] = c
-        nonzero = [(i, c) for i, c in enumerate(layers[r - 1]) if c]
-        for act in acts:
-            for i, c in nonzero:
-                layer[act[i]] += c
-    totals = {}
-    for kind, ranks in classes:
-        c = sum(map(layer.__getitem__, ranks))
+def _eigenvalues(lam: Partition, rmax: int, monotone: bool) -> list[int]:
+    """The scalars by which the family's element of degree r, r <= rmax,
+    acts on V_lambda: h_r(contents) or (sum of contents)^r."""
+    contents = [j - i for i, part in enumerate(lam) for j in range(part)]
+    if not monotone:
+        s = sum(contents)
+        return [s**r for r in range(rmax + 1)]
+    h = [1] + [0] * rmax
+    for c in contents:
         if c:
-            totals[kind] = c
-    by_type.append(totals)
-    layers[r] = layer
-    if r:
-        above = store.get(n + 1)
-        if not monotone or n == DP_MAX_POINTS or (above and len(above[0]) >= r):
-            del layers[r - 1]
-    if monotone and n > 1:
-        below_by_type, below = store[n - 1]
-        if r < len(below_by_type) - 1:
-            del below[r]
-
-
-def _grow(store: dict, n: int, rmax: int, monotone: bool) -> None:
-    """Extend level n of the store to layer rmax; a monotone level first
-    extends the level below it, whose layer r it reads."""
-    if monotone and n > 1:
-        _grow(store, n - 1, rmax, monotone)
-    by_type, _ = store.setdefault(n, ([], {}))
-    while len(by_type) <= rmax:
-        _step(store, n, monotone)
+            for k in range(1, rmax + 1):
+                h[k] += c * h[k - 1]
+    return h
 
 
 def _totals(n: int, rmax: int, monotone: bool) -> dict:
-    """Non-transitive counts on n points, (type(product), r) -> count, r <= rmax,
-    read from the family's store after growing it past its end."""
-    if n > DP_MAX_POINTS:
-        raise ResourceLimitError(f"DP oracle refuses n={n} > {DP_MAX_POINTS}")
-    store = _rank_store(monotone)
-    try:
-        _grow(store, n, rmax, monotone)
-    except BaseException:
-        store.clear()  # a level grown in part must not reach a later request
-        raise
-    by_type = store[n][0]
-    return {(kind, r): c for r in range(rmax + 1) for kind, c in by_type[r].items()}
+    """Non-transitive counts on n points, (type(product), r) -> count, r <= rmax:
+    |C_mu| / n! * sum_lambda dim(lambda) chi^lambda(mu) eig_lambda(r), each
+    one checked division."""
+    nfact = factorial(n)
+    lams = partitions(n)
+    betas = [tuple(part + i for i, part in enumerate(reversed(lam))) for lam in lams]
+    dims = [_character(beta, (1,) * n) for beta in betas]
+    columns = list(zip(*(_eigenvalues(lam, rmax, monotone) for lam in lams)))  # [r][lambda]
+    out = {}
+    for mu in lams:
+        size = nfact // (prod(mu) * aut_order(mu))  # |C_mu| = n! / z_mu
+        weights = [size * dim * _character(beta, mu) for dim, beta in zip(dims, betas)]
+        for r, column in enumerate(columns):
+            total, rest = divmod(sum(map(mul, weights, column)), nfact)
+            if rest:
+                raise AssertionError(f"total at {tuple(mu)}, r={r} is {total} + {rest}/{nfact}")
+            if total:
+                out[mu, r] = total
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -282,7 +226,7 @@ def transitive_counts(d: int, rmax: int, monotone: bool) -> dict:
     """Transitive counts (alpha, r) -> int for every |alpha| <= d, r <= rmax,
     by inverting the orbit decomposition of the non-transitive totals.  A
     negative count, or a nonzero one off Riemann-Hurwitz, raises
-    AssertionError; d > DP_MAX_POINTS or d!*rmax^2 > DP_MAX_WORK raises
+    AssertionError; 2^d*max(d, rmax)^2 > ORACLE_MAX_WORK raises
     ResourceLimitError before any work.
 
     A sequence on {1..d} splits over its orbit set partition into transitive
@@ -296,12 +240,10 @@ def transitive_counts(d: int, rmax: int, monotone: bool) -> dict:
     blocks are distinct, so exactly one merge is monotone) and C(r, r')
     classically.  Solving for the n' = d term yields T_d.
     """
-    if d > DP_MAX_POINTS:
-        raise ResourceLimitError(f"DP oracle refuses d={d} > {DP_MAX_POINTS}")
-    if factorial(d) * rmax * rmax > DP_MAX_WORK:
+    work = (1 << d) * max(d, rmax) ** 2
+    if work > ORACLE_MAX_WORK:
         raise ResourceLimitError(
-            f"DP oracle caps d!*r^2 at {DP_MAX_WORK}, got d={d}, r={rmax}: "
-            f"{factorial(d) * rmax * rmax}"
+            f"character oracle caps 2^d*max(d,r)^2 at {ORACLE_MAX_WORK}, got d={d}, r={rmax}: {work}"
         )
     totals = _monotone_totals if monotone else _classical_totals
     width = rmax + 1

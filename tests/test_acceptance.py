@@ -9,11 +9,11 @@ from hurwitz.verify import run_check
 
 CRITERIA = {
     1: (
-        "oracle cross-validation (literal vs DP+Moebius, both families, d<=6, r<=10)",
-        ["oracle-literal-vs-dp"],
+        "oracle cross-validation (literal vs characters+Moebius, both families, d<=6, r<=10)",
+        ["oracle-literal-vs-characters"],
     ),
     2: (
-        "join-cut vs oracle (monotone and classical, d<=7 r<=14)",
+        "join-cut vs oracle (monotone and classical, d<=9 r<=16)",
         ["joincut-monotone-vs-oracle", "joincut-classical-vs-oracle"],
     ),
     3: ("genus-0 formula vs join-cut slice, d<=9", ["genus0-formula"]),
@@ -35,9 +35,9 @@ CRITERIA = {
 # the PASS detail of every check, word for word: `hurwitz verify` prints it
 EQUAL = "all values equal"
 DETAILS = {
-    "oracle-literal-vs-dp": f"638 cases; {EQUAL}",
-    "joincut-monotone-vs-oracle": f"660 cases; {EQUAL}",
-    "joincut-classical-vs-oracle": f"660 cases; {EQUAL}",
+    "oracle-literal-vs-characters": f"638 cases; {EQUAL}",
+    "joincut-monotone-vs-oracle": f"1632 cases; {EQUAL}",
+    "joincut-classical-vs-oracle": f"1632 cases; {EQUAL}",
     "genus0-formula": f"96 partitions; {EQUAL}",
     "genus1-formula": f"96 partitions x 2 routes; {EQUAL}",
     "pipeline-genus2-table": f"7 coefficients + constant; {EQUAL}",

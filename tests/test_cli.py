@@ -165,9 +165,9 @@ def test_exit_code_2_on_range_errors(capsys):
     assert code == 2 and "--max-degree" in err
 
     code, _, err = run_cli(
-        capsys, "compute", "--genus", "2", "--partition", "1" + ",1" * 9, "--method", "oracle"
+        capsys, "compute", "--genus", "2", "--partition", "1" + ",1" * 18, "--method", "oracle"
     )
-    assert code == 2 and "refuses" in err
+    assert code == 2 and "character oracle caps" in err
 
     code, _, err = run_cli(capsys, "compute", "--genus", "1", "--partition", "")
     assert code == 2 and "nonempty" in err
@@ -355,7 +355,7 @@ def test_closed_form_r_cap_exits_2_before_the_formula(capsys, monkeypatch):
 
 
 def test_oracle_work_cap_exits_2_before_the_oracle(capsys, monkeypatch):
-    from math import factorial, isqrt
+    from math import isqrt
 
     from hurwitz import oracle
 
@@ -365,25 +365,27 @@ def test_oracle_work_cap_exits_2_before_the_oracle(capsys, monkeypatch):
     monkeypatch.setattr(oracle, "_monotone_totals", totals)
     monkeypatch.setattr(oracle, "_classical_totals", totals)
     oracle.transitive_counts.cache_clear()
+    cap = oracle.ORACLE_MAX_WORK
     seen = set()
-    for parts in ("4,4", "3,3", "2,1", "1"):
+    for parts in ("9,9", "4,4", "3,3", "2,1", "1"):
         d, ell = sum(map(int, parts.split(","))), len(parts.split(","))
-        last = (isqrt(oracle.DP_MAX_WORK // factorial(d)) - d - ell + 2) // 2
+        last = (isqrt(cap >> d) - d - ell + 2) // 2  # the last genus inside the cap
         for g in range(last - 1, last + 3):
             r = 2 * g - 2 + ell + d
             for flags in ((), ("--classical",)):
                 argv = ("compute", "--genus", str(g), "--partition", parts, "--method", "oracle")
                 code, out, err = run_cli(capsys, *argv, *flags)
                 assert not out, argv
-                if factorial(d) * r * r > oracle.DP_MAX_WORK:
-                    assert code == 2 and f"d!*r^2 at {oracle.DP_MAX_WORK}, got d={d}, r={r}" in err
+                if g > last:
+                    assert code == 2 and f"2^d*max(d,r)^2 at {cap}, got d={d}, r={r}" in err, argv
                 else:
                     assert code == 3 and f"the oracle ran for r={r}" in err, argv
                 seen.add(code)
     assert seen == {2, 3}
-    argv = ("compute", "--genus", "19", "--partition", "4,4", "--method", "oracle")
+    # no genus fits at |alpha| = 19: r >= 18 there, and 2^19 * 19^2 > cap
+    argv = ("compute", "--genus", "0", "--partition", "10,9", "--method", "oracle")
     code, _, err = run_cli(capsys, *argv)
-    assert code == 2 and "d!*r^2" in err
+    assert code == 2 and "got d=19, r=19" in err
 
 
 # -- the auto rule ------------------------------------------------------------

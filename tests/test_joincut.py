@@ -11,7 +11,7 @@ from test_series import derivative
 from hurwitz import joincut
 from hurwitz.closedforms import classical_genus0, classical_genus1, monotone_genus0, monotone_genus1
 from hurwitz.joincut import TruncatedH, _plan, solve_classical, solve_monotone
-from hurwitz.oracle import count_classical_transitive, count_monotone_transitive
+from hurwitz.oracle import count_classical_transitive, count_monotone_transitive, transitive_counts
 from hurwitz.partitions import Partition, partitions, subpartitions
 from hurwitz.series import MSeries
 
@@ -49,6 +49,17 @@ def test_agreement_with_oracle_small():
             for r in range(7):
                 assert mono[alpha, r] == count_monotone_transitive(alpha, r)
                 assert clas[alpha, r] == count_classical_transitive(alpha, r)
+
+
+@pytest.mark.parametrize("d, rmax", [(9, 24), (10, 26)])
+def test_agreement_with_oracle_beyond_eight_points(d, rmax):
+    # the character oracle reaches past d = 8, where no other counter of
+    # factorizations runs
+    for solve, monotone in ((solve_monotone, True), (solve_classical, False)):
+        table, oracle = solve(d, rmax), transitive_counts(d, rmax, monotone)
+        keys = [(alpha, r) for alpha in partitions(d) for r in range(rmax + 1)]
+        assert [table[key] for key in keys] == [oracle[key] for key in keys], monotone
+        assert sum(map(bool, (oracle[key] for key in keys))) > len(keys) // 4
 
 
 def test_vanishing_pattern():

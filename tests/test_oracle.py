@@ -149,15 +149,14 @@ FAMILIES = ((True, _monotone_totals), (False, _classical_totals))
 def test_ranked_dp_matches_dict_dp(n, rmax):
     for monotone, totals in FAMILIES:
         want = _dict_layered_totals(n, rmax, _blocks(n, monotone))
-        # layer r depends only on the layers below it: every smaller rmax
-        # reads a prefix of the same table
+        # every rmax gives the prefix r <= rmax of the same table
         for r in range(rmax + 1):
             assert totals(n, r) == {k: v for k, v in want.items() if k[1] <= r}, (n, r)
 
 
 def test_tables_do_not_depend_on_the_order_of_requests():
-    # the stores grow past their ends in whatever order requests come, and
-    # every request reads the same table as a cold ascending sweep
+    # the caches fill in whatever order requests come, and every request
+    # reads the same table as a cold ascending sweep
     rng = random.Random(7)
     grid = [(n, r) for n in range(1, 7) for r in range(13)]
     requests = [(monotone, n, r) for monotone in (True, False) for n, r in grid]
@@ -181,54 +180,33 @@ def test_tables_do_not_depend_on_the_order_of_requests():
                 assert table == {k: v for k, v in want.items() if k[1] <= r}, (monotone, n, r)
 
 
-def test_store_keeps_only_the_layers_a_later_growth_can_read():
-    verify._clear_caches()
-    _monotone_totals(6, 10)
-    _classical_totals(6, 10)
-    mono, classical = oracle._rank_store(True), oracle._rank_store(False)
-    # a classical level reads no other and keeps only its last layer
-    assert list(classical) == [6] and list(classical[6][1]) == [10]
-    # level n + 1 has read every layer of level n but its last, which
-    # level n extends from; level 7 has yet to read those of level 6
-    assert [list(mono[n][1]) for n in range(1, 6)] == [[10]] * 5
-    assert sorted(mono[6][1]) == list(range(11))
-    _monotone_totals(7, 4)
-    assert sorted(mono[6][1]) == list(range(5, 11))
-    # no level above DP_MAX_POINTS reads the top level
-    _monotone_totals(8, 2)
-    assert sorted(mono[7][1]) == [3, 4] and list(mono[8][1]) == [2]
-    with pytest.raises(ResourceLimitError):
-        _monotone_totals(oracle.DP_MAX_POINTS + 1, 1)
-
-
 def test_clear_caches_empties_the_stores():
-    _monotone_totals(4, 3)
-    _classical_totals(4, 3)
+    caches = (oracle._character, _monotone_totals, _classical_totals, oracle._reduction_plan,
+              transitive_counts)
+    transitive_counts(4, 3, True)
+    transitive_counts(4, 3, False)
+    assert all(cache.cache_info().currsize for cache in caches)
     verify._clear_caches()
-    assert oracle._rank_store(True) == {} and oracle._rank_store(False) == {}
+    assert not any(cache.cache_info().currsize for cache in caches)
 
 
-@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_a_growth_that_raises_empties_its_store(monkeypatch, error):
-    step = oracle._step
+def test_a_non_integral_total_raises(monkeypatch):
+    eigenvalues = oracle._eigenvalues
 
-    def failing(store, n, monotone):
-        if n == 5 and len(store[n][0]) == 4:
-            raise error("planted")
-        step(store, n, monotone)
+    def planted(lam, rmax, monotone):
+        out = eigenvalues(lam, rmax, monotone)
+        if lam == Partition((4,)):
+            out[3] += 1  # moves each total at r = 3 by |C_mu| / 4!, 6/24 at mu = (4)
+        return out
 
-    for monotone, totals in FAMILIES:
+    for totals in (_monotone_totals, _classical_totals):
+        monkeypatch.setattr(oracle, "_eigenvalues", planted)
         verify._clear_caches()
-        want = dict(transitive_counts(5, 8, monotone))
+        with pytest.raises(AssertionError, match=r"total at \(4,\), r=3 is -?\d+ \+ 6/24"):
+            totals(4, 5)
+        monkeypatch.setattr(oracle, "_eigenvalues", eigenvalues)
         verify._clear_caches()
-        totals(4, 9)  # levels that the failure must not leave half grown
-        monkeypatch.setattr(oracle, "_step", failing)
-        with pytest.raises(error, match="planted"):
-            transitive_counts(5, 8, monotone)
-        assert oracle._rank_store(monotone) == {}
-        monkeypatch.setattr(oracle, "_step", step)
-        assert transitive_counts(5, 8, monotone) == want
-        assert totals(5, 8) == _dict_layered_totals(5, 8, _blocks(5, monotone))
+        assert totals(4, 5) == _brute_totals(4, 5, totals is _monotone_totals)
 
 
 def test_transitive_tables_match_frozen_digests():
@@ -297,5 +275,8 @@ def test_transitive_counts_refuses_a_count_off_riemann_hurwitz(monkeypatch):
 
 
 def test_resource_guard():
+    # no r fits the cap at d = 19, and (4, 3401) lies just past its edge
     with pytest.raises(ResourceLimitError):
-        count_monotone_transitive(tuple([1] * 9), 2)
+        count_monotone_transitive(tuple([1] * 19), 2)
+    with pytest.raises(ResourceLimitError):
+        count_classical_transitive((4,), 3401)

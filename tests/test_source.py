@@ -96,9 +96,9 @@ def test_counting_routes_share_only_partitions():
 
 
 def test_literal_oracle_shares_no_kernel_or_reduction():
-    # `oracle-literal-vs-dp` checks two counters against each other; that
-    # check means something only while the literal counter shares neither
-    # the ranked block DP nor its inclusion-exclusion
+    # `oracle-literal-vs-characters` checks two counters against each other;
+    # that check means something only while the literal counter shares
+    # neither the character totals nor their inclusion-exclusion
     package = Path(hurwitz.__file__).parent
     tree = ast.parse((package / "oracle.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -113,8 +113,8 @@ def test_literal_oracle_shares_no_kernel_or_reduction():
             todo.extend(node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name))
     assert "compose" in reached
     forbidden = {
-        "_ranked", "_rank_store", "_step", "_grow", "_totals", "_monotone_totals",
-        "_classical_totals", "_reduction_plan", "transitive_counts", "subpartitions",
+        "_character", "_eigenvalues", "_totals", "_monotone_totals", "_classical_totals",
+        "aut_order", "_reduction_plan", "transitive_counts", "subpartitions",
     }
     assert not forbidden & reached, sorted(reached)
 
