@@ -30,7 +30,7 @@ from .oracle import (
     count_classical_transitive,
     count_monotone_transitive,
 )
-from .partitions import Partition
+from .partitions import Partition, decimal_int
 from .pipeline import GENUS_CAP, genus1_closed, rational_form
 from .tables import paper_form
 from .verify import SUITES, run_suite
@@ -75,7 +75,7 @@ def fmt_fraction(x) -> str:
 def parse_partition(text: str) -> Partition:
     try:
         # every field of a nonempty partition must be a part: "3,,1" is refused
-        parts = [int(p) for p in text.split(",")] if text.strip() else []
+        parts = [decimal_int(p) for p in text.split(",")] if text.strip() else []
         return Partition(parts)
     except ValueError as exc:
         raise RangeError(f"invalid partition {text!r}: {exc}") from exc

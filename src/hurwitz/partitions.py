@@ -37,6 +37,18 @@ class Partition(tuple):
         return f"Partition({tuple(self)})"
 
 
+def decimal_int(text: str, signed: bool = False) -> int:
+    """The int that ``text`` writes in ASCII decimal digits, with a leading
+    '-' if ``signed``; spaces around it are allowed.  int() would also take
+    '+', '_' separators and non-ASCII digits: each raises ValueError here."""
+    digits = text.strip()
+    if signed and digits.startswith("-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not written in decimal digits")
+    return int(text)
+
+
 def aut_order(alpha) -> int:
     """Order of the automorphism group: product of multiplicity factorials."""
     out = 1

@@ -53,10 +53,11 @@ from .ring import (
 )
 
 # Set as the largest genus whose cold ``hurwitz rational-form --genus g``
-# finished within 60 s on a 2-vCPU Xeon VM (Python 3.11.7).  With the ring's
-# level accumulators g = 9 / 10 take 5.4-5.6 / 10.8-15.3 s cold, and g = 11
-# (cap raised) 44 s at 269 MB peak RSS: it now fits, but a raised cap needs a
-# check at its edge first.
+# finished within 60 s on a 2-vCPU Xeon VM (Python 3.11.7).  With ring
+# elements kept by (V, H) group, g = 9 / 10 take 3.6-4.3 / 9.6-10.4 s cold at
+# 61 / 113 MB peak RSS (3.8-4.6 / 11.7-12.7 s at 77 / 140 MB before, 4 runs
+# interleaved), and g = 11 (cap raised, one run) 27 s at 216 MB (30 s at
+# 269 MB before): it fits, but a raised cap needs a check at its edge first.
 GENUS_CAP = 10
 
 
@@ -115,8 +116,9 @@ def decompose_basis(g: int, E: RingElement) -> tuple[RingElement, ...]:
         raise ValueError("decompose_basis expects the normalized honest element")
     # numerators by U degree, all over the one denominator ``den``
     by_degree: dict[int, dict[tuple[int, ...], int]] = {}
-    for (u2, _v, hs), n in E.nums.items():
-        by_degree.setdefault(u2 // 2, {})[hs] = n
+    for (_v, hs), col in E.groups.items():
+        for u2, n in col.items():
+            by_degree.setdefault(u2 // 2, {})[hs] = n
     den = E.den
     comps: list[RingElement] = [RingElement.zero()] * (3 * g)
     for j in range(3 * g - 1, -1, -1):
@@ -125,7 +127,9 @@ def decompose_basis(g: int, E: RingElement) -> tuple[RingElement, ...]:
         top = by_degree.pop(j, None)
         if not top:
             continue
-        comps[j] = RingElement.from_nums({(0, 0, hs): n * q for hs, n in top.items()}, den * lead)
+        comps[j] = RingElement.from_groups(
+            {(0, hs): {0: n * q} for hs, n in top.items()}, den * lead
+        )
         # subtracting basis * F_j puts the rows over den * lead / k
         k = gcd(lead, *top.values())
         widen = lead // k
@@ -159,9 +163,9 @@ def decompose_basis(g: int, E: RingElement) -> tuple[RingElement, ...]:
         for j in range(1, 3 * g):
             f = common // comps[j].den
             f, extra = (-f, ()) if j == 1 else (f, (j - 1,))
-            for (_u2, _v, hs), n in comps[j].nums.items():
+            for (_v, hs), col in comps[j].groups.items():
                 key = tuple(sorted(hs + extra))
-                ident[key] = ident.get(key, 0) + f * n
+                ident[key] = ident.get(key, 0) + f * col[0]
         if any(ident.values()):
             raise AssertionError("gamma-cancellation identity failed")
     return tuple(comps)
@@ -173,7 +177,7 @@ def recompose_basis(B: tuple[RingElement, ...]) -> RingElement:
     for j, Fj in enumerate(B):
         if Fj:
             q, basis = _basis_int_poly(j)
-            out = out + RingElement.from_nums({(2 * e, 0, ()): n for e, n in basis}, q) * Fj
+            out = out + RingElement.from_groups({(0, ()): {2 * e: n for e, n in basis}}, q) * Fj
     return out
 
 
@@ -184,7 +188,7 @@ def integrate_phi(g: int, B: tuple[RingElement, ...]) -> RationalForm:
     # every term is accumulated as an integer numerator over ``den``: the
     # lcm of the component denominators times lcm(1..m+2g-2), m <= len(hs)
     comps = B[2:]
-    m_max = max((len(hs) for Fj in comps for (_u2, _v, hs) in Fj.nums), default=0)
+    m_max = max((len(hs) for Fj in comps for (_v, hs) in Fj.groups), default=0)
     den_c = lcm(*(Fj.den for Fj in comps))
     den_t = lcm(*range(1, m_max + 2 * g - 1))
 
@@ -211,13 +215,13 @@ def integrate_phi(g: int, B: tuple[RingElement, ...]) -> RationalForm:
             row[k] = row.get(k, 0) + num * w
 
     f = den_c // B[2].den
-    for (_u2, _v, hs), n in B[2].nums.items():
-        integral_terms(hs, n * f, len(hs), extra_eta=1)
+    for (_v, hs), col in B[2].groups.items():
+        integral_terms(hs, col[0] * f, len(hs), extra_eta=1)
     for j in range(3, 3 * g):
         f = den_c // B[j].den
-        for (_u2, _v, hs), n in B[j].nums.items():
+        for (_v, hs), col in B[j].groups.items():
             alpha = tuple(sorted(hs + (j - 2,)))
-            integral_terms(alpha, n * f, len(alpha) - 1, extra_eta=0)
+            integral_terms(alpha, col[0] * f, len(alpha) - 1, extra_eta=0)
 
     terms: dict[Partition, int] = {}
     constant = 0

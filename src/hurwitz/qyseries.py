@@ -17,7 +17,7 @@ No operator here builds a series inverse.  The factor (1-eta)^(-1) of
 the lift and of T is `over_one_minus_eta`: it solves S = F + eta S one
 q-weight at a time, reading each S[m] off the S of the monomials below
 it, and moves each q-monomial's y-terms together.  `expand_ring_element`
-groups a ring element's terms by (V power, H part): each group is one
+reads a ring element by its (V power, H part) groups: each group is one
 q-part, prod eta_j (1-eta)^(-(v + len hs)) through the same solve, times
 one integer y1-polynomial, the sum of its terms' c (1-4y1)^(-u2/2); the
 outer products of all groups go into one dict, reduced once.
@@ -303,16 +303,15 @@ def expand_ring_element(E: RingElement, wq: int, w1: int, w2: int = 0) -> BiSeri
     """Concrete (q, y1)-series of a ring element, one (V power, H part)
     group at a time: the group's q-part prod eta_j (1-eta)^(-(v + len hs))
     times its y1-polynomial, the sum of c (1-4y1)^(-u2/2) over its terms."""
-    polys: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    for (u2, v, hs), n in E.nums.items():
-        poly = polys.setdefault((v, hs), [0] * (w1 + 1))
-        for a, c in enumerate(_binomial_coeffs(-u2, w1)):
-            poly[a] += n * c
     one = MSeries.constant(1, wq)
-    aux = aux_series(one, j_max=max((max(hs) for (_, hs) in polys if hs), default=0))
+    aux = aux_series(one, j_max=max((max(hs) for (_, hs) in E.groups if hs), default=0))
     out: dict[QKey, int] = {}
     get = out.get
-    for (v, hs), poly in polys.items():
+    for (v, hs), col in E.groups.items():
+        poly = [0] * (w1 + 1)
+        for u2, n in col.items():
+            for a, c in enumerate(_binomial_coeffs(-u2, w1)):
+                poly[a] += n * c
         ys = [(a, c) for a, c in enumerate(poly) if c]
         q = one
         for j in hs:

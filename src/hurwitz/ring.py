@@ -13,15 +13,16 @@ honest ring R consists of elements with v = 0 and even u2; the weighted
 degree of an honest monomial is u2/2 + k1 + k2 + ... and R_d collects
 weighted degrees <= d.
 
-An element is stored as integer numerators over one common denominator:
-``nums`` maps each monomial to an int and ``den`` is a positive int, the
-coefficient of a monomial being nums[key] / den.  Every operation returns
-the canonical form: no zero numerator, gcd(den, *nums) == 1, and den == 1
-for zero.  A rational combination has exactly one such form, so ``==``
-compares ``nums`` and ``den`` and stays exact value equality.  The
-kernels (sums, products, shifts, the lift D and the transfer T) work on
-the ints and reduce once per result.  ``terms`` is the Fraction-valued
-read view; its Fractions are built on access and never stored.
+An element is stored as integer numerators over one common denominator,
+grouped by (V power, H part): ``groups`` maps (v, hs) to its U column
+{u2: numerator}, and ``den`` is a positive int, the coefficient of
+U^(u2/2) V^v H_hs being groups[(v, hs)][u2] / den.  Every operation
+returns the canonical form: no zero numerator, no empty column,
+gcd(den, *numerators) == 1, and den == 1 for zero.  A rational
+combination has exactly one such form, so ``==`` compares ``groups`` and
+``den`` and stays exact value equality.  ``terms`` is the Fraction-valued
+read view by monomial key; its Fractions are built on access and never
+stored.
 
 The y-dependent series are never stored as series; they are resolved on
 sight into U-polynomials times a half power of U:
@@ -54,16 +55,15 @@ closed form:
     T(U^e) = sum_{i=1}^{e-1} 4^i proj(i)
              ( sum_{a=0}^{e-i} C(e-1-a, i-1) U^a - C(e, i) ).
 
-D and T are both term maps into integer accumulators; neither builds an
-intermediate element.  D groups its input by (V power, H part), and each
-group's U column times a cached factor of D adds into numerators kept by
-(V power, H part), then by U power, so H parts merge once per group and
-factor row, not once per term (products group both sides the same way).
-T adds each term n U^e V^v H_hs, as n V^v H_hs times the cached row
-T(U^e), into one dict per U level keyed by (v, hs).  (1 - T)^(-1) runs
-on those level dicts over one running denominator: going down from the
-top, each level is final when the pass reaches it, moves to the output,
-and adds its T into the levels below.
+The product, D and T share one term map, ``_add_times``: a U column
+times an element, added into numerators by (V power, H part), so each
+factor group merges its H part once per column, not once per term.  D
+multiplies each group's U column by the cached elements D U, D V / V and
+D H_j; T adds each term n U^e V^v H_hs as the one-term column n times
+the cached element T(U^e), moved to V^v H_hs.  (1 - T)^(-1) runs in
+place on a copy of its input over one running denominator: going down
+the U levels from the top, each level is final when the pass reaches
+it and adds its T into the levels below.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
 Key = tuple[int, int, tuple[int, ...]]
+Groups = dict[tuple[int, tuple[int, ...]], dict[int, int]]
 
 ONE_KEY: Key = (0, 0, ())
 
@@ -81,23 +82,25 @@ ONE_KEY: Key = (0, 0, ())
 class Terms(Mapping):
     """Read-only view monomial -> Fraction coefficient of a RingElement."""
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_groups", "_den")
 
-    def __init__(self, nums: dict[Key, int], den: int):
-        self._nums = nums
+    def __init__(self, groups: Groups, den: int):
+        self._groups = groups
         self._den = den
 
     def __getitem__(self, key: Key) -> Fraction:
-        return Fraction(self._nums[key], self._den)
+        u2, v, hs = key
+        return Fraction(self._groups[(v, hs)][u2], self._den)
 
     def __iter__(self):
-        return iter(self._nums)
+        return ((u2, v, hs) for (v, hs), col in self._groups.items() for u2 in col)
 
     def __len__(self) -> int:
-        return len(self._nums)
+        return sum(map(len, self._groups.values()))
 
     def __contains__(self, key) -> bool:
-        return key in self._nums
+        u2, v, hs = key
+        return u2 in self._groups.get((v, hs), ())
 
 
 def _merge(hs: tuple[int, ...], extra: tuple[int, ...]) -> tuple[int, ...]:
@@ -109,64 +112,56 @@ def _merge(hs: tuple[int, ...], extra: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(hs + extra))
 
 
-def _element(nums: dict[Key, int], den: int) -> "RingElement":
+def _element(groups: Groups, den: int) -> "RingElement":
     """Wrap numerators over den that are already in canonical form."""
     res = RingElement.__new__(RingElement)
-    res.nums = nums
+    res.groups = groups
     res.den = den
     return res
 
 
-def _reduced(nums: dict[Key, int], den: int) -> "RingElement":
-    """The canonical form of sum nums[k]/den for any nonzero int den; takes
-    ownership of ``nums``."""
-    for k in [k for k, n in nums.items() if not n]:
-        del nums[k]
+def _reduced(groups: Groups, den: int) -> "RingElement":
+    """The canonical form of the numerators ``groups`` over any nonzero int
+    den; takes ownership of ``groups`` and its columns."""
+    empty = []
+    for vh, col in groups.items():
+        if not col or 0 in col.values():
+            groups[vh] = col = {u2: n for u2, n in col.items() if n}
+            if not col:
+                empty.append(vh)
+    for vh in empty:
+        del groups[vh]
+    g = gcd(den, *[n for col in groups.values() for n in col.values()])
     if den < 0:
-        nums = {k: -n for k, n in nums.items()}
-        den = -den
-    g = gcd(den, *nums.values())
+        g = -g
     if g != 1:
-        nums = {k: n // g for k, n in nums.items()}
+        for col in groups.values():
+            for u2 in col:
+                col[u2] //= g
         den //= g
-    return _element(nums, den)
+    return _element(groups, den)
 
 
-def _rows(x: "RingElement"):
-    """x as (den, rows), each row ((v, hs), ((u2, numerator), ...)) holding
-    the terms that share a V power and an H part."""
-    rows: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
-    for (u2, v, hs), n in x.nums.items():
-        rows.setdefault((v, hs), []).append((u2, n))
-    return x.den, tuple((vh, tuple(col)) for vh, col in rows.items())
-
-
-Groups = dict[tuple[int, tuple[int, ...]], dict[int, int]]
-
-
-def _add_times(groups: Groups, col, v: int, hs, rows):
+def _add_times(groups: Groups, col, v: int, hs, factor: Groups) -> None:
     """groups += sum_{(u2, f) in col} f U^(u2/2) V^v H_hs * (the element with
-    numerator ``rows``), as numerators by (V power, H part), then by u2: each
-    row merges its H part with hs once and sums its U products under int keys."""
-    for (dv, dh), rcol in rows:
+    numerators ``factor``), as numerators by (V power, H part), then by u2:
+    each factor group merges its H part with hs once and sums its U
+    products under int keys."""
+    for (dv, dh), fcol in factor.items():
         acc = groups.setdefault((v + dv, _merge(hs, dh)), {})
         get = acc.get
-        for du, c in rcol:
+        for du, c in fcol.items():
             for u2, f in col:
                 u = u2 + du
                 acc[u] = get(u, 0) + f * c
 
 
-def _ungroup(groups: Groups) -> dict[Key, int]:
-    """The numerators of ``groups`` by monomial."""
-    return {(u, v, hs): n for (v, hs), acc in groups.items() for u, n in acc.items()}
-
-
 class RingElement:
     """Immutable-by-convention exact linear combination of ring monomials,
-    as integer numerators ``nums`` over one denominator ``den``."""
+    as integer numerators ``groups`` by (V power, H part), then by u2, over
+    one denominator ``den``."""
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("groups", "den")
 
     def __init__(self, terms=None):
         clean: dict[Key, Fraction] = {}
@@ -179,13 +174,15 @@ class RingElement:
         clean = {k: c for k, c in clean.items() if c}
         # reduced fractions over the lcm of their denominators are canonical
         den = lcm(*(c.denominator for c in clean.values()))
-        self.nums = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self.groups: Groups = {}
+        for (u2, v, hs), c in clean.items():
+            self.groups.setdefault((v, hs), {})[u2] = c.numerator * (den // c.denominator)
         self.den = den
 
     @property
     def terms(self) -> Terms:
-        """The coefficients as Fractions, computed on access."""
-        return Terms(self.nums, self.den)
+        """The coefficients as Fractions by monomial, computed on access."""
+        return Terms(self.groups, self.den)
 
     # -- constructors -------------------------------------------------
 
@@ -205,20 +202,28 @@ class RingElement:
         )
 
     @classmethod
-    def from_nums(cls, nums: dict[Key, int], den: int) -> "RingElement":
-        """The element sum_k nums[k]/den (den a nonzero int), reduced; takes
-        ownership of ``nums``."""
-        return _reduced(nums, den)
+    def from_groups(cls, groups: Groups, den: int) -> "RingElement":
+        """The element with numerators ``groups`` (sorted H parts) over den,
+        a nonzero int, reduced; takes ownership of ``groups``."""
+        return _reduced(groups, den)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "RingElement") -> "RingElement":
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
-        out = dict(self.nums) if fa == 1 else {k: n * fa for k, n in self.nums.items()}
-        get = out.get
-        for k, n in other.nums.items():
-            out[k] = get(k, 0) + n * fb
+        if fa == 1:
+            out = {vh: dict(col) for vh, col in self.groups.items()}
+        else:
+            out = {vh: {u2: n * fa for u2, n in col.items()} for vh, col in self.groups.items()}
+        for vh, col in other.groups.items():
+            acc = out.get(vh)
+            if acc is None:
+                out[vh] = {u2: n * fb for u2, n in col.items()}
+                continue
+            get = acc.get
+            for u2, n in col.items():
+                acc[u2] = get(u2, 0) + n * fb
         return _reduced(out, den)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
@@ -227,64 +232,61 @@ class RingElement:
     def scale(self, c) -> "RingElement":
         c = Fraction(c)
         p = c.numerator
-        return _reduced({k: p * n for k, n in self.nums.items()}, self.den * c.denominator)
+        out = {vh: {u2: p * n for u2, n in col.items()} for vh, col in self.groups.items()}
+        return _reduced(out, self.den * c.denominator)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
-        # group both sides by (V power, H part): one _add_times per left group
-        groups: Groups = {}
-        _, right_rows = _rows(other)
-        for (v, hs), left in _rows(self)[1]:
-            _add_times(groups, left, v, hs, right_rows)
-        return _reduced(_ungroup(groups), self.den * other.den)
+        # one _add_times per left group, over the right side's groups
+        out: Groups = {}
+        for (v, hs), col in self.groups.items():
+            _add_times(out, col.items(), v, hs, other.groups)
+        return _reduced(out, self.den * other.den)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RingElement)
             and self.den == other.den
-            and self.nums == other.nums
+            and self.groups == other.groups
         )
 
     def __bool__(self) -> bool:
-        return bool(self.nums)
+        return bool(self.groups)
 
     def __repr__(self) -> str:
-        return f"RingElement({len(self.nums)} terms)"
+        return f"RingElement({len(self.terms)} terms)"
 
     def shift_u2(self, du2: int) -> "RingElement":
         """Multiply by U^(du2/2); negative shifts must stay representable."""
-        out = {}
-        for (u2, v, hs), n in self.nums.items():
-            if u2 + du2 < 0:
-                raise ValueError("shift would create a negative U exponent")
-            out[(u2 + du2, v, hs)] = n
+        if any(u2 + du2 < 0 for col in self.groups.values() for u2 in col):
+            raise ValueError("shift would create a negative U exponent")
+        out = {vh: {u2 + du2: n for u2, n in col.items()} for vh, col in self.groups.items()}
         return _element(out, self.den)
 
     def shift_v(self, dv: int) -> "RingElement":
         """Multiply by V^dv; negative shifts must stay representable."""
-        out = {}
-        for (u2, v, hs), n in self.nums.items():
-            if v + dv < 0:
-                raise ValueError("shift would create a negative V exponent")
-            out[(u2, v + dv, hs)] = n
-        return _element(out, self.den)
+        if any(v + dv < 0 for (v, _hs) in self.groups):
+            raise ValueError("shift would create a negative V exponent")
+        return _element({(v + dv, hs): dict(col) for (v, hs), col in self.groups.items()}, self.den)
 
     # -- structure checks ----------------------------------------------
 
     def is_honest(self) -> bool:
         """True if the element lies in the ring proper: no V, integer U."""
-        return all(v == 0 and u2 % 2 == 0 for (u2, v, _hs) in self.nums)
+        return all(v == 0 for (v, _hs) in self.groups) and not any(
+            u2 % 2 for col in self.groups.values() for u2 in col
+        )
 
     def weighted_degree(self) -> Fraction:
         """Max over monomials of u2/2 + sum of H indices (-1 for zero)."""
-        if not self.nums:
+        if not self.groups:
             return Fraction(-1)
-        return Fraction(max(u2 + 2 * sum(hs) for (u2, _v, hs) in self.nums), 2)
+        return Fraction(max(max(col) + 2 * sum(hs) for (_v, hs), col in self.groups.items()), 2)
 
     def in_ring(self, d: int) -> bool:
         return self.is_honest() and self.weighted_degree() <= d
 
     def u_degree2(self) -> int:
-        return max((u2 for (u2, _v, _hs) in self.nums), default=-1)
+        return max((max(col) for col in self.groups.values()), default=-1)
 
 
 # -- U-polynomial helpers ------------------------------------------------
@@ -324,44 +326,42 @@ _ETA_MINUS_GAMMA = RingElement({(3, 0, ()): Fraction(1), (1, 0, ()): Fraction(-1
 
 
 @lru_cache(maxsize=None)
-def _dv_factor():
-    """D V / V = P_1(U) U^(1/2) V + (U-1) U^(1/2) V H_1, as _rows."""
-    return _rows(_eta_y_element(1, 1) + _ETA_MINUS_GAMMA * RingElement.monomial(v=1, hs=(1,)))
+def _dv_factor() -> RingElement:
+    """D V / V = P_1(U) U^(1/2) V + (U-1) U^(1/2) V H_1."""
+    return _eta_y_element(1, 1) + _ETA_MINUS_GAMMA * RingElement.monomial(v=1, hs=(1,))
 
 
 @lru_cache(maxsize=None)
-def _dh_factor(j: int):
-    """D H_j with the H_j factor removed where it survives, as _rows."""
+def _dh_factor(j: int) -> RingElement:
+    """D H_j with the H_j factor removed where it survives."""
     keep = _eta_y_element(j + 1, 1)
     up = _ETA_MINUS_GAMMA * RingElement.monomial(v=1, hs=(j + 1,))
     same = _eta_y_element(1, 1, hs=(j,))
     prod = _ETA_MINUS_GAMMA * RingElement.monomial(v=1, hs=(j, 1))
-    return _rows(keep + up + same + prod)
+    return keep + up + same + prod
 
 
 def apply_delta1(F: RingElement) -> RingElement:
     """The lifting derivation applied to F, by the product rule, one
     (V power, H part) group of F's terms at a time."""
-    du_den, du = _rows(_DU)
-    dv_den, dv = _dv_factor()
-    _, groups = _rows(F)
-    dh = {j: _dh_factor(j) for j in {j for (_v, hs), _col in groups for j in hs}}
+    dv = _dv_factor()
+    dh = {j: _dh_factor(j) for j in {j for (_v, hs) in F.groups for j in hs}}
     # one denominator for every factor: (u2/2) D U, D V / V and the D H_j
-    den = lcm(2 * du_den, dv_den, *(d for d, _ in dh.values()))
-    fu = den // (2 * du_den)
+    den = lcm(2 * _DU.den, dv.den, *(x.den for x in dh.values()))
+    fu = den // (2 * _DU.den)
     out: Groups = {}
-    for (v, hs), col in groups:
-        _add_times(out, [(u2, n * u2 * fu) for u2, n in col if u2], v, hs, du)
+    for (v, hs), col in F.groups.items():
+        _add_times(out, [(u2, n * u2 * fu) for u2, n in col.items() if u2], v, hs, _DU.groups)
         if v:
-            f = v * (den // dv_den)
-            _add_times(out, [(u2, n * f) for u2, n in col], v, hs, dv)
+            f = v * (den // dv.den)
+            _add_times(out, [(u2, n * f) for u2, n in col.items()], v, hs, dv.groups)
         for j in set(hs):
             stripped = list(hs)
             stripped.remove(j)
-            d, rows = dh[j]
-            f = hs.count(j) * (den // d)
-            _add_times(out, [(u2, n * f) for u2, n in col], v, tuple(stripped), rows)
-    return _reduced(_ungroup(out), F.den * den)
+            x = dh[j]
+            f = hs.count(j) * (den // x.den)
+            _add_times(out, [(u2, n * f) for u2, n in col.items()], v, tuple(stripped), x.groups)
+    return _reduced(out, F.den * den)
 
 
 def delta1_sq_H0() -> RingElement:
@@ -399,92 +399,68 @@ def pi2_project(i: int) -> RingElement:
 
 
 @lru_cache(maxsize=None)
-def _t_rows(e: int):
-    """T(U^e) as _rows, from its closed form (see the module docstring)."""
+def _t_row(e: int) -> RingElement:
+    """T(U^e), from its closed form (see the module docstring)."""
     projs = [pi2_project(i) for i in range(1, e)]
     den = lcm(*(p.den for p in projs))
-    out: dict[Key, int] = {}
-    get = out.get
+    out: Groups = {}
     for i, p in enumerate(projs, 1):
-        upoly = [comb(e - 1 - a, i - 1) for a in range(e - i + 1)]
-        upoly[0] -= comb(e, i)
+        # 4^i (sum_a C(e-1-a, i-1) U^a - C(e, i)) times proj(i), over den
         f = 4**i * (den // p.den)
-        for (_u2, _v, hs), n in p.nums.items():
-            for a, c in enumerate(upoly):
-                key = (2 * a, 0, hs)
-                out[key] = get(key, 0) + f * n * c
-    return _rows(_reduced(out, den))
-
-
-def _t_into(levels: dict[int, dict], v: int, hs, m: int, row) -> None:
-    """The term map of T: levels[u2][(v, hs')] += m c for each term
-    c U^(u2/2) H_dh of ``row``, with hs' the merge of hs and dh.  With ``row``
-    the numerators of T(U^e), this adds m V^v H_hs T(U^e) to the levels."""
-    for (_v, dh), col in row:
-        vh = (v, _merge(hs, dh))
-        for u2, c in col:
-            level = levels[u2]
-            level[vh] = level.get(vh, 0) + m * c
+        upoly = [(2 * a, f * comb(e - 1 - a, i - 1)) for a in range(e - i + 1)]
+        upoly[0] = (0, upoly[0][1] - f * comb(e, i))
+        _add_times(out, upoly, 0, (), p.groups)
+    return _reduced(out, den)
 
 
 def _require_integer_u(F: RingElement) -> None:
-    if any(u2 % 2 for (u2, _v, _hs) in F.nums):
+    if any(u2 % 2 for col in F.groups.values() for u2 in col):
         raise ValueError("T is defined on integer U exponents only")
 
 
 def apply_T(F: RingElement) -> RingElement:
     """T on an honest element (integer U exponents), linear over V, H_k:
-    each term n U^e V^v H_hs adds n V^v H_hs T(U^e)."""
+    each term n U^e V^v H_hs adds the one-term column n times T(U^e)."""
     _require_integer_u(F)
-    rows = {u2: _t_rows(u2 // 2) for (u2, _v, _hs) in F.nums}
-    den = lcm(*(d for d, _row in rows.values()))
-    # T(U^e) reaches U^(e-1) at most
-    levels: dict[int, dict] = {u2: {} for u2 in range(0, F.u_degree2(), 2)}
-    for (u2, v, hs), n in F.nums.items():
-        d, row = rows[u2]
-        _t_into(levels, v, hs, n * (den // d), row)
-    out = {(u2, v, hs): n for u2, level in levels.items() for (v, hs), n in level.items()}
+    rows = {u2: _t_row(u2 // 2) for col in F.groups.values() for u2 in col}
+    den = lcm(*(row.den for row in rows.values()))
+    out: Groups = {}
+    for (v, hs), col in F.groups.items():
+        for u2, n in col.items():
+            row = rows[u2]
+            _add_times(out, ((0, n * (den // row.den)),), v, hs, row.groups)
     return _reduced(out, F.den * den)
 
 
 def invert_one_minus_T(F: RingElement) -> RingElement:
     """(1 - T)^(-1) F: the X with X = F + T X, one U level at a time.
 
-    T writes only lower U exponents, and T(1) = T(U) = 0.  So X starts as F,
-    held as one dict per U level over one running denominator, and going
-    down the levels from the top, X's U^e part is final when the pass
-    reaches it: it moves to the output and adds its T into the levels below,
-    which leaves X = F + T X.
+    T writes only lower U exponents, and T(1) = T(U) = 0.  So X starts as a
+    copy of F over one running denominator, and going down the levels from
+    the top, X's U^e part is final when the pass reaches it and adds its T
+    into the levels below, which leaves X = F + T X.
 
     Post-verifies (1 - T)(result) == F exactly.
     """
     _require_integer_u(F)
-    top = F.u_degree2()
-    levels: dict[int, dict] = {u2: {} for u2 in range(0, top + 1, 2)}
-    for (u2, v, hs), n in F.nums.items():
-        levels[u2][(v, hs)] = n
+    groups = {vh: dict(col) for vh, col in F.groups.items()}
     den = F.den
-    out: dict[Key, int] = {}
-    for u2 in range(top, -1, -2):
-        level = {vh: n for vh, n in levels.pop(u2).items() if n}
-        k = 1
-        if u2 >= 4 and level:
-            d, row = _t_rows(u2 // 2)
-            g = gcd(d, *level.values())
-            k = d // g
-            if k != 1:
-                # T of the level is over den * k: widen what is still open
-                for lower in levels.values():
-                    for vh in lower:
-                        lower[vh] *= k
-                for key in out:
-                    out[key] *= k
-                den *= k
-            for (v, hs), n in level.items():
-                _t_into(levels, v, hs, n // g, row)
-        for (v, hs), n in level.items():
-            out[(u2, v, hs)] = n * k
-    X = _reduced(out, den)
+    for u2 in range(F.u_degree2(), 3, -2):
+        level = [(vh, col[u2]) for vh, col in groups.items() if col.get(u2)]
+        if not level:
+            continue
+        row = _t_row(u2 // 2)
+        g = gcd(row.den, *(n for _vh, n in level))
+        k = row.den // g
+        if k != 1:
+            # T of the level is over den * k: widen the whole element
+            for col in groups.values():
+                for u in col:
+                    col[u] *= k
+            den *= k
+        for (v, hs), n in level:
+            _add_times(groups, ((0, n // g),), v, hs, row.groups)
+    X = _reduced(groups, den)
     if X - apply_T(X) != F:
         raise AssertionError("(1 - T) inverse verification failed")
     return X

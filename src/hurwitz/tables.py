@@ -16,22 +16,23 @@ from importlib import resources
 from pathlib import Path
 
 from .forms import RationalForm
-from .partitions import Partition
+from .partitions import Partition, decimal_int
 
 ENV_VAR = "HURWITZ_TABLES"
 
 
 def _integer(value) -> int:
-    """A JSON int or integer string as an int; floats and bools are refused."""
+    """A JSON int or decimal integer string as an int; floats and bools are
+    refused."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    return decimal_int(str(value), signed=True)
 
 
 def _parse_alpha(text: str) -> Partition:
     if not text:
         return Partition()
-    return Partition(int(p) for p in text.split(","))
+    return Partition(decimal_int(p) for p in text.split(","))
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

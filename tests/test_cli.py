@@ -27,7 +27,7 @@ def test_fmt_fraction():
 def test_parse_partition():
     assert parse_partition("3,1,1") == Partition((3, 1, 1))
     assert parse_partition(" 3, 1") == Partition((3, 1))
-    for text in ("3,x", "3,,1", "3,", ",3", " , "):
+    for text in ("3,x", "3,,1", "3,", ",3", " , ", "1_0", "+3", "-3", "\u0663", "3,\u00b2"):
         with pytest.raises(cli.RangeError, match="invalid partition"):
             parse_partition(text)
 
@@ -177,6 +177,12 @@ def test_exit_code_2_on_range_errors(capsys):
         code, out, err = run_cli(capsys, "compute", "--genus", "1", "--partition", text)
         assert code == 2 and not out, text
         assert err.startswith("error:") and repr(text) in err, err
+
+    # only ASCII decimal digits are parts: int() would read (10) and (3) here
+    for text in ("1_0", "\u0663", "+3", "2,\uff11"):
+        code, out, err = run_cli(capsys, "compute", "--genus", "1", "--partition", text)
+        assert code == 2 and not out, text
+        assert err.splitlines() == [err.strip()] and err.startswith("error: invalid partition")
 
 
 def test_rational_form_text_and_caps(capsys):

@@ -10,7 +10,7 @@ from hurwitz import pipeline, ring
 from hurwitz.combinat import central_binomial, rising
 from hurwitz.ring import (
     RingElement,
-    _t_rows,
+    _t_row,
     apply_T,
     apply_delta1,
     delta1_sq_H0,
@@ -109,35 +109,38 @@ def test_inversion_applies_T_once_per_level_and_once_to_check(monkeypatch):
     pipeline.delta1_element.cache_clear()
     for g in range(1, 6):
         pipeline.normalized_delta1(g)
-    # every input term of T's term map, with the U exponent of its row, split
-    # into the pass and the check (the call inside apply_T)
+    # every input term of T through the shared term map, with the U exponent
+    # of its row, split into the pass and the check (the call inside apply_T);
+    # T feeds the map one term at a time, against the cached row T(U^e)
+    top = max(F.u_degree2() for F in rhs) // 2
+    row_exponent = {id(_t_row(e).groups): e for e in range(top + 1)}
     pass_in, check_in, checks = [], [], []
-    t_into = ring._t_into
+    add_times = ring._add_times
 
-    def counted_t_into(levels, v, hs, m, row):
+    def counted_add_times(groups, col, v, hs, factor):
+        assert len(col) == 1 and id(factor) in row_exponent
         if checks:
             check_in.append((v, hs))
-        else:  # rows of e >= 2 are distinct; with U^e popped, U^(e-1) is the top open level
-            e = next(e for e in range(2, max(levels) // 2 + 2) if _t_rows(e)[1] is row)
-            pass_in.append((2 * e, v, hs))
-        t_into(levels, v, hs, m, row)
+        else:
+            pass_in.append((2 * row_exponent[id(factor)], v, hs))
+        add_times(groups, col, v, hs, factor)
 
     def counted_apply_T(F):
-        checks.append(len(F.nums))
+        checks.append(len(F.terms))
         return apply_T(F)
 
-    monkeypatch.setattr(ring, "_t_into", counted_t_into)
+    monkeypatch.setattr(ring, "_add_times", counted_add_times)
     monkeypatch.setattr(ring, "apply_T", counted_apply_T)
     for F in rhs[1:]:
         for seen in (pass_in, check_in, checks):
             seen.clear()
         X = invert_one_minus_T(F)
         # the pass meets each term of each nonempty level U^e, e >= 2, once
-        assert sorted(pass_in) == sorted((u2, v, hs) for (u2, v, hs) in X.nums if u2 >= 4)
+        assert sorted(pass_in) == sorted((u2, v, hs) for (u2, v, hs) in X.terms if u2 >= 4)
         # apply_T runs once, for the check, and meets each term of X once
-        assert checks == [len(X.nums)]
-        assert sorted(check_in) == sorted((v, hs) for (_u2, v, hs) in X.nums)
-        assert len(pass_in) + len(check_in) <= 2 * len(X.nums)
+        assert checks == [len(X.terms)]
+        assert sorted(check_in) == sorted((v, hs) for (_u2, v, hs) in X.terms)
+        assert len(pass_in) + len(check_in) <= 2 * len(X.terms)
 
 
 def test_inversion_matches_the_neumann_sum():
@@ -230,11 +233,13 @@ def ring_dicts(honest=False):
 
 
 def assert_canonical(x: RingElement):
+    nums = [n for col in x.groups.values() for n in col.values()]
     assert x.den > 0
-    assert all(isinstance(n, int) and n for n in x.nums.values())
-    assert gcd(x.den, *x.nums.values()) == 1
-    assert x.nums or x.den == 1
-    assert all(list(hs) == sorted(hs) for (_u2, _v, hs) in x.nums)
+    assert all(x.groups.values()), "no empty group"
+    assert all(isinstance(n, int) and n for n in nums)
+    assert gcd(x.den, *nums) == 1
+    assert nums or x.den == 1
+    assert all(list(hs) == sorted(hs) for (_v, hs) in x.groups)
 
 
 def clean(d):
@@ -331,11 +336,7 @@ def test_closed_form_transfer_rows_against_y_power_basis():
     ]
     for e in range(e_max + 1):
         want = sum((t_y[k].scale(comb(e, k) * 4**k) for k in range(2, e + 1)), zero)
-        den, rows = _t_rows(e)
-        got = RingElement.from_nums(
-            {(u2, v, hs): n for (v, hs), col in rows for u2, n in col}, den
-        )
-        assert got == want, e
+        assert _t_row(e) == want, e
 
 
 @settings(max_examples=60, deadline=None)
@@ -356,6 +357,43 @@ def test_arithmetic_laws_against_fraction_reference(a, b, c):
         assert got == RingElement(want)
 
 
+def snapshot(x: RingElement):
+    """x's denominator and a deep copy of its groups."""
+    return x.den, {vh: dict(col) for vh, col in x.groups.items()}
+
+
+def columns(x: RingElement) -> set[int]:
+    return {id(col) for col in x.groups.values()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_dicts(), ring_dicts(), ring_dicts(honest=True), COEFF)
+def test_operations_leave_their_operands_unchanged(a, b, h, c):
+    # the kernels add into columns in place and _reduced takes ownership of
+    # what it is given: no result may share a column with an operand
+    x, y, z = RingElement(a), RingElement(b), RingElement(h)
+    before = [snapshot(e) for e in (x, y, z)]
+    results = [
+        x + y, y + x, x + x, x - y, x - x, x * y, y * x, x * x, x.scale(c),
+        x.shift_u2(2), x.shift_v(1), apply_delta1(x), apply_T(z), invert_one_minus_T(z),
+    ]
+    assert [snapshot(e) for e in (x, y, z)] == before
+    for r in results:
+        assert not columns(r) & (columns(x) | columns(y) | columns(z))
+
+
+def test_a_pipeline_run_leaves_the_cached_factors_unchanged():
+    for cached in (pipeline.rational_form, pipeline.normalized_delta1, pipeline.delta1_element):
+        cached.cache_clear()
+    factors = [ring._DU, ring._dv_factor(), ring._dh_factor(1), pipeline.delta1_element(1)]
+    factors += [_t_row(e) for e in range(8)]
+    before = [snapshot(x) for x in factors]
+    for g in range(2, 6):
+        pipeline.rational_form(g)
+    assert [snapshot(x) for x in factors] == before
+    assert pipeline.delta1_element(1) is factors[3] and _t_row(7) is factors[-1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(ring_dicts(), st.integers(0, 2))
 def test_delta1_against_fraction_reference(a, m):
@@ -374,16 +412,16 @@ def test_transfer_against_fraction_reference(a):
 
 def test_terms_view_builds_fractions_on_access():
     x = RingElement({(2, 0, (1,)): Fraction(2, 3), (0, 1, ()): Fraction(-1, 2)})
-    assert (x.den, x.nums) == (6, {(2, 0, (1,)): 4, (0, 1, ()): -3})
+    assert (x.den, x.groups) == (6, {(0, (1,)): {2: 4}, (1, ()): {0: -3}})
     assert len(x.terms) == 2 and (0, 1, ()) in x.terms
     assert x.terms == {(2, 0, (1,)): Fraction(2, 3), (0, 1, ()): Fraction(-1, 2)}
     assert RingElement.zero().den == 1 and not RingElement.zero().terms
 
 
 def test_numerators_over_a_negative_denominator_are_reduced():
-    x = RingElement.from_nums({(0, 0, ()): 6, (2, 0, (1,)): 3, (0, 1, ()): 0}, -9)
+    x = RingElement.from_groups({(0, ()): {0: 6}, (0, (1,)): {2: 3}, (1, ()): {0: 0}}, -9)
     assert_canonical(x)
-    assert (x.den, x.nums) == (3, {(0, 0, ()): -2, (2, 0, (1,)): -1})
+    assert (x.den, x.groups) == (3, {(0, ()): {0: -2}, (0, (1,)): {2: -1}})
     assert x == RingElement({(0, 0, ()): Fraction(-2, 3), (2, 0, (1,)): Fraction(-1, 3)})
 
 

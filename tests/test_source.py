@@ -62,7 +62,7 @@ def test_literal_operators_take_only_the_element_type_from_the_ring():
     assert from_ring == {"RingElement"}, from_ring
     ring = ast.parse((package / "ring.py").read_text())
     kernels = {node.name for node in ring.body if isinstance(node, ast.FunctionDef)}
-    assert {"_rows", "_reduced", "apply_T", "_t_into"} <= kernels
+    assert {"_add_times", "_reduced", "apply_T", "_t_row"} <= kernels
     used = {
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)

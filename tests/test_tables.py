@@ -50,8 +50,8 @@ def test_shipped_tables_are_checked_like_an_override(monkeypatch, tmp_path):
 def test_env_override(tmp_path):
     custom = {
         "monotone": {
-            # JSON ints read like integer strings
-            "2": {"normalization": 2, "coefficients": {"": "1", "1": "3", "2": 5}}
+            # JSON ints read like integer strings, which may carry a '-'
+            "2": {"normalization": 2, "coefficients": {"": "1", "1": "3", "2": 5, "1,1": " -7"}}
         },
         "classical": {},
     }
@@ -61,7 +61,7 @@ def test_env_override(tmp_path):
     code = (
         "from hurwitz.tables import paper_form; "
         "f = paper_form(2); "
-        "print(f.coefficient((1,)), f.constant, f.coefficient((2,)))"
+        "print(f.coefficient((1,)), f.constant, f.coefficient((2,)), f.coefficient((1, 1)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -70,7 +70,7 @@ def test_env_override(tmp_path):
         text=True,
         check=True,
     )
-    assert out.stdout.split() == ["3/2", "-1/2", "5/2"]
+    assert out.stdout.split() == ["3/2", "-1/2", "5/2", "-7/2"]
 
 
 @pytest.mark.parametrize(
@@ -116,6 +116,23 @@ def test_env_override(tmp_path):
             '"coefficients": {"2,1": "1", "2,1": "9"}}}}',
             "the key '2,1' appears twice in one object",
         ),
+        (
+            # int() would read these as 1000 and 5
+            json.dumps({"monotone": {"2": {"normalization": "2", "coefficients": {"1": "1_000"}}}}),
+            "entry '1': '1_000' must be an integer coefficient",
+        ),
+        (
+            json.dumps({"monotone": {"2": {"normalization": "+5", "coefficients": {"": "1"}}}}),
+            "normalization must be a nonzero integer, got '+5'",
+        ),
+        (
+            json.dumps({"monotone": {"2": {"normalization": "2", "coefficients": {"1_0": "1"}}}}),
+            "entry '1_0': '1' must be an integer coefficient",
+        ),
+        (
+            json.dumps({"monotone": {"2": {"normalization": "2", "coefficients": {"\u0663": "5"}}}}),
+            "must be an integer coefficient",
+        ),
     ],
     ids=[
         "missing",
@@ -130,6 +147,10 @@ def test_env_override(tmp_path):
         "bool-coefficient",
         "repeated-partition",
         "repeated-key",
+        "underscore-coefficient",
+        "plus-normalization",
+        "underscore-key",
+        "non-ascii-key",
     ],
 )
 def test_bad_tables_file_exits_2_naming_it(tmp_path, content, message):
