@@ -74,11 +74,15 @@ def fmt_fraction(x) -> str:
 
 def parse_partition(text: str) -> Partition:
     try:
-        # every field of a nonempty partition must be a part: "3,,1" is refused
-        parts = [decimal_int(p) for p in text.split(",")] if text.strip() else []
-        return Partition(parts)
+        return Partition.parse(text)
     except ValueError as exc:
         raise RangeError(f"invalid partition {text!r}: {exc}") from exc
+
+
+def decimal(text: str) -> int:
+    """The argparse type of the integer flags: ASCII decimal digits with an
+    optional leading '-', so that a negative value reaches its range check."""
+    return decimal_int(text, signed=True)
 
 
 # The auto rule, measured cold (one `compute --timing` process per query,
@@ -273,25 +277,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="compute a single Hurwitz number")
-    p_compute.add_argument("--genus", type=int, required=True)
+    p_compute.add_argument("--genus", type=decimal, required=True)
     p_compute.add_argument(
         "--partition", required=True, help="comma-separated parts, e.g. 3,1,1"
     )
     p_compute.add_argument("--classical", action="store_true")
     p_compute.add_argument("--method", choices=METHODS, default="auto")
-    p_compute.add_argument("--max-degree", type=int, default=None)
+    p_compute.add_argument("--max-degree", type=decimal, default=None)
     p_compute.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p_compute.add_argument("--timing", action="store_true")
     p_compute.set_defaults(func=cmd_compute)
 
     p_form = sub.add_parser("rational-form", help="emit a genus generating function")
-    p_form.add_argument("--genus", type=int, required=True)
+    p_form.add_argument("--genus", type=decimal, required=True)
     p_form.add_argument("--format", choices=("json", "text"), default="json")
     p_form.set_defaults(func=cmd_rational_form)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=sorted(SUITES), default="all")
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=decimal, default=1)
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
     p_verify.add_argument("--timing", action="store_true")
     p_verify.set_defaults(func=cmd_verify)

@@ -36,6 +36,13 @@ class Partition(tuple):
     def __repr__(self) -> str:
         return f"Partition({tuple(self)})"
 
+    @classmethod
+    def parse(cls, text: str) -> "Partition":
+        """The partition written as comma-separated parts in decimal digits,
+        spaces around a part allowed; "" is the empty partition.  Every field
+        must be a part, so "3,,1", "3," and whitespace alone raise ValueError."""
+        return cls(decimal_int(p) for p in text.split(",")) if text else cls()
+
 
 def decimal_int(text: str, signed: bool = False) -> int:
     """The int that ``text`` writes in ASCII decimal digits, with a leading

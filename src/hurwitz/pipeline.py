@@ -71,13 +71,14 @@ def normalized_delta1(g: int) -> RingElement:
     if g == 1:
         rhs = delta1_sq_H0()
     else:
-        prev = delta1_element(g - 1)
-        rhs = apply_delta1(prev)
+        # D H_g' = U^(1/2) V^(2g'-1) E_g', so D H_g' D H_(g-g') is
+        # U V^(2g-2) E_g' E_(g-g') and only D^2 H_(g-1) needs the V shift
+        prev = normalized_delta1(g - 1).shift_u2(1).shift_v(2 * g - 3)
+        rhs = apply_delta1(prev).shift_v(-(2 * g - 2))
         # the sum over g' = 1..g-1 is symmetric under g' <-> g - g'
         for gp in range(1, g // 2 + 1):
-            prod = delta1_element(gp) * delta1_element(g - gp)
+            prod = (normalized_delta1(gp) * normalized_delta1(g - gp)).shift_u2(2)
             rhs = rhs + (prod if 2 * gp == g else prod.scale(2))
-        rhs = rhs.shift_v(-(2 * g - 2))
     if not rhs.is_honest():
         raise AssertionError(f"genus {g} right side left the ring")
     out = invert_one_minus_T(rhs)
@@ -86,12 +87,6 @@ def normalized_delta1(g: int) -> RingElement:
             f"genus {g} solution violates the degree bound: {out.weighted_degree()}"
         )
     return out
-
-
-@lru_cache(maxsize=None)
-def delta1_element(g: int) -> RingElement:
-    """D H_g itself: U^(1/2) V^(2g-1) E_g."""
-    return normalized_delta1(g).shift_u2(1).shift_v(2 * g - 1)
 
 
 @lru_cache(maxsize=None)

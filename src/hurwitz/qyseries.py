@@ -1,5 +1,5 @@
 """Truncated series in the q's plus two catalytic variables, and the
-literal lifting/projection/splitting operators acting on them.
+literal lifting and transfer operators acting on them.
 
 `BiSeries` is `series.MSeries` graded by (q-weight, y1-degree,
 y2-degree): it supplies that grading (keys (q monomial, y1 degree,
@@ -8,9 +8,9 @@ loop over the term pairs that drops each pair beyond the bounds and sorts
 no q-monomial when either factor's is empty; cleaning, +, -, *, ==,
 scale and powers are the MSeries code.  Like every series of
 that kernel a BiSeries holds integer numerators over one denominator in
-canonical form.  The operators below that act term by term (both parts
-of the lift's derivative, the split and the projection) map the
-numerators directly and reduce once per result with the kernel's own
+canonical form.  The literal operators below map the numerators term by
+term (both parts of the lift's derivative, and the whole transfer before
+its (1-eta)^(-1)) and reduce once per result with the kernel's own
 normaliser, not the ring's.
 
 No operator here builds a series inverse.  The factor (1-eta)^(-1) of
@@ -25,13 +25,14 @@ outer products of all groups go into one dict, reduced once.
 Each literal operator returns exactly the box its truncated input
 determines, with no parameter for it.  `lift_literal` takes G at
 (wq, w1, w2) to its lift at (wq - w1, w1, w2), since sum_k k y1^k d/dq_k
-trades q-weight for y1-degree, and refuses wq < w1; `transfer_literal`
-takes a y2-free F at (wq, W1, W2) to T(F) at (wq, W1 - wq, 0), since the
-projection turns y2-degree into q-weight, and refuses W1 < wq or W2 < wq.
-Both refusals are ValueError naming the bounds.  So the lift of a ring
-element expanded at (wq + w1, w1) and the transfer of one expanded at
-(wq, w1 + wq, wq) land on the box (wq, w1, 0) of the ring operator's
-expansion, and the two compare coefficient by coefficient.
+trades q-weight for y1-degree, and refuses wq < w1.  `transfer_literal`
+takes a y2-free F at (wq, W1, W2) to T(F) at (wq, W1 - wq, 0): y2 lives
+only between its split and its projection, which turns y2-degree into
+q-weight, so W2 plays no part, and it refuses only W1 < wq and a y2 term.
+Each refusal is a ValueError.  So the lift of a ring element expanded at
+(wq + w1, w1) and the transfer of one expanded at (wq, w1 + wq) land on
+the box (wq, w1, 0) of the ring operator's expansion, and the two compare
+coefficient by coefficient.
 
 This module is the series-level oracle for the algebraic operator ring:
 everything here is defined directly from the operator formulas
@@ -132,14 +133,6 @@ class BiSeries(MSeries):
         bounds, fits = out.bounds, out._fits
         nums = {(m, 0, 0): n for m, n in F.nums.items() if fits((m, 0, 0), bounds)}
         out.nums, out.den = _canonical(nums, F.den)
-        return out
-
-    @classmethod
-    def y_binomial(cls, numer2: int, wq: int, w1: int, w2: int, var=1) -> "BiSeries":
-        """(1 - 4 y_var)^(numer2 / 2) expanded in the chosen y variable."""
-        coeffs = _binomial_coeffs(numer2, w1 if var == 1 else w2)
-        out = cls(wq, w1, w2)
-        out.nums = {((), m, 0) if var == 1 else ((), 0, m): c for m, c in enumerate(coeffs) if c}
         return out
 
 
@@ -245,55 +238,33 @@ def lift_literal(G: BiSeries) -> BiSeries:
     return G._new(bounds, *_canonical(jacobi, G.den)) + euler_part * y_part
 
 
-def split_1_to_2(F: BiSeries) -> BiSeries:
-    """(y2 F(y1) - y1 F(y2)) / (y1 - y2) + F(0) for a y2-free series."""
-    out: dict[QKey, int] = {}
-    for (mono, n, b), c in F.nums.items():
-        if b:
-            raise ValueError("split expects a y2-free series")
-        # y1^n maps to sum_{i=1}^{n-1} y1^i y2^(n-i); constants and y1 die;
-        # (mono, i, n - i) determines n, so no two terms meet
-        for i in range(1, n):
-            if i > F.w1 or n - i > F.w2:
-                continue
-            out[(mono, i, n - i)] = c
-    return F._new(F.bounds, *_canonical(out, F.den))
-
-
-def project_2(M: BiSeries) -> BiSeries:
-    """[y2^0] M + sum_k q_k [y2^k] M: y2^b becomes q_b, beyond q-weight wq
-    dropped."""
+def transfer_literal(F: BiSeries) -> BiSeries:
+    """T as one term map, on the box its input determines: F y2-free at
+    (wq, W1, W2) gives T(F) at (wq, W1 - wq, 0).  (1-4y1) sends y1^n to
+    y1^n - 4 y1^(n+1), the split sends y1^N to y1^i y2^(N - i) for
+    i = 1..N-1, the y2 weight (1-4y2)^(-3/2) adds y2^m, and the projection
+    turns y2^(N - i + m) into the part N - i + m of the q-monomial.  A term
+    is kept while its q-weight is <= wq and i <= W1 - wq; as N - i <= wq,
+    it reads only input y1-degrees N <= W1, and W2 plays no part.
+    Raises ValueError if W1 < wq or F has a y2 term."""
+    wq, W1, _ = F.bounds
+    if W1 < wq:
+        raise ValueError(f"the transfer needs y1-degree W1 >= q-weight wq, got wq={wq}, W1={W1}")
+    top = W1 - wq
+    weight = _binomial_coeffs(-3, wq)
     out: dict[QKey, int] = {}
     get = out.get
-    for (mono, a, b), n in M.nums.items():
+    for (mono, n, b), c in F.nums.items():
         if b:
-            if sum(mono) + b > M.wq:
-                continue
-            mono = _key(mono + (b,))
-        key = (mono, a, 0)
-        out[key] = get(key, 0) + n
-    return M._new(M.bounds, *_canonical(out, M.den))
-
-
-def transfer_literal(F: BiSeries) -> BiSeries:
-    """T as literally composed from split, the y2 weight, and projection,
-    on the box its input determines: F y2-free at (wq, W1, W2) gives T(F)
-    at (wq, W1 - wq, 0).  The split sends y1^n to y1^i y2^(n - i), cut at
-    F's y-degrees (W1, W2), and the projection turns y2^j into q_j with
-    j <= wq, so an output term of y1-degree i reads input y1-degrees up to
-    i + wq <= W1 and split y2-degrees up to wq <= W2.  Raises ValueError
-    if W1 < wq or W2 < wq."""
-    wq, W1, W2 = F.bounds
-    if W1 < wq or W2 < wq:
-        raise ValueError(
-            f"the transfer needs y-degrees W1, W2 >= q-weight wq, got wq={wq}, W1={W1}, W2={W2}"
-        )
-    one_minus_4y1 = BiSeries(wq, W1, W2, {((), 0, 0): 1, ((), 1, 0): -4})
-    inner = split_1_to_2(one_minus_4y1 * F)
-    inner = BiSeries.y_binomial(-3, wq, W1, W2, var=2) * inner
-    projected = project_2(inner)
-    exact = {key: n for key, n in projected.nums.items() if key[1] <= W1 - wq}
-    return over_one_minus_eta(F._new((wq, W1 - wq, 0), *_canonical(exact, projected.den)))
+            raise ValueError("the transfer expects a y2-free series")
+        room = wq - sum(mono)
+        for N, f in ((n, c), (n + 1, -4 * c)):
+            # the projected part k = N - i + m must fit the q-weight
+            for i in range(max(1, N - room), min(N - 1, top) + 1):
+                for k in range(N - i, room + 1):
+                    key = (_key(mono + (k,)), i, 0)
+                    out[key] = get(key, 0) + f * weight[k - N + i]
+    return over_one_minus_eta(F._new((wq, top, 0), *_canonical(out, F.den)))
 
 
 # -- expanding ring elements into series -----------------------------------

@@ -29,12 +29,6 @@ def _integer(value) -> int:
     return decimal_int(str(value), signed=True)
 
 
-def _parse_alpha(text: str) -> Partition:
-    if not text:
-        return Partition()
-    return Partition(decimal_int(p) for p in text.split(","))
-
-
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object as a dict, refusing a key that appears twice."""
     out = {}
@@ -90,7 +84,7 @@ def paper_form(genus: int, classical: bool = False) -> RationalForm:
     terms, keys = {}, {}
     for a, c in entry["coefficients"].items():
         try:
-            alpha, coeff = _parse_alpha(a), Fraction(_integer(c), norm)
+            alpha, coeff = Partition.parse(a), Fraction(_integer(c), norm)
         except ValueError as exc:
             raise ValueError(
                 f"{where} entry {a!r}: {c!r} must be an integer coefficient "

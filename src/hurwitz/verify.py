@@ -241,7 +241,7 @@ def check_operator_series_oracle() -> tuple[bool, str]:
             ("lift", expand_ring_element(apply_delta1(elem), wq, w1),
              lift_literal(expand_ring_element(elem, wq + w1, w1))),
             ("transfer", expand_ring_element(apply_T(honest), wq, w1),
-             transfer_literal(expand_ring_element(honest, wq, w1 + wq, w2=wq))),
+             transfer_literal(expand_ring_element(honest, wq, w1 + wq))),
         )
         for name, alg, lit in pairs:
             alg, lit = alg.coeffs, lit.coeffs

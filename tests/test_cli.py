@@ -185,6 +185,26 @@ def test_exit_code_2_on_range_errors(capsys):
         assert err.splitlines() == [err.strip()] and err.startswith("error: invalid partition")
 
 
+def test_integer_flags_take_ascii_decimal_digits_only(capsys):
+    # int() would read these as 1, 10, 1, 2, 10 and 1
+    for flag, argv in (
+        ("--genus", ("compute", "--genus", "\u0661", "--partition", "2")),
+        ("--genus", ("compute", "--genus", "1_0", "--partition", "2")),
+        ("--genus", ("compute", "--genus", "+1", "--partition", "2")),
+        ("--max-degree", ("compute", "--genus", "1", "--partition", "2", "--max-degree", "\uff12")),
+        ("--genus", ("rational-form", "--genus", "1_0")),
+        ("--jobs", ("verify", "--suite", "scaling", "--jobs", "+1")),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and not out, argv
+        assert f"argument {flag}: invalid decimal value" in err and "Traceback" not in err
+    # a negative value still reaches the range check that names it
+    code, out, err = run_cli(capsys, "compute", "--genus", "-1", "--partition", "2")
+    assert code == 2 and not out and "genus must be >= 0" in err
+
+
 def test_rational_form_text_and_caps(capsys):
     code, out, _ = run_cli(capsys, "rational-form", "--genus", "1", "--format", "text")
     assert code == 0 and "log 1/(1-eta)" in out

@@ -13,7 +13,6 @@ from hurwitz.joincut import solve_monotone
 from hurwitz.partitions import Partition, partitions
 from hurwitz.pipeline import (
     decompose_basis,
-    delta1_element,
     genus1_closed,
     integrate_phi,
     normalized_delta1,
@@ -216,7 +215,8 @@ def test_lift_of_genus1_matches_joincut():
     table = solve_monotone(wp_in, 2 * wp_in)
     G1 = BiSeries.from_mseries(_genus_slice_p(table, 1, wp_in), wp_in, xcmp, 0)
     lifted = _lift_px(G1)
-    algebraic = _to_px(delta1_element(1), wcmp, xcmp)
+    # D H_1 = U^(1/2) V E_1
+    algebraic = _to_px(normalized_delta1(1).shift_u2(1).shift_v(1), wcmp, xcmp)
     assert _region(lifted, wcmp, xcmp) == _region(algebraic, wcmp, xcmp)
 
 

@@ -4,52 +4,35 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_series import COEFF, KINDS, assert_matches, clean, dense_biseries, derivative, ref, regrade
+from test_series import COEFF, KINDS, assert_matches, clean, dense_biseries, derivative, regrade
 
 from hurwitz.combinat import rising
 
 from hurwitz.inversion import aux_series
 from hurwitz.qyseries import (
     BiSeries,
+    _binomial_coeffs,
     expand_ring_element,
     lift_literal,
     over_one_minus_eta,
-    project_2,
-    split_1_to_2,
     transfer_literal,
 )
 from hurwitz.ring import RingElement, apply_T, apply_delta1
 from hurwitz.series import MSeries
 
 
+def y_binomial(numer2, wq, w1, w2, var=1):
+    """(1 - 4 y_var)^(numer2 / 2) expanded in the chosen y variable."""
+    coeffs = _binomial_coeffs(numer2, w1 if var == 1 else w2)
+    keys = (((), m, 0) if var == 1 else ((), 0, m) for m in range(len(coeffs)))
+    return BiSeries(wq, w1, w2, dict(zip(keys, coeffs)))
+
+
 def test_y_binomial_is_the_generalized_binomial_series():
-    s = BiSeries.y_binomial(-3, 2, 4, 0)  # (1-4y)^(-3/2)
+    s = y_binomial(-3, 2, 4, 0)  # (1-4y)^(-3/2)
     assert s.coeffs[((), 0, 0)] == 1
     assert s.coeffs[((), 1, 0)] == 6
     assert s.coeffs[((), 2, 0)] == 30  # (2k+1) C(2k,k) at k = 2
-
-
-def test_split_examples():
-    wq, w1, w2 = 2, 4, 4
-    const = BiSeries.constant(1, wq, w1, w2)
-    y1 = BiSeries(wq, w1, w2, {((), 1, 0): 1})
-    assert not split_1_to_2(const).coeffs
-    assert not split_1_to_2(y1).coeffs
-    cubed = BiSeries(wq, w1, w2, {((), 3, 0): 1})
-    assert split_1_to_2(cubed).coeffs == {
-        ((), 1, 2): Fraction(1),
-        ((), 2, 1): Fraction(1),
-    }
-    with pytest.raises(ValueError):
-        split_1_to_2(BiSeries(wq, w1, w2, {((), 0, 1): 1}))
-
-
-def test_projection_replaces_y2_by_q():
-    wq, w1, w2 = 3, 2, 3
-    # q_2 q_2 y1 has q-weight 4 > 3 and is dropped
-    m = BiSeries(wq, w1, w2, {((), 0, 2): 5, ((), 1, 0): 7, ((2,), 1, 2): 3})
-    out = project_2(m)
-    assert out.coeffs == {((2,), 0, 0): Fraction(5), ((), 1, 0): Fraction(7)}
 
 
 def test_expand_ring_element_basic():
@@ -75,7 +58,7 @@ def test_transfer_matches_algebra_on_powers():
     for e in (2, 3, 4):
         elem = RingElement.monomial(u2=2 * e)
         alg = expand_ring_element(apply_T(elem), wq, w1)
-        lit = transfer_literal(expand_ring_element(elem, wq, w1 + wq, w2=wq))
+        lit = transfer_literal(expand_ring_element(elem, wq, w1 + wq))
         assert lit.bounds == alg.bounds == (wq, w1, 0)
         assert alg == lit, e
 
@@ -87,12 +70,11 @@ def test_pi2_projection_against_literal_series():
 
     wq = 5
     for i in (1, 2, 3):
-        y2_pow = BiSeries(wq, 0, wq + i, {((), 0, i): Fraction(1)})
-        binom = BiSeries.y_binomial(-3 - 2 * i, wq, 0, wq + i, var=2)
-        literal = project_2(y2_pow * binom)
-        one = MSeries.constant(1, wq)
-        v = BiSeries.from_mseries((one - aux_series(one).main).inverse(), wq, 0, 0)
-        literal = v * BiSeries(wq, 0, 0, literal.coeffs)  # the y-free terms
+        bounds = (wq, 0, wq + i)
+        y2_pow = BiSeries(*bounds, {((), 0, i): Fraction(1)})
+        binom = y_binomial(-3 - 2 * i, *bounds, var=2)
+        projected = ref_project((y2_pow * binom).coeffs, (wq, 0, 0))
+        literal = BiSeries(wq, 0, 0, projected) * _v((wq, 0, 0))
         algebraic = expand_ring_element(pi2_project(i), wq, 0)
         assert literal.coeffs == algebraic.coeffs, i
 
@@ -129,19 +111,6 @@ def ref_project(a, bounds):
     return clean(out)
 
 
-@given(data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_y_operations_against_fraction_reference(data):
-    s = data.draw(KINDS[1])
-    _, bounds, a = ref(s)
-    free = {key: c for key, c in a.items() if key[2] == 0}
-    for got, want in (
-        (split_1_to_2(BiSeries(*bounds, free)), ref_split(free, bounds)),
-        (project_2(s), ref_project(a, bounds)),
-    ):
-        assert_matches(got, (BiSeries, bounds, want))
-
-
 def product_lift(G):
     """The lift composed from q- and y-derivatives and series products,
     the prefactor 4 y1 (1-4y1)^(-3/2) (1-eta)^(-1) built as one series."""
@@ -152,7 +121,7 @@ def product_lift(G):
 
     one = MSeries.constant(1, G.wq)
     v = BiSeries.from_mseries((one - aux_series(one).main).inverse(), *bounds)
-    prefactor = term(((), 1, 0), 4) * BiSeries.y_binomial(-3, *bounds) * v
+    prefactor = term(((), 1, 0), 4) * y_binomial(-3, *bounds) * v
     out, euler = BiSeries(*bounds), BiSeries(*bounds)
     for k in range(1, G.wq + 1):
         d = derivative(G, k)
@@ -208,9 +177,9 @@ def test_lift_is_exact_on_its_box(G, extra):
 
 @st.composite
 def y2_free_series(draw):
-    """A y2-free BiSeries at (wq, W1, W2) with W1, W2 >= wq."""
+    """A y2-free BiSeries at (wq, W1, W2) with W1 >= wq and any W2 <= wq + 1."""
     wq = draw(st.integers(1, 3))
-    W1, W2 = draw(st.integers(wq, wq + 3)), draw(st.integers(wq, wq + 1))
+    W1, W2 = draw(st.integers(wq, wq + 3)), draw(st.integers(0, wq + 1))
     monos = st.lists(st.integers(1, wq), max_size=3)
     terms = draw(st.lists(st.tuples(monos, st.integers(0, W1), COEFF), max_size=6))
     return BiSeries(wq, W1, W2, {(tuple(m), a, 0): c for m, a, c in terms})
@@ -228,19 +197,46 @@ def test_transfer_is_exact_on_its_box(F, extra):
     assert regrade(transfer_literal(wider), transferred.bounds) == transferred
 
 
+def composed_transfer(F):
+    """T(F) composed from series: (1-4y1) F, the split, the y2 weight
+    (1-4y2)^(-3/2) and the projection, each on its own, then cut to T's
+    box (wq, W1 - wq, 0) and times (1-eta)^(-1) as a series inverse."""
+    wq, W1, _ = F.bounds
+    inner = (wq, W1, wq)  # the projection reads y2-degrees up to wq only
+    one_minus_4y1 = BiSeries(*inner, {((), 0, 0): 1, ((), 1, 0): -4})
+    split = BiSeries(*inner, ref_split((one_minus_4y1 * regrade(F, inner)).coeffs, inner))
+    weighted = y_binomial(-3, *inner, var=2) * split
+    box = (wq, W1 - wq, 0)
+    return BiSeries(*box, ref_project(weighted.coeffs, inner)) * _v(box)
+
+
+@given(F=y2_free_series())
+@settings(max_examples=60, deadline=None)
+def test_transfer_term_map_against_series_composition(F):
+    assert transfer_literal(F) == composed_transfer(F)
+
+
+@given(F=y2_free_series())
+@settings(max_examples=30, deadline=None)
+def test_transfer_ignores_the_y2_bound(F):
+    wq, W1, _ = F.bounds
+    without_y2, wider = regrade(F, (wq, W1, 0)), regrade(F, (wq, W1, wq + 1))
+    assert transfer_literal(without_y2) == transfer_literal(wider)
+
+
 def test_operators_refuse_bounds_they_cannot_be_exact_on():
     with pytest.raises(ValueError, match="wq=2, w1=3"):
         lift_literal(BiSeries(2, 3, 0))
-    with pytest.raises(ValueError, match="wq=3, W1=2, W2=3"):
+    with pytest.raises(ValueError, match="wq=3, W1=2"):
         transfer_literal(BiSeries(3, 2, 3))
-    with pytest.raises(ValueError, match="wq=3, W1=5, W2=2"):
-        transfer_literal(BiSeries(3, 5, 2))
+    with pytest.raises(ValueError, match="y2-free"):
+        transfer_literal(BiSeries(1, 3, 1, {((), 2, 1): 1}))
 
 
 def test_y_binomial_against_fraction_formula():
     for numer2 in range(-9, 8):
         for var in (1, 2):
-            got = BiSeries.y_binomial(numer2, 1, 7, 7, var=var)
+            got = y_binomial(numer2, 1, 7, 7, var=var)
             want = {
                 ((), m, 0) if var == 1 else ((), 0, m): 4**m * rising(Fraction(-numer2, 2), m)
                 / factorial(m)
@@ -277,7 +273,7 @@ def per_term_expansion(E, wq, w1, w2=0):
             qpart = qpart * aux.main_j(j)
         term = BiSeries.from_mseries(qpart, wq, w1, w2).scale(c)
         if u2:
-            term = term * BiSeries.y_binomial(-u2, wq, w1, w2)
+            term = term * y_binomial(-u2, wq, w1, w2)
         out = out + term
     return out
 

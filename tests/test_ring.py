@@ -106,7 +106,6 @@ def test_inversion_applies_T_once_per_level_and_once_to_check(monkeypatch):
         pipeline, "invert_one_minus_T", lambda F: rhs.append(F) or invert_one_minus_T(F)
     )
     pipeline.normalized_delta1.cache_clear()
-    pipeline.delta1_element.cache_clear()
     for g in range(1, 6):
         pipeline.normalized_delta1(g)
     # every input term of T through the shared term map, with the U exponent
@@ -383,15 +382,15 @@ def test_operations_leave_their_operands_unchanged(a, b, h, c):
 
 
 def test_a_pipeline_run_leaves_the_cached_factors_unchanged():
-    for cached in (pipeline.rational_form, pipeline.normalized_delta1, pipeline.delta1_element):
+    for cached in (pipeline.rational_form, pipeline.normalized_delta1):
         cached.cache_clear()
-    factors = [ring._DU, ring._dv_factor(), ring._dh_factor(1), pipeline.delta1_element(1)]
+    factors = [ring._DU, ring._dv_factor(), ring._dh_factor(1), pipeline.normalized_delta1(1)]
     factors += [_t_row(e) for e in range(8)]
     before = [snapshot(x) for x in factors]
     for g in range(2, 6):
         pipeline.rational_form(g)
     assert [snapshot(x) for x in factors] == before
-    assert pipeline.delta1_element(1) is factors[3] and _t_row(7) is factors[-1]
+    assert pipeline.normalized_delta1(1) is factors[3] and _t_row(7) is factors[-1]
 
 
 @settings(max_examples=40, deadline=None)

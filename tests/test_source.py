@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import hurwitz
@@ -159,3 +160,26 @@ def test_every_public_function_has_a_library_caller():
         referenced.update(_referenced_names(tree))
     unused = [label for label, name in defined if not name.startswith("_") and name not in referenced]
     assert not unused, unused
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    # the benchmark's tracer wraps layers and reads caches by name; a
+    # deleted or renamed one fails here, not first in a traced bench run.
+    # The tracer's source is only read and executed here, never imported,
+    # so nothing is written under bench/
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tracing = {"__name__": "tracing"}
+    exec(compile(path.read_text(), str(path), "exec"), tracing)
+    missing = []
+    for table in ("LAYERS", "CACHES"):
+        for specs in tracing[table].values():
+            for module, attr in specs:
+                importlib.import_module(f"hurwitz.{module}")
+                try:
+                    value = tracing["_resolve"](module, attr)[2]
+                except AttributeError:
+                    missing.append((table, module, attr))
+                    continue
+                if table == "CACHES" and not hasattr(value, "cache_info"):
+                    missing.append((table, module, attr, "no cache_info"))
+    assert not missing, missing
