@@ -79,19 +79,26 @@ def parse_partition(text: str) -> Partition:
         raise RangeError(f"invalid partition {text!r}: {exc}") from exc
 
 
-def decimal(text: str) -> int:
-    """The argparse type of the integer flags: ASCII decimal digits with an
-    optional leading '-', so that a negative value reaches its range check."""
-    return decimal_int(text, signed=True)
+class DecimalFlag(argparse.Action):
+    """The action of the integer flags: ASCII decimal digits with an optional
+    leading '-', so that a negative value reaches its range check.  Anything
+    else is one error line and exit 2, not argparse's usage block."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        try:
+            setattr(namespace, self.dest, decimal_int(text, signed=True))
+        except ValueError:
+            raise RangeError(f"argument {option_string}: invalid decimal value: {text!r}") from None
 
 
 # The auto rule, measured cold (one `compute --timing` process per query,
 # elapsed_ms, 2-vCPU VM).  Monotone genus >= 4 goes to join-cut, which is at
 # least as fast as the pipeline at every |alpha| <= 9: g=5 (2,1) 0.3-0.5 ms
 # against 207-224 ms, g=9 (2) 0.3 ms against 15.7-18.6 s, g=4 (3,3,3) 13-19 ms
-# against 55-75 ms.  Genus 2 and 3 keep lagrange: at |alpha| = 9 it takes 4-15
-# ms against join-cut's 9-21 ms, most of it cold plan building, so single cold
-# queries would get slower there.
+# against 55-75 ms.  Genus 2 and 3 keep lagrange: at |alpha| = 9 (shapes (9),
+# (3,3,3) and 1^9, both families, minimum of 5) it takes 0.8-1.8 ms against
+# join-cut's 7.6-11.2 ms, most of it cold plan building, so single cold queries
+# would get slower there.
 def _auto_method(genus: int, alpha: Partition, r: int, classical: bool) -> str:
     if genus <= 1:
         return "closed-form"
@@ -277,25 +284,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="compute a single Hurwitz number")
-    p_compute.add_argument("--genus", type=decimal, required=True)
+    p_compute.add_argument("--genus", action=DecimalFlag, required=True)
     p_compute.add_argument(
         "--partition", required=True, help="comma-separated parts, e.g. 3,1,1"
     )
     p_compute.add_argument("--classical", action="store_true")
     p_compute.add_argument("--method", choices=METHODS, default="auto")
-    p_compute.add_argument("--max-degree", type=decimal, default=None)
+    p_compute.add_argument("--max-degree", action=DecimalFlag, default=None)
     p_compute.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p_compute.add_argument("--timing", action="store_true")
     p_compute.set_defaults(func=cmd_compute)
 
     p_form = sub.add_parser("rational-form", help="emit a genus generating function")
-    p_form.add_argument("--genus", type=decimal, required=True)
+    p_form.add_argument("--genus", action=DecimalFlag, required=True)
     p_form.add_argument("--format", choices=("json", "text"), default="json")
     p_form.set_defaults(func=cmd_rational_form)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=sorted(SUITES), default="all")
-    p_verify.add_argument("--jobs", type=decimal, default=1)
+    p_verify.add_argument("--jobs", action=DecimalFlag, default=1)
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
     p_verify.add_argument("--timing", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
@@ -303,9 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (RangeError, ResourceLimitError, ValueError, KeyError) as exc:
         # a KeyError's str is the repr of its message; print the message

@@ -12,37 +12,34 @@ phi/delta series; classical forms carry no constant family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .partitions import Partition
+from .partitions import Frozen, Partition
 
 
-@dataclass(frozen=True)
-class LogForm:
+class LogForm(Frozen):
     """a*log(1/(1-eta)) + b*log(1/(1-gamma))."""
 
-    coeff_eta: Fraction
-    coeff_gamma: Fraction
+    __slots__ = ("coeff_eta", "coeff_gamma")
+
+    def __init__(self, coeff_eta: Fraction, coeff_gamma: Fraction):
+        self._set(coeff_eta, coeff_gamma)
 
 
-@dataclass(frozen=True)
-class RationalForm:
+class RationalForm(Frozen):
     """Genus-g rational form; terms maps alpha -> c_alpha, empty key included."""
 
-    genus: int
-    terms: dict = field(default_factory=dict)
-    classical: bool = False
+    __slots__ = ("genus", "terms", "classical")
 
-    def __post_init__(self):
-        clean = {Partition(a): Fraction(c) for a, c in self.terms.items() if c}
-        object.__setattr__(self, "terms", clean)
-        if self.genus < 2:
+    def __init__(self, genus: int, terms: dict | None = None, classical: bool = False):
+        clean = {Partition(a): Fraction(c) for a, c in (terms or {}).items() if c}
+        if genus < 2:
             raise ValueError("rational forms exist for genus >= 2")
-        bound = 3 * self.genus - 3
+        bound = 3 * genus - 3
         for a in clean:
             if a.size > bound:
                 raise ValueError(f"|{a}| exceeds the degree bound {bound}")
+        self._set(genus, clean, classical)
 
     @property
     def constant(self) -> Fraction:

@@ -44,25 +44,24 @@ shared with the term before it by one main_j per further part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .combinat import central_binomial
 from .forms import LogForm, RationalForm
-from .partitions import Partition
+from .partitions import Frozen, Partition
 from .series import DivisorSeries, MSeries, _canonical, divisors
 
 
-@dataclass(frozen=True)
-class AuxSeries:
+class AuxSeries(Frozen):
     """The linear series of one change of variables, truncated at a common
     grading: base (gamma or delta), main (eta or phi) and main_j (eta_j or
     phi_j)."""
 
-    base: MSeries
-    main: MSeries
-    main_k: tuple[MSeries, ...]  # main_k[j-1] is main_j
+    __slots__ = ("base", "main", "main_k")
+
+    def __init__(self, base: MSeries, main: MSeries, main_k: tuple[MSeries, ...]):
+        self._set(base, main, main_k)  # main_k[j-1] is main_j
 
     def main_j(self, j: int) -> MSeries:
         if j < 1 or j > len(self.main_k):

@@ -70,12 +70,11 @@ recurrence it replaced (tests/test_joincut.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .partitions import Partition, partitions
+from .partitions import Partition, Record, partitions
 
 
 def _with(parts: tuple, k: int) -> tuple:
@@ -149,14 +148,13 @@ def _plan(alpha: Partition) -> tuple[tuple, tuple]:
     )
 
 
-@dataclass
-class TruncatedH:
+class TruncatedH(Record):
     """Hurwitz numbers H^r(alpha) for |alpha| <= D, r <= R, exact integers."""
 
-    D: int
-    R: int
-    monotone: bool
-    counts: dict[tuple[Partition, int], int] = field(default_factory=dict)
+    __slots__ = ("D", "R", "monotone", "counts")
+
+    def __init__(self, D: int, R: int, monotone: bool, counts: dict | None = None):
+        self._set(D, R, monotone, {} if counts is None else counts)  # (alpha, r) -> H^r(alpha)
 
     def __getitem__(self, key) -> int:
         alpha, r = key

@@ -2,7 +2,8 @@
 
 A partition is kept as a weakly decreasing tuple of positive parts; the
 empty partition () is the unique partition of 0 and indexes constant terms
-of generating series.
+of generating series.  The package's value classes share the ``Record`` and
+``Frozen`` bases defined here.
 """
 
 from __future__ import annotations
@@ -104,3 +105,39 @@ def subpartitions(alpha, size: int):
             comp.extend([v] * (m - c))
         yield Partition(sub), Partition(comp)
 
+
+class Record:
+    """Base of a class whose fields are its __slots__, set in order by _set
+    in __init__: a repr and equality by fields, as a dataclass has."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._fields() == other._fields() if same else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Frozen(Record):
+    """A Record that hashes by its fields and refuses assignment and
+    deletion once __init__ has set them."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete {type(self).__name__}.{name}")
+
+    __delattr__ = __setattr__

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+
+from .partitions import Frozen
 
 
 class SingularSystemError(ValueError):
@@ -15,16 +16,13 @@ class InconsistentDataError(ValueError):
     """Interpolation data is not fit by any polynomial of the given degree."""
 
 
-@dataclass(frozen=True)
-class PolynomialQ:
+class PolynomialQ(Frozen):
     """Polynomial over Fraction: map exponent tuple -> coefficient."""
 
-    nvars: int
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("nvars", "coeffs")
 
-    def __post_init__(self):
-        clean = {tuple(e): Fraction(c) for e, c in self.coeffs.items() if c != 0}
-        object.__setattr__(self, "coeffs", clean)
+    def __init__(self, nvars: int, coeffs: dict | None = None):
+        self._set(nvars, {tuple(e): Fraction(c) for e, c in (coeffs or {}).items() if c != 0})
 
     @property
     def degree(self) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -27,7 +26,7 @@ from .closedforms import (
 from .inversion import value_from_form
 from .joincut import solve_classical, solve_monotone
 from .oracle import count_monotone_transitive, literal_counts, transitive_counts
-from .partitions import partitions
+from .partitions import Record, partitions
 from .pipeline import (
     decompose_basis,
     genus1_closed,
@@ -46,12 +45,11 @@ from .tables import paper_form
 FORMULA_D = 9
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail", "elapsed")
+
+    def __init__(self, name: str, passed: bool, detail: str, elapsed: float):
+        self._set(name, passed, detail, elapsed)
 
 
 def _diff_report(diffs: list[str], limit: int = 5) -> str:
@@ -204,9 +202,9 @@ def check_scaling_law() -> tuple[bool, str]:
 
 def check_polynomiality() -> tuple[bool, str]:
     """Interpolants of degree 3g - 3 + ell exist and verify on held-out
-    partitions, for g <= 3; the samples are the smallest partitions of
+    partitions, for g <= 4; the samples are the smallest partitions of
     length ell, one per monomial up to that degree, plus the holdouts."""
-    cases = [(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
+    cases = [(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (4, 1)]
     diffs = []
     degrees = []
     for g, ell in cases:

@@ -186,23 +186,28 @@ def test_exit_code_2_on_range_errors(capsys):
 
 
 def test_integer_flags_take_ascii_decimal_digits_only(capsys):
-    # int() would read these as 1, 10, 1, 2, 10 and 1
-    for flag, argv in (
-        ("--genus", ("compute", "--genus", "\u0661", "--partition", "2")),
-        ("--genus", ("compute", "--genus", "1_0", "--partition", "2")),
-        ("--genus", ("compute", "--genus", "+1", "--partition", "2")),
-        ("--max-degree", ("compute", "--genus", "1", "--partition", "2", "--max-degree", "\uff12")),
-        ("--genus", ("rational-form", "--genus", "1_0")),
-        ("--jobs", ("verify", "--suite", "scaling", "--jobs", "+1")),
+    # int() would read these as 1, 10, 1, 2, 10 and 1; each is one error
+    # line and exit 2, like every other exit 2, not argparse's usage block
+    for flag, text, argv in (
+        ("--genus", "\u0661", ("compute", "--partition", "2", "--genus")),
+        ("--genus", "1_0", ("compute", "--partition", "2", "--genus")),
+        ("--genus", "+1", ("compute", "--partition", "2", "--genus")),
+        ("--max-degree", "\uff12", ("compute", "--genus", "1", "--partition", "2", "--max-degree")),
+        ("--genus", "1_0", ("rational-form", "--genus")),
+        ("--jobs", "+1", ("verify", "--suite", "scaling", "--jobs")),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        out, err = capsys.readouterr()
-        assert exc.value.code == 2 and not out, argv
-        assert f"argument {flag}: invalid decimal value" in err and "Traceback" not in err
+        code, out, err = run_cli(capsys, *argv, text)
+        assert code == 2 and not out, argv
+        assert err == f"error: argument {flag}: invalid decimal value: {text!r}\n", err
     # a negative value still reaches the range check that names it
     code, out, err = run_cli(capsys, "compute", "--genus", "-1", "--partition", "2")
     assert code == 2 and not out and "genus must be >= 0" in err
+    # usage errors keep argparse's usage output
+    for argv in (("compute", "--partition", "2"), ("compute", "--genus", "1", "--partition", "2", "--bogus")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and not out and err.startswith("usage: hurwitz"), argv
 
 
 def test_rational_form_text_and_caps(capsys):

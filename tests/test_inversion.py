@@ -163,6 +163,29 @@ def test_rational_form_validation():
         RationalForm(genus=1, terms={})
     with pytest.raises(ValueError):
         RationalForm(genus=2, terms={Partition((4,)): Fraction(1)})
+    # zero terms are dropped and keys and values normalised, by keyword too
+    form = RationalForm(genus=2, terms={(1, 2): 3, (3,): 0}, classical=True)
+    assert form.terms == {Partition((2, 1)): Fraction(3)} and form.classical
+    assert RationalForm(3).terms == {} and not RationalForm(3).classical
+
+
+def test_forms_are_immutable_values_equal_by_fields():
+    log = LogForm(Fraction(1, 24), Fraction(-1, 8))
+    form = RationalForm(genus=2, terms={(1,): 3})
+    assert log == LogForm(coeff_eta=Fraction(1, 24), coeff_gamma=Fraction(-1, 8))
+    assert hash(log) == hash(LogForm(Fraction(1, 24), Fraction(-1, 8)))
+    assert log != LogForm(Fraction(1, 24), Fraction(1, 8))
+    assert log != (Fraction(1, 24), Fraction(-1, 8)) and log != form
+    assert form == RationalForm(2, {Partition((1,)): Fraction(3)}, False)
+    assert form != RationalForm(2, {(1,): 3}, classical=True) and form != {(1,): 3}
+    with pytest.raises(TypeError):
+        hash(form)
+    for obj, name in ((log, "coeff_eta"), (form, "terms"), (form, "genus")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert repr(log) == "LogForm(coeff_eta=Fraction(1, 24), coeff_gamma=Fraction(-1, 8))"
 
 
 def test_log_form_fields():

@@ -92,6 +92,13 @@ def test_truncation_errors():
         t[(2,), 5]
 
 
+def test_tables_never_share_one_counts_dict():
+    a, b = TruncatedH(2, 3, True), TruncatedH(2, 3, True)
+    a.counts[(Partition((2,)), 1)] = 1
+    assert b.counts == {} and b[(2,), 1] == 0 and a[(2,), 1] == 1
+    assert solve_monotone(3, 4).counts is not solve_classical(3, 4).counts
+
+
 # -- literal PDE residual ---------------------------------------------------
 #
 # Forward evaluation of the join-cut right side on truncated p-series,

@@ -53,6 +53,14 @@ def test_genus1_single_part_slope():
 def test_polynomial_evaluation_and_str():
     poly = PolynomialQ(2, {(1, 0): Fraction(2), (0, 2): Fraction(1, 3)})
     assert poly((3, 6)) == 6 + 12
-    # the dataclass equality compares the cleaned coefficients
+    # equality compares the cleaned coefficients, and only with a PolynomialQ
     assert poly == PolynomialQ(2, {(1, 0): 2, (0, 2): Fraction(1, 3), (1, 1): 0})
     assert poly != PolynomialQ(3, {(1, 0, 0): 2, (0, 2, 0): Fraction(1, 3)})
+    assert poly != poly.coeffs and PolynomialQ(nvars=1) == PolynomialQ(1, {(0,): 0})
+    with pytest.raises(TypeError):
+        hash(poly)
+    for name in ("nvars", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(poly, name, getattr(poly, name))
+        with pytest.raises(AttributeError):
+            delattr(poly, name)

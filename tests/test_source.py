@@ -1,5 +1,7 @@
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import hurwitz
@@ -16,6 +18,34 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses builds each class's methods through exec when the class is
+    # created, and pulls inspect, ast, dis and tokenize into every CLI process;
+    # the value classes are __slots__ classes on partitions.Record instead
+    package = Path(hurwitz.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "dataclasses"]
+    assert not found, found
+
+
+def test_cli_import_loads_no_dataclasses_or_source_parsers():
+    # a cold CLI query pays for every module `import hurwitz.cli` loads
+    src = Path(hurwitz.__file__).parents[1]
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import hurwitz.cli; print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert "hurwitz.cli" in loaded
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & loaded
 
 
 def _package_imports(path: Path) -> set[str]:
