@@ -24,7 +24,7 @@ from .closedforms import (
     monotone_genus1,
 )
 from .inversion import value_from_form
-from .joincut import solve_classical, solve_monotone
+from .joincut import genus_value
 from .oracle import (
     ResourceLimitError,
     count_classical_transitive,
@@ -44,10 +44,12 @@ METHODS = ("auto", "oracle", "joincut", "closed-form", "pipeline", "lagrange")
 # each, 2-vCPU VM).
 EXTRACTION_CAP = 16
 
-# r cap of the join-cut route, r = 2g - 2 + len(alpha) + |alpha|: the largest
-# r measured whose cold solve_classical(9, r) finishes within 60 s on a 2-vCPU
-# Xeon VM (Python 3.11.7).  r = 600 / 640 / 680 / 700 took 34 / 43 / 48 /
-# 38-43 s cold, r = 720 took 52-62 s.  The monotone table takes about half.
+# r cap of the join-cut route, r = 2g - 2 + len(alpha) + |alpha|, set as the
+# largest r whose cold solve_classical(9, r) finished within 60 s on a 2-vCPU
+# Xeon VM (Python 3.11.7; r = 700 took 38-43 s, r = 720 52-62 s).  The route
+# reads genus_value, which fills every size <= |alpha| to the query's genus:
+# at r = 700, cold `compute --method joincut` took 25-35 s for classical (9)
+# (g = 346) and 1^9 (g = 342), and 6-9 s for monotone (three runs each).
 JOINCUT_R_CAP = 700
 
 # |alpha| cap of the join-cut route, the size at which JOINCUT_R_CAP was
@@ -96,9 +98,9 @@ class DecimalFlag(argparse.Action):
 # least as fast as the pipeline at every |alpha| <= 9: g=5 (2,1) 0.3-0.5 ms
 # against 207-224 ms, g=9 (2) 0.3 ms against 15.7-18.6 s, g=4 (3,3,3) 13-19 ms
 # against 55-75 ms.  Genus 2 and 3 keep lagrange: at |alpha| = 9 (shapes (9),
-# (3,3,3) and 1^9, both families, minimum of 5) it takes 0.8-1.8 ms against
-# join-cut's 7.6-11.2 ms, most of it cold plan building, so single cold queries
-# would get slower there.
+# (3,3,3) and 1^9, both families, minimum of 5) it takes 0.7-1.6 ms against
+# join-cut's 6.8-8.0 ms, about 4 ms of it cold plan building, so single cold
+# queries would get slower there.
 def _auto_method(genus: int, alpha: Partition, r: int, classical: bool) -> str:
     if genus <= 1:
         return "closed-form"
@@ -132,8 +134,7 @@ def compute_value(genus: int, alpha: Partition, classical: bool, method: str) ->
             raise RangeError(
                 f"join-cut path caps r = 2g-2+len+|alpha| at {JOINCUT_R_CAP}, got {r}"
             )
-        solver = solve_classical if classical else solve_monotone
-        return method, Fraction(solver(alpha.size, r)[alpha, r])
+        return method, Fraction(genus_value(genus, alpha, not classical))
 
     if method == "closed-form":
         if r > CLOSED_FORM_R_CAP:

@@ -45,23 +45,31 @@ factors of C have genera g1 + g2 = g with |beta1|, |beta2| < d.  Filling
 the sizes in ascending order, each with r ascending, therefore reads only
 finished entries; C convolves over g1 = 0..g instead of every pair of
 t-slices, and no entry of the wrong parity or of negative genus is ever
-visited.  The sources of each alpha (with equal keys merged, and the two
-orders of a product pair folded into one) are built once per partition,
-on plain tuples, with each split of alpha - {s} enumerated once.
+visited.  A fill has one of two bounds, and every entry inside either
+reads only entries inside it: the r bound of a table, r <= R, and the
+genus bound of one value, g <= G at every size up to |alpha|.  So
+H_G(alpha) needs no entry above genus G, where its r bound would fill (1)
+to genus G - 1 + (|alpha| + len(alpha))/2.  The sources
+of each alpha (with equal keys merged, and the two orders of a product
+pair folded into one) are built once per partition, on plain tuples, with
+each split of alpha - {s} and its mirror visited once.
 
 Shared tables.  Each family keeps one store, by_genus[alpha] = [H_0(alpha),
-H_1(alpha), ...], that every solve extends in place of starting again
-from |alpha| = 1.  A solve walks the same loops and computes only the
-entries past the end of each list.  This is exact: A and B read the same
-size at r - 1, and C reads smaller sizes at r' < r, so every entry a new
-one reads was filled earlier in the same pass or by an earlier solve,
-whatever (D, R) that solve had.  A TruncatedH copies its own bounds out of
-the store, so a table does not depend on the order of the solves.  The
-store is itself an lru_cache, so cache_clear() (and verify's cold start)
-empties it.  A solve that raises, whether by the checked division or by an
-interrupt, empties its family's store before the error propagates: the
-entries it stored before the raise may be integral and still wrong, and
-would otherwise feed every later solve.
+H_1(alpha), ...], that every fill extends in place of starting again
+from |alpha| = 1.  A fill walks the same loops and computes only the
+entries past the end of each list: it skips a size whose lists already
+reach the bound, and starts each other size at its first missing r, so
+no sources are gathered for work already done.  This is exact: A and B
+read the same size at r - 1, and C reads smaller sizes at r' < r, so
+every entry a new one reads was filled earlier in the same pass or by an
+earlier fill, whatever bound that fill had.  A TruncatedH copies its own
+bounds out of the store, so a table does not depend on the order of the
+solves; genus_value, the CLI's read, returns one entry and copies
+nothing.  The store is itself an lru_cache, so cache_clear() (and
+verify's cold start) empties it.  A fill that raises, whether by the
+checked division or by an interrupt, empties its family's store before
+the error propagates: the entries it stored before the raise may be
+integral and still wrong, and would otherwise feed every later fill.
 
 The recurrence is property-tested against a literal forward evaluation of
 the PDE residual on truncated series, and against the Fraction slice
@@ -70,6 +78,7 @@ recurrence it replaced (tests/test_joincut.py).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -124,20 +133,28 @@ def _plan(alpha: Partition) -> tuple[tuple, tuple]:
             w = i * j * mi * (mi - 1) if i == j else 2 * i * j * mi * beta.count(j)
             linear[beta] = linear.get(beta, 0) + w
     # C: cut one part s into i + j, one on each factor; each split
-    # mu1 + mu2 = alpha - {s} is made once, from a choice of multiplicities
+    # mu1 + mu2 = alpha - {s} is made from a choice of multiplicities, and
+    # only with its mirror (the complement choice, i and j swapped), which
+    # adds the same term to the same key, counted by doubling the weight
     quadratic: dict[tuple, int] = {}
     for s in vals:
         rest = _without(parts, s)
         rvals = sorted(set(rest), reverse=True)
         rmult = [rest.count(v) for v in rvals]
         for choice in product(*(range(m + 1) for m in rmult)):
+            complement = tuple(m - c for c, m in zip(choice, rmult))
+            if complement < choice:
+                continue  # visited as its mirror
             mu1 = tuple(v for v, c in zip(rvals, choice) for _ in range(c))
-            mu2 = tuple(v for v, c, m in zip(rvals, choice, rmult) for _ in range(m - c))
+            mu2 = tuple(v for v, c in zip(rvals, complement) for _ in range(c))
             d1 = sum(mu1)
-            for i in range(1, s):
+            self_mirror = choice == complement
+            for i in range(1, s // 2 + 1 if self_mirror else s):
                 j = s - i
                 beta1, beta2 = _with(mu1, i), _with(mu2, j)
                 w = i * j * beta1.count(i) * beta2.count(j) * comb(d, d1 + i)
+                if not (self_mirror and i == j):
+                    w *= 2
                 key = (beta1, beta2) if beta1 <= beta2 else (beta2, beta1)
                 quadratic[key] = quadratic.get(key, 0) + w
     # every key is already a weakly decreasing tuple of positive parts
@@ -174,17 +191,24 @@ class TruncatedH(Record):
 
 @lru_cache(maxsize=None)
 def _genus_lists(monotone: bool) -> dict[Partition, list[int]]:
-    """The family's store: by_genus[alpha][g] = H_g(alpha), grown by each solve."""
+    """The family's store: by_genus[alpha][g] = H_g(alpha), grown by each fill."""
     return {}
 
 
-def _solve(D: int, R: int, monotone: bool) -> TruncatedH:
+def _fill(monotone: bool, D: int, top: Callable[[int], int]) -> dict[Partition, list[int]]:
+    """The family's store after _extend(by_genus, D, top, monotone); a fill
+    that raises empties the store first."""
     by_genus = _genus_lists(monotone)
     try:
-        _extend(by_genus, D, R, monotone)
+        _extend(by_genus, D, top, monotone)
     except BaseException:
-        by_genus.clear()  # a partial or wrong entry must not reach a later solve
+        by_genus.clear()  # a partial or wrong entry must not reach a later fill
         raise
+    return by_genus
+
+
+def _solve(D: int, R: int, monotone: bool) -> TruncatedH:
+    by_genus = _fill(monotone, D, lambda r0: (R - r0) // 2)
     table = TruncatedH(D, R, monotone)
     alphas = [(a, a.size + len(a) - 2) for d in range(1, D + 1) for a in partitions(d)]
     for r in range(R + 1):
@@ -196,27 +220,48 @@ def _solve(D: int, R: int, monotone: bool) -> TruncatedH:
     return table
 
 
-def _extend(by_genus: dict[Partition, list[int]], D: int, R: int, monotone: bool) -> None:
-    """Fill by_genus[alpha][g] for every |alpha| <= D whose r is at most R,
-    computing only the entries no earlier solve stored."""
-    binoms = [] if monotone else [[comb(r, k) for k in range(r + 1)] for r in range(R)]
+def genus_value(g: int, alpha: Partition, monotone: bool) -> int:
+    """H_g(alpha) from the family's store, which is filled for every
+    |beta| <= |alpha| up to genus g only."""
+    if g < 0 or alpha.size < 1:
+        raise ValueError("need g >= 0 and a nonempty alpha")
+    return _fill(monotone, alpha.size, lambda r0: g)[alpha][g]
+
+
+def _extend(
+    by_genus: dict[Partition, list[int]], D: int, top: Callable[[int], int], monotone: bool
+) -> None:
+    """Fill by_genus[alpha][g] for every |alpha| <= D and g <= top(r0), with
+    r0 = |alpha| + len(alpha) - 2, computing only the entries no earlier
+    fill stored.  A size whose entries are all stored is skipped, and the
+    others start at their first missing r."""
+    binoms = []  # binoms[n][k] = binom(n, k), grown as r first needs them
     for d in range(1, D + 1):
         divisor = d if monotone else 2
-        rows = []
-        for alpha in partitions(d):
+        alphas = partitions(d)
+        for alpha in alphas:
             by_genus.setdefault(alpha, [])
-        for alpha in partitions(d):
+        rows = []
+        for alpha in alphas:
+            r0, out = d + len(alpha) - 2, by_genus[alpha]
+            stop = top(r0) + 1
+            if len(out) >= stop:
+                continue
             linear, quadratic = _plan(alpha)
             lin = [(by_genus[b], 0 if len(b) < len(alpha) else 1, w) for b, w in linear]
             quad = [(by_genus[b1], by_genus[b2], b1.size + len(b1) - 2, w) for b1, b2, w in quadratic]
-            rows.append((alpha, d + len(alpha) - 2, by_genus[alpha], lin, quad))
-        for r in range(d - 1, R + 1):
-            for alpha, r0, out, lin, quad in rows:
-                if r < r0 or (r - r0) % 2:
-                    continue
-                g = (r - r0) // 2
-                if g < len(out):
-                    continue  # stored by an earlier solve
+            rows.append((alpha, r0, out, stop, lin, quad))
+        if not rows:
+            continue
+        first = min(r0 + 2 * len(out) for _, r0, out, _, _, _ in rows)
+        last = max(r0 + 2 * (stop - 1) for _, r0, _, stop, _, _ in rows)
+        for r in range(first, last + 1):
+            while not monotone and len(binoms) < r:
+                binoms.append([comb(len(binoms), k) for k in range(len(binoms) + 1)])
+            for alpha, r0, out, stop, lin, quad in rows:
+                g, odd = divmod(r - r0, 2)
+                if odd or g != len(out) or g >= stop:
+                    continue  # no entry of alpha at r, stored already, or past the bound
                 if r == 0:
                     out.append(1)  # the seed H_0((1))
                     continue

@@ -335,11 +335,10 @@ def test_genus_cap_exits_2_before_the_recursion(capsys, monkeypatch):
 
 
 def test_joincut_r_cap_exits_2_before_the_solver(capsys, monkeypatch):
-    def solver(D, R):
-        raise AssertionError(f"the solver ran for R={R}")
+    def solver(g, alpha, monotone):
+        raise AssertionError(f"the solver ran for R={2 * g - 2 + alpha.length + alpha.size}")
 
-    monkeypatch.setattr(cli, "solve_classical", solver)
-    monkeypatch.setattr(cli, "solve_monotone", solver)
+    monkeypatch.setattr(cli, "genus_value", solver)
     seen = set()
     for parts in ("2", "1,1"):
         for g in range(JOINCUT_R_CAP // 2 - 2, JOINCUT_R_CAP // 2 + 2):

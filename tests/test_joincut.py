@@ -10,7 +10,7 @@ from test_series import derivative
 
 from hurwitz import joincut
 from hurwitz.closedforms import classical_genus0, classical_genus1, monotone_genus0, monotone_genus1
-from hurwitz.joincut import TruncatedH, _plan, solve_classical, solve_monotone
+from hurwitz.joincut import TruncatedH, _plan, genus_value, solve_classical, solve_monotone
 from hurwitz.oracle import count_classical_transitive, count_monotone_transitive, transitive_counts
 from hurwitz.partitions import Partition, partitions, subpartitions
 from hurwitz.series import MSeries
@@ -391,6 +391,58 @@ def test_a_failed_solve_empties_its_store(monkeypatch):
         solve_classical(9, 26)
     assert joincut._genus_lists(False) == {}
 
+    # a genus read raises the same way, at the same entry, and leaves the
+    # same empty store
+    monkeypatch.setattr(joincut, "_plan", planted)
+    with pytest.raises(AssertionError, match=r"non-integral count at \(3, 1\), r=20"):
+        genus_value(8, Partition((3, 1)), False)
+    assert joincut._genus_lists(False) == {}
+    assert len(joincut._genus_lists(True)) == 96
+    monkeypatch.setattr(joincut, "_plan", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        genus_value(1, Partition((5,)), False)
+    assert joincut._genus_lists(False) == {}
+
     monkeypatch.setattr(joincut, "_plan", real)
     items = [(tuple(a), r, h) for (a, r), h in solve_classical(9, 26).counts.items()]
     assert hashlib.sha256(repr(items).encode()).hexdigest() == COUNTS_9_26[solve_classical]
+    assert genus_value(8, Partition((3, 1)), False) == solve_classical(4, 20)[(3, 1), 20]
+
+
+# -- the genus read of the CLI's join-cut route --------------------------------
+
+
+@pytest.mark.parametrize("tables_first", [False, True])
+def test_genus_read_equals_the_tables(tables_first):
+    reads = [(g, alpha) for d in range(1, 10) for alpha in partitions(d) for g in range(6)]
+    random.Random(2).shuffle(reads)
+    for solve, monotone in ((solve_monotone, True), (solve_classical, False)):
+        for f in (solve, _plan, joincut._genus_lists):
+            f.cache_clear()
+
+        def from_table(g, alpha):
+            r = 2 * g - 2 + len(alpha) + alpha.size
+            return solve(alpha.size, r)[alpha, r]
+
+        if tables_first:
+            want = [from_table(g, alpha) for g, alpha in reads]
+            got = [genus_value(g, alpha, monotone) for g, alpha in reads]
+        else:
+            got = [genus_value(g, alpha, monotone) for g, alpha in reads]
+            want = [from_table(g, alpha) for g, alpha in reads]
+        assert got == want, monotone
+        # H_g((1)) = 0 for g >= 1, and no other value read here vanishes
+        zeros = [(g, tuple(alpha)) for (g, alpha), h in zip(reads, got) if not h]
+        assert sorted(zeros) == [(g, (1,)) for g in range(1, 6)] and all(type(h) is int for h in got)
+
+
+def test_a_genus_read_fills_every_smaller_size_to_its_genus_only():
+    for monotone in (True, False):
+        for g, parts in ((0, (1,)), (3, (4, 2)), (5, (1,) * 7), (2, (9,))):
+            joincut._genus_lists.cache_clear()
+            genus_value(g, Partition(parts), monotone)
+            store = joincut._genus_lists(monotone)
+            assert set(store) == {b for d in range(1, sum(parts) + 1) for b in partitions(d)}
+            assert {len(values) for values in store.values()} == {g + 1}, (g, parts)
+    with pytest.raises(ValueError):
+        genus_value(-1, Partition((2,)), True)
