@@ -26,7 +26,6 @@ from .closedforms import (
 from .inversion import value_from_form
 from .joincut import genus_value
 from .oracle import (
-    ResourceLimitError,
     count_classical_transitive,
     count_monotone_transitive,
 )
@@ -39,9 +38,12 @@ METHODS = ("auto", "oracle", "joincut", "closed-form", "pipeline", "lagrange")
 
 # |alpha| cap of the one-coefficient extraction (pipeline and lagrange).  The
 # extraction works on the divisors of alpha; at |alpha| = 16 the worst shape,
-# (4,3,2,2,1,1,1,1,1) with 72 divisors, takes 24-26 ms (monotone) and 19-21 ms
-# (classical) at genus 3, cold (compute --timing elapsed_ms, one process
-# each, 2-vCPU VM).
+# (4,3,2,2,1,1,1,1,1) with 72 divisors, took 0.009-0.010 s by lagrange at
+# genus 3 and 0.012-0.013 / 0.029-0.032 / 0.097-0.105 / 0.35-0.41 s by the
+# pipeline at g = 4 / 6 / 8 / 10, through compute_value(..., "auto") with the
+# form warm (seven runs each, 2-vCPU VM, Python 3.11.7).  Building the
+# genus-10 form takes 10-12 s cold, so the extraction stays a small share at
+# every genus the pipeline serves.
 EXTRACTION_CAP = 16
 
 # r cap of the join-cut route, r = 2g - 2 + len(alpha) + |alpha|, set as the
@@ -314,8 +316,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (RangeError, ResourceLimitError, ValueError, KeyError) as exc:
-        # a KeyError's str is the repr of its message; print the message
+    except (RangeError, ValueError, KeyError) as exc:
+        # oracle.ResourceLimitError is a ValueError; a KeyError's str is the
+        # repr of its message, so print the message
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -1,9 +1,11 @@
 """Named verification checks and suites behind `hurwitz verify`.
 
 Every check compares two independent computation routes with exact
-rational equality and reports per-item diffs on failure.  The acceptance
-test suite drives exactly these functions, so the CLI and pytest agree by
-construction.
+rational equality and reports per-item diffs on failure.  A value row
+reads each route's number the way `hurwitz compute --method <m>` answers
+it, through `cli.compute_value`, so the checks test the CLI's own
+answers.  The acceptance test suite drives exactly these functions, so
+the CLI and pytest agree by construction.
 """
 
 from __future__ import annotations
@@ -16,20 +18,14 @@ from functools import partial
 
 from .closedforms import (
     bernoulli_constant,
-    classical_genus0,
-    classical_genus1,
     mn_single_cycle,
-    monotone_genus0,
-    monotone_genus1,
     polynomiality_extract,
 )
-from .inversion import value_from_form
 from .joincut import solve_classical, solve_monotone
-from .oracle import count_monotone_transitive, literal_counts, transitive_counts
-from .partitions import Record, partitions
+from .oracle import literal_counts, transitive_counts
+from .partitions import Partition, Record, partitions
 from .pipeline import (
     decompose_basis,
-    genus1_closed,
     normalized_delta1,
     rational_form,
     recompose_basis,
@@ -40,8 +36,7 @@ from .tables import paper_form
 
 
 # The formula checks run up to the join-cut route's |alpha| cap,
-# cli.JOINCUT_D_CAP (cli imports this module, so a test ties the two), and
-# read genus g from a join-cut table with r <= 2g - 2 + 2 FORMULA_D.
+# cli.JOINCUT_D_CAP (cli imports this module, so a test ties the two).
 FORMULA_D = 9
 
 
@@ -78,6 +73,13 @@ def _notes(notes: list[str], diffs: list[str]) -> tuple[bool, str]:
     return not diffs, "; ".join(notes + ([_diff_report(diffs)] if diffs else []))
 
 
+def _answer(genus: int, alpha: Partition, classical: bool, method: str) -> Fraction:
+    """H_g(alpha) as `hurwitz compute --method <method>` answers it."""
+    from .cli import compute_value  # local: cli imports this module
+
+    return compute_value(genus, alpha, classical, method)[1]
+
+
 def check_oracle_literal_vs_characters() -> tuple[bool, str]:
     """The literal counter equals the character totals with their
     inclusion-exclusion, in both families, for d <= 6, r <= 10."""
@@ -108,44 +110,37 @@ def check_joincut_vs_oracle(monotone: bool, dmax: int, rmax: int) -> tuple[bool,
     ))
 
 
-def check_genus0_formula() -> tuple[bool, str]:
-    """Genus-0 product formula equals the join-cut slice for d <= 9."""
-    table = solve_monotone(FORMULA_D, 2 * FORMULA_D - 2)
-    return _compare("{n} partitions", (
-        (tuple(alpha), "formula", monotone_genus0(alpha), "joincut", table.genus_value(0, alpha))
+def _against_joincut(what: str, classical: bool, routes) -> tuple[bool, str]:
+    """Each (genus, label, method) route against the join-cut route on every
+    partition with |alpha| <= FORMULA_D."""
+    return _compare(what, (
+        (tuple(alpha), label, _answer(g, alpha, classical, method),
+         "joincut", _answer(g, alpha, classical, "joincut"))
         for d in range(1, FORMULA_D + 1)
         for alpha in partitions(d)
+        for g, label, method in routes
     ))
+
+
+def check_genus0_formula() -> tuple[bool, str]:
+    """Genus-0 product formula equals the join-cut route for d <= 9."""
+    return _against_joincut("{n} partitions", False, [(0, "formula", "closed-form")])
 
 
 def check_genus1_formula() -> tuple[bool, str]:
     """Genus-1 formula and the log form both match join-cut for d <= 9."""
-    table = solve_monotone(FORMULA_D, 2 * FORMULA_D)
-    log_form = genus1_closed()
-    return _compare("{n} partitions x 2 routes", (
-        (tuple(alpha), route, fn(alpha), "joincut", table.genus_value(1, alpha))
-        for d in range(1, FORMULA_D + 1)
-        for alpha in partitions(d)
-        for route, fn in (
-            ("formula", monotone_genus1),
-            ("logform", partial(value_from_form, log_form)),
-        )
-    ))
+    return _against_joincut("{n} partitions x 2 routes", False, [
+        (1, "formula", "closed-form"), (1, "logform", "pipeline"),
+    ])
 
 
 def check_classical_formulas() -> tuple[bool, str]:
     """Classical genus-0/1 formulas and the checked-in classical tables
     all reproduce the classical join-cut numbers for d <= 9."""
-    table = solve_classical(FORMULA_D, 2 * FORMULA_D + 4)
-    routes = {0: ("formula", classical_genus0), 1: ("formula", classical_genus1)}
-    for g in (2, 3):
-        routes[g] = ("table", partial(value_from_form, paper_form(g, classical=True)))
-    return _compare("{n} partitions x 4 genera", (
-        (tuple(alpha), f"g{g} {route}", fn(alpha), "joincut", table.genus_value(g, alpha))
-        for d in range(1, FORMULA_D + 1)
-        for alpha in partitions(d)
-        for g, (route, fn) in routes.items()
-    ))
+    return _against_joincut("{n} partitions x 4 genera", True, [
+        (0, "g0 formula", "closed-form"), (1, "g1 formula", "closed-form"),
+        (2, "g2 table", "lagrange"), (3, "g3 table", "lagrange"),
+    ])
 
 
 def check_pipeline_table(g: int) -> tuple[bool, str]:
@@ -170,19 +165,16 @@ def check_matsumoto_novak() -> tuple[bool, str]:
     """Single-cycle formula vs join-cut (g <= 10, d <= 9), pipeline (g <= 3,
     d <= 6) and oracle (g <= 3, d <= 5).  The join-cut rows check Miller's
     recurrence for the series to z^20, not only to z^6."""
-    forms = {1: genus1_closed(), 2: rational_form(2), 3: rational_form(3)}
-    gmax = 10
-    table = solve_monotone(FORMULA_D, 2 * gmax - 1 + FORMULA_D)
     rows = []
-    for g in range(1, gmax + 1):
+    for g in range(1, 11):
         for d in range(1, FORMULA_D + 1):
-            label, want = f"g={g},d={d}", mn_single_cycle(g, d)
-            rows.append((label, "joincut", table.genus_value(g, (d,)), "formula", want))
+            label, want, cycle = f"g={g},d={d}", mn_single_cycle(g, d), Partition((d,))
+            methods = ["joincut"]
             if g <= 3 and d <= 6:
-                rows.append((label, "pipeline", value_from_form(forms[g], (d,)), "formula", want))
+                methods.append("pipeline")
             if g <= 3 and d <= 5:
-                oracle = count_monotone_transitive((d,), 2 * g - 1 + d)
-                rows.append((label, "oracle", oracle, "formula", want))
+                methods.append("oracle")
+            rows.extend((label, m, _answer(g, cycle, False, m), "formula", want) for m in methods)
     return _compare("{n} (g,d) pairs", rows)
 
 

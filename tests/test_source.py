@@ -118,6 +118,36 @@ def test_cli_and_verify_import_no_private_names():
         assert not private, (name, private)
 
 
+def test_verify_reads_values_through_the_cli_routes():
+    # the value rows of `verify` read each route through cli.compute_value,
+    # so they check the answers `compute` prints; a second wiring of the
+    # routes (formulas, forms or join-cut reads imported here) would not.
+    # Join-cut tables are built only by the check that compares every r
+    package = Path(hurwitz.__file__).parent
+    tree = ast.parse((package / "verify.py").read_text())
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    names = {name for _, name in imported}
+    banned = {
+        "monotone_genus0", "monotone_genus1", "classical_genus0", "classical_genus1",
+        "value_from_form", "genus1_closed",
+    }
+    assert not banned & names, sorted(banned & names)
+    assert not {("joincut", "genus_value"), (None, "joincut")} & imported
+    solvers = {"solve_monotone", "solve_classical"}
+    callers = {
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        and solvers & {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+    }
+    assert callers == {"check_joincut_vs_oracle"}, callers
+
+
 def test_counting_routes_share_only_partitions():
     # the oracle and join-cut check each other only while neither uses
     # the other's code, or any other route's

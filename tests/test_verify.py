@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
 from hurwitz import cli, joincut, verify
-from hurwitz.closedforms import classical_genus0
+from hurwitz.closedforms import classical_genus0, classical_genus1, monotone_genus0, monotone_genus1
 from hurwitz.forms import RationalForm
 from hurwitz.partitions import Partition
 from hurwitz.pipeline import rational_form
@@ -14,12 +16,34 @@ def test_a_mismatch_names_both_values(monkeypatch):
     def planted(alpha):
         return classical_genus0(alpha) + (alpha == Partition((3,)))
 
-    monkeypatch.setattr(verify, "classical_genus0", planted)
+    # the binding the CLI's closed-form route calls, which verify reads through
+    monkeypatch.setattr(cli, "classical_genus0", planted)
     result = verify.run_check("classical-formulas")
     assert not result.passed
     assert result.detail == (
         f"96 partitions x 4 genera; 1 mismatches: (3,): g0 formula={want + 1} joincut={want}"
     )
+
+
+_ALPHA = Partition((3,))
+# the first mismatch of each check whose rows read `compute --method joincut`,
+# when that route reads the other family
+_FIRST_MISMATCH = {
+    "genus0-formula": f"(3,): formula={monotone_genus0(_ALPHA)} joincut={classical_genus0(_ALPHA)}",
+    "genus1-formula": f"(3,): formula={monotone_genus1(_ALPHA)} joincut={classical_genus1(_ALPHA)}",
+    "classical-formulas":
+        f"(3,): g0 formula={classical_genus0(_ALPHA)} joincut={monotone_genus0(_ALPHA)}",
+    "matsumoto-novak": f"g=1,d=3: joincut={classical_genus1(_ALPHA)} formula={monotone_genus1(_ALPHA)}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIRST_MISMATCH))
+def test_value_rows_read_the_cli_joincut_route(monkeypatch, name):
+    swapped = joincut.genus_value
+    monkeypatch.setattr(cli, "genus_value", lambda g, alpha, monotone: swapped(g, alpha, not monotone))
+    result = verify.run_check(name)
+    assert not result.passed
+    assert f" mismatches: {_FIRST_MISMATCH[name]};" in result.detail, result.detail
 
 
 def test_a_scaling_mismatch_names_the_partition(monkeypatch):
