@@ -13,7 +13,6 @@ from .closedforms import (
     mn_single_cycle,
     monotone_genus0,
     monotone_genus1,
-    polynomiality_extract,
 )
 from .combinat import bernoulli, central_binomial, rising
 from .forms import LogForm, RationalForm
@@ -41,7 +40,7 @@ from .pipeline import (
 from .polynomials import PolynomialQ, interpolate
 from .series import MSeries
 from .tables import paper_form
-from .verify import run_check, run_suite
+from .verify import polynomiality_extract, run_check, run_suite
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,4 @@
-"""Closed formulas and polynomiality extraction.
+"""Closed formulas.
 
 Genus 0 and 1 have explicit product formulas in both families:
 
@@ -24,9 +24,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .combinat import bernoulli, central_binomial, elem_sym_table, rising
-from .inversion import value_from_form
-from .partitions import Partition, aut_order, partitions
-from .polynomials import InconsistentDataError, PolynomialQ, interpolate, monomials_upto
+from .partitions import Partition, aut_order
 
 
 def monotone_genus0(alpha) -> Fraction:
@@ -116,66 +114,3 @@ def bernoulli_constant(g: int) -> Fraction:
         raise ValueError("the constant law starts at genus 2")
     return -bernoulli(2 * g) / (2 * g * (2 * g - 2))
 
-
-# -- polynomiality -------------------------------------------------------
-
-
-def normalized_value(g: int, alpha) -> Fraction:
-    """H_g(alpha) |Aut alpha| / (d! prod C(2 a_j, a_j)): the quantity that
-    is polynomial in the parts for fixed (g, len)."""
-    alpha = Partition(alpha)
-    h = _monotone_value(g, alpha)
-    denom = Fraction(factorial(alpha.size))
-    for a in alpha:
-        denom *= central_binomial(a)
-    return h * aut_order(alpha) / denom
-
-
-def _monotone_value(g: int, alpha) -> Fraction:
-    """Cheapest exact source of H_g(alpha) per genus."""
-    if g == 0:
-        return monotone_genus0(alpha)
-    if g == 1:
-        return monotone_genus1(alpha)
-    from .pipeline import rational_form  # local: avoids an import cycle
-
-    return value_from_form(rational_form(g), alpha)
-
-
-# polynomiality_extract keeps the last _HOLDOUTS sample partitions out of the fit
-_HOLDOUTS = 3
-
-
-def _sample_partitions(ell: int, count: int):
-    """The first count partitions with exactly ell parts, by ascending size."""
-    out = []
-    size = ell
-    while len(out) < count:
-        out.extend(a for a in partitions(size) if a.length == ell)
-        size += 1
-    return out[:count]
-
-
-def polynomiality_extract(g: int, ell: int) -> PolynomialQ:
-    """Interpolate the polynomial behind the normalized monotone numbers.
-
-    The fit is at the degree the theorem states, 3g - 3 + ell, on one sample
-    partition per monomial (with every coordinate permutation included,
-    since the polynomial is symmetric).  Raises unless the fit has that
-    degree and verifies on held-out partitions.
-    """
-    if (g, ell) in {(0, 1), (0, 2)}:
-        raise ValueError(f"no polynomial exists for (g, ell) = {(g, ell)}")
-    from itertools import permutations as iperm
-
-    degree = 3 * g - 3 + ell
-    samples = _sample_partitions(ell, len(monomials_upto(ell, degree)) + _HOLDOUTS)
-    held = samples[-_HOLDOUTS:]
-    values = {a: normalized_value(g, a) for a in samples}
-    points = [(perm, values[a]) for a in samples[:-_HOLDOUTS] for perm in set(iperm(tuple(a)))]
-    poly = interpolate(points, degree)
-    if not any(sum(e) == degree for e in poly.coeffs):
-        raise InconsistentDataError(f"the fit for (g, ell) = {(g, ell)} is not of degree {degree}")
-    if any(poly(tuple(a)) != values[a] for a in held):
-        raise InconsistentDataError(f"the fit for (g, ell) = {(g, ell)} fails a held-out partition")
-    return poly

@@ -36,8 +36,8 @@ CRITERIA = {
 EQUAL = "all values equal"
 DETAILS = {
     "oracle-literal-vs-characters": f"638 cases; {EQUAL}",
-    "joincut-monotone-vs-oracle": f"1632 cases; {EQUAL}",
-    "joincut-classical-vs-oracle": f"1632 cases; {EQUAL}",
+    "joincut-monotone-vs-oracle": f"2592 cases; {EQUAL}",
+    "joincut-classical-vs-oracle": f"2592 cases; {EQUAL}",
     "genus0-formula": f"96 partitions; {EQUAL}",
     "genus1-formula": f"96 partitions x 2 routes; {EQUAL}",
     "pipeline-genus2-table": f"7 coefficients + constant; {EQUAL}",

@@ -13,13 +13,12 @@ from hurwitz.closedforms import (
     mn_single_cycle,
     monotone_genus0,
     monotone_genus1,
-    normalized_value,
-    polynomiality_extract,
 )
 from hurwitz.combinat import central_binomial, elem_sym_table, rising
 from hurwitz.oracle import count_classical_transitive, count_monotone_transitive
 from hurwitz.partitions import Partition, aut_order, partitions
 from hurwitz.polynomials import PolynomialQ
+from hurwitz.verify import normalized_value, polynomiality_extract
 
 
 def test_monotone_genus0_examples():

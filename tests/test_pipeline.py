@@ -128,7 +128,7 @@ def test_single_part_polynomial_equals_form_coefficients():
     # closed single-part polynomial
     #     P(d) = (2g-2) c_0 (2d+1) + sum_k c_{(k)} (2d+1) d^k,
     # which must agree with the interpolated length-1 polynomial
-    from hurwitz.closedforms import polynomiality_extract
+    from hurwitz.verify import polynomiality_extract
 
     g = 2
     form = rational_form(g)

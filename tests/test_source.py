@@ -148,12 +148,22 @@ def test_verify_reads_values_through_the_cli_routes():
     assert callers == {"check_joincut_vs_oracle"}, callers
 
 
-def test_counting_routes_share_only_partitions():
-    # the oracle and join-cut check each other only while neither uses
-    # the other's code, or any other route's
+def test_route_modules_import_only_their_allowlist():
+    # the five routes check each other only while each stays apart: the
+    # oracle and join-cut use no other route's code, the closed formulas
+    # only the combinatorial helpers, and no route reaches the front ends,
+    # the literal operators or the interpolation verify's checks use
     package = Path(hurwitz.__file__).parent
-    for name in ("oracle.py", "joincut.py"):
-        assert _package_imports(package / name) == {"partitions"}, name
+    allowed = {
+        "oracle.py": {"partitions"},
+        "joincut.py": {"partitions"},
+        "closedforms.py": {"combinat", "partitions"},
+    }
+    for name, modules in allowed.items():
+        assert _package_imports(package / name) == modules, name
+    for name in ("oracle.py", "joincut.py", "closedforms.py", "pipeline.py", "inversion.py"):
+        found = _package_imports(package / name) & {"cli", "verify", "qyseries", "polynomials"}
+        assert not found, (name, sorted(found))
 
 
 def test_literal_oracle_shares_no_kernel_or_reduction():

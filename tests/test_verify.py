@@ -46,6 +46,22 @@ def test_value_rows_read_the_cli_joincut_route(monkeypatch, name):
     assert f" mismatches: {_FIRST_MISMATCH[name]};" in result.detail, result.detail
 
 
+def test_polynomiality_reads_the_auto_lagrange_answers(monkeypatch):
+    # auto answers monotone genus 2 and 3 by lagrange; a wrong answer there
+    # breaks the fit of every (g, ell) it feeds
+    answer = cli.compute_value
+
+    def planted(genus, alpha, classical, method):
+        used, value = answer(genus, alpha, classical, method)
+        return used, value + (used == "lagrange" and not classical)
+
+    monkeypatch.setattr(cli, "compute_value", planted)
+    result = verify.run_check("polynomiality")
+    assert not result.passed
+    for case in ("(g=2,ell=1)", "(g=2,ell=2)", "(g=3,ell=1)"):
+        assert case in result.detail, result.detail
+
+
 def test_a_scaling_mismatch_names_the_partition(monkeypatch):
     table = paper_form(2, classical=True)
     planted = RationalForm(
