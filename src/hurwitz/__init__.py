@@ -38,7 +38,7 @@ from .pipeline import (
     rational_form,
 )
 from .polynomials import PolynomialQ, interpolate
-from .series import MSeries
+from .series import DivisorSeries, MSeries
 from .tables import paper_form
 from .verify import polynomiality_extract, run_check, run_suite
 
@@ -61,6 +61,7 @@ __all__ = [
     "solve_monotone",
     "solve_classical",
     "MSeries",
+    "DivisorSeries",
     "aux_series",
     "lagrange_extract",
     "expand_log_form",

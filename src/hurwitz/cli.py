@@ -122,8 +122,6 @@ def compute_value(genus: int, alpha: Partition, classical: bool, method: str) ->
     r = 2 * genus - 2 + alpha.length + alpha.size
     if method == "auto":
         method = _auto_method(genus, alpha, r, classical)
-    if r < 0:
-        return method, Fraction(0)
 
     if method == "oracle":
         fn = count_classical_transitive if classical else count_monotone_transitive

@@ -26,16 +26,13 @@ divide q_alpha as a multiset can contribute to [q_alpha] of a product, and
 the monomials that do not divide it span an ideal (every multiple of a
 non-divisor is a non-divisor).  Dropping them is therefore the quotient map
 onto Q[q] / (monomials not dividing q_alpha), a ring homomorphism that
-commutes with +, *, pow, inverse, exp and log.  So `lagrange_extract` and
-`classical_extract` project F onto the divisors of alpha
-(`series.DivisorSeries`) and build their kernel there, and
-`value_from_form` expands the form there directly (every expander takes
-the unit series `one` of the grading it works in).  Every coefficient the
-quotient keeps is the exact coefficient of the full series, so the
-extracted values are exact; for alpha = (6, 6) the quotient has 3
-monomials where weight 12 has 272.  Whole series (`expand_rational_form`,
-`expand_log_form`) stay truncated by weight.  `value_from_form` builds the
-change of variables once and hands it to both the expander and the kernel.
+commutes with +, *, pow, inverse, exp and log, and every coefficient it
+keeps is the exact coefficient of the full series; for alpha = (6, 6) the
+quotient has 3 monomials where weight 12 has 272.  The kernels
+`lagrange_extract` and `classical_extract` take F in that grading
+(`series.DivisorSeries`) and nowhere else, and read alpha and d from it.
+`value_from_form` builds the change of variables there once, and the
+expanders expand the form in the grading of the `aux` they are given.
 
 `expand_rational_form` makes one product per prefix of the sorted terms
 (the trie of their parts): a term multiplies the main_j of its prefix
@@ -50,7 +47,7 @@ from math import factorial
 from .combinat import central_binomial
 from .forms import LogForm, RationalForm
 from .partitions import Frozen, Partition
-from .series import DivisorSeries, MSeries, _canonical, divisors
+from .series import DivisorSeries, MSeries
 
 
 class AuxSeries(Frozen):
@@ -92,67 +89,39 @@ def classical_aux_series(one: MSeries, j_max: int = 0) -> AuxSeries:
     )
 
 
-def _project(F: MSeries, alpha: Partition) -> DivisorSeries:
-    """F in the quotient by the monomials that do not divide q_alpha."""
-    if not F._fits(alpha, F.bounds):
-        raise ValueError(f"series truncated below q_{tuple(alpha)}")
-    keep = divisors(alpha)
-    out = DivisorSeries(alpha)
-    out.nums, out.den = _canonical({k: n for k, n in F.nums.items() if k in keep}, F.den)
-    return out
+def _unit(F: DivisorSeries) -> DivisorSeries:
+    """The unit of F's grading, which must be a divisor grading."""
+    if not isinstance(F, DivisorSeries):
+        raise TypeError(f"the kernels read a DivisorSeries, not {type(F).__name__}")
+    return F.constant(1, *F.bounds)
 
 
-def lagrange_extract(F: MSeries, alpha, aux: AuxSeries | None = None) -> Fraction:
-    """[p_alpha] of a q-basis series F, via Lagrange inversion.  ``aux`` is
-    gamma and eta in the divisor grading of alpha, built here when None."""
-    alpha = Partition(alpha)
-    Fa = _project(F, alpha)
-    one = DivisorSeries.constant(1, alpha)
-    if aux is None:
-        aux = aux_series(one)
-    return ((one - aux.main) * (one - aux.base).pow(-(2 * alpha.size + 1)) * Fa)[alpha]
+def lagrange_extract(F: DivisorSeries, aux: AuxSeries) -> Fraction:
+    """[p_alpha] of a q-basis series F in the divisor grading of alpha, via
+    Lagrange inversion.  ``aux`` is gamma and eta in that grading."""
+    one = _unit(F)
+    return ((one - aux.main) * (one - aux.base).pow(-(2 * F.max_weight + 1)) * F)[F.alpha]
 
 
-def classical_extract(F: MSeries, alpha, aux: AuxSeries | None = None) -> Fraction:
-    """[p_alpha] of an r-basis series F, via the classical analogue.  ``aux``
-    is delta and phi in the divisor grading of alpha, built here when None."""
-    alpha = Partition(alpha)
-    Fa = _project(F, alpha)
-    one = DivisorSeries.constant(1, alpha)
-    if aux is None:
-        aux = classical_aux_series(one)
-    return (aux.base.scale(alpha.size).exp() * (one - aux.main) * Fa)[alpha]
+def classical_extract(F: DivisorSeries, aux: AuxSeries) -> Fraction:
+    """[p_alpha] of an r-basis series F in the divisor grading of alpha, via
+    the classical analogue.  ``aux`` is delta and phi in that grading."""
+    one = _unit(F)
+    return (aux.base.scale(F.max_weight).exp() * (one - aux.main) * F)[F.alpha]
 
 
-def _form_aux(form: LogForm | RationalForm, one: MSeries) -> AuxSeries:
-    """The change of variables of a form's family in the grading of the
-    series one, with main_j for every part of the form's terms."""
-    if isinstance(form, LogForm):
-        return aux_series(one)
-    j_max = max((max(a) for a in form.terms if a), default=0)
-    return (classical_aux_series if form.classical else aux_series)(one, j_max)
+def expand_log_form(form: LogForm, aux: AuxSeries) -> MSeries:
+    """Series of a log(1/(1-eta)), log(1/(1-gamma)) combination in the
+    grading of ``aux``, gamma and eta."""
+    main, base = aux.main.log_geometric(), aux.base.log_geometric()
+    return main.scale(form.coeff_eta) + base.scale(form.coeff_gamma)
 
 
-def expand_log_form(form: LogForm, one: MSeries, aux: AuxSeries | None = None) -> MSeries:
-    """q-series of a log(1/(1-eta)), log(1/(1-gamma)) combination, in the
-    grading of the series one.  ``aux`` is gamma and eta in that grading,
-    built here when None."""
-    if aux is None:
-        aux = _form_aux(form, one)
-    return aux.main.log_geometric().scale(form.coeff_eta) + aux.base.log_geometric().scale(
-        form.coeff_gamma
-    )
-
-
-def expand_rational_form(
-    form: RationalForm, one: MSeries, aux: AuxSeries | None = None
-) -> MSeries:
+def expand_rational_form(form: RationalForm, aux: AuxSeries) -> MSeries:
     """Series of a rational form in its own basis (q monotone, r classical),
-    in the grading of the series one.  ``aux`` is the form's change of
-    variables in that grading, with main_j for every part of its terms,
-    built here when None."""
-    if aux is None:
-        aux = _form_aux(form, one)
+    in the grading of ``aux``, the form's change of variables with main_j
+    for every part of its terms."""
+    one = aux.main.constant(1, *aux.main.bounds)
     # by_power[k] = sum of c_alpha main_alpha over the alpha with
     # (1 - main)^(-k); the constant sits at k = 0
     top = max(map(form.denominator_power, form.terms), default=0)
@@ -178,9 +147,8 @@ def expand_rational_form(
     total = by_power[top]
     for k in range(top - 1, -1, -1):
         total = total * inv + by_power[k]
-    if not form.classical:
-        if total.constant_term() != 0:
-            raise AssertionError("monotone forms have no constant term")
+    if not form.classical and total.constant_term() != 0:
+        raise AssertionError("monotone forms have no constant term")
     return total
 
 
@@ -189,13 +157,14 @@ def value_from_form(form: LogForm | RationalForm, alpha) -> Fraction:
     the expanded form, times r! for a classical one."""
     alpha = Partition(alpha)
     one = DivisorSeries.constant(1, alpha)
-    # one change of variables for the expander and the kernel
-    aux = _form_aux(form, one)
     d = alpha.size
     if isinstance(form, LogForm):
-        return factorial(d) * lagrange_extract(expand_log_form(form, one, aux), alpha, aux)
-    series = expand_rational_form(form, one, aux)
+        aux = aux_series(one)
+        return factorial(d) * lagrange_extract(expand_log_form(form, aux), aux)
+    j_max = max((max(a) for a in form.terms if a), default=0)
+    aux = (classical_aux_series if form.classical else aux_series)(one, j_max)
+    series = expand_rational_form(form, aux)
     if form.classical:
         r = 2 * form.genus - 2 + alpha.length + d
-        return factorial(d) * factorial(r) * classical_extract(series, alpha, aux)
-    return factorial(d) * lagrange_extract(series, alpha, aux)
+        return factorial(d) * factorial(r) * classical_extract(series, aux)
+    return factorial(d) * lagrange_extract(series, aux)

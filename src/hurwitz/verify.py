@@ -112,6 +112,22 @@ def check_joincut_vs_oracle(monotone: bool, dmax: int, rmax: int) -> tuple[bool,
     ))
 
 
+def check_auto_vs_oracle_at_10() -> tuple[bool, str]:
+    """Every `auto` answer on the partitions of 10, monotone genus 0-4 and
+    classical genus 0-3, equals the oracle.  Past the join-cut cap, auto
+    answers there by the closed forms, the tables and the pipeline."""
+    rows = []
+    for monotone, family, top, rmax in ((True, "monotone", 4, 26), (False, "classical", 3, 24)):
+        oracle = transitive_counts(10, rmax, monotone)
+        rows.extend(
+            (f"{family} g={g} {tuple(alpha)}", "auto", _answer(g, alpha, not monotone, "auto"),
+             "oracle", oracle[alpha, 2 * g - 2 + alpha.length + 10])
+            for alpha in partitions(10)
+            for g in range(top + 1)
+        )
+    return _compare("{n} cases", rows)
+
+
 def _against_joincut(what: str, classical: bool, routes) -> tuple[bool, str]:
     """Each (genus, label, method) route against the join-cut route on every
     partition with |alpha| <= FORMULA_D."""
@@ -314,6 +330,7 @@ def check_structural_assertions() -> tuple[bool, str]:
 
 
 CHECKS = {
+    "auto-vs-oracle-at-10": check_auto_vs_oracle_at_10,
     "oracle-literal-vs-characters": check_oracle_literal_vs_characters,
     "joincut-monotone-vs-oracle": partial(check_joincut_vs_oracle, True, 9, 26),
     "joincut-classical-vs-oracle": partial(check_joincut_vs_oracle, False, 9, 26),

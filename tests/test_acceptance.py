@@ -13,7 +13,7 @@ CRITERIA = {
         ["oracle-literal-vs-characters"],
     ),
     2: (
-        "join-cut vs oracle (monotone and classical, d<=9 r<=16)",
+        "join-cut vs oracle (monotone and classical, d<=9 r<=26)",
         ["joincut-monotone-vs-oracle", "joincut-classical-vs-oracle"],
     ),
     3: ("genus-0 formula vs join-cut slice, d<=9", ["genus0-formula"]),
@@ -29,6 +29,10 @@ CRITERIA = {
     10: ("polynomiality interpolants verify on held-out partitions", ["polynomiality"]),
     11: ("operator series oracle, 20 randomized elements", ["operator-series-oracle"]),
     12: ("structural assertions (cond1, cond2, degree bounds), g=1..4", ["structural-assertions"]),
+    13: (
+        "auto vs oracle at |alpha|=10 (monotone g<=4, classical g<=3)",
+        ["auto-vs-oracle-at-10"],
+    ),
 }
 
 
@@ -36,6 +40,7 @@ CRITERIA = {
 EQUAL = "all values equal"
 DETAILS = {
     "oracle-literal-vs-characters": f"638 cases; {EQUAL}",
+    "auto-vs-oracle-at-10": f"378 cases; {EQUAL}",
     "joincut-monotone-vs-oracle": f"2592 cases; {EQUAL}",
     "joincut-classical-vs-oracle": f"2592 cases; {EQUAL}",
     "genus0-formula": f"96 partitions; {EQUAL}",
@@ -111,3 +116,7 @@ def test_criterion_11_operator_series_oracle():
 
 def test_criterion_12_structural_assertions():
     _run(12)
+
+
+def test_criterion_13_auto_vs_oracle_at_10():
+    _run(13)

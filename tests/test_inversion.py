@@ -1,12 +1,11 @@
 import random
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 
 import pytest
 
 from hurwitz.forms import LogForm, RationalForm
 from hurwitz.inversion import (
-    _project,
     aux_series,
     classical_aux_series,
     classical_extract,
@@ -38,27 +37,46 @@ def test_classical_aux_series_coefficients():
     assert aux.main_j(1)[(1,)] == 1      # phi_1
 
 
+def _divisor_aux(alpha, j_max=0, classical=False):
+    one = DivisorSeries.constant(1, alpha)
+    return (classical_aux_series if classical else aux_series)(one, j_max)
+
+
 def test_lagrange_extract_examples():
-    aux = aux_series(MSeries.constant(1, 3))
     # [p_1] gamma = 2, computed through the q-side extraction
-    assert lagrange_extract(aux.base, (1,)) == 2
+    aux = _divisor_aux((1,))
+    assert lagrange_extract(aux.base, aux) == 2
     # constants have no positive-weight p coefficients
-    const = MSeries.constant(7, 3)
     for d in range(1, 4):
         for alpha in partitions(d):
-            assert lagrange_extract(const, alpha) == 0
-    # coefficients the series does not carry are refused, not read as 0
-    for short, alpha in ((const, (2, 2)), (DivisorSeries((2, 1)), (2, 2))):
-        with pytest.raises(ValueError):
-            lagrange_extract(short, alpha)
+            aux = _divisor_aux(alpha)
+            assert lagrange_extract(DivisorSeries.constant(7, alpha), aux) == 0
+
+
+@pytest.mark.parametrize("kernel, classical", [(lagrange_extract, False), (classical_extract, True)])
+def test_kernels_refuse_a_series_outside_the_grading_of_aux(kernel, classical):
+    aux = _divisor_aux((2, 2), classical=classical)
+    for alpha in ((2, 1), (2, 2, 1), (4,)):
+        with pytest.raises(ValueError, match="cannot combine gradings"):
+            kernel(DivisorSeries.constant(1, alpha), aux)
+
+
+@pytest.mark.parametrize("kernel, classical", [(lagrange_extract, False), (classical_extract, True)])
+def test_kernels_refuse_a_weight_graded_series(kernel, classical):
+    # the weight grading names no alpha: F is refused, also when aux shares it
+    for aux in (_divisor_aux((2, 2), classical=classical),
+                (classical_aux_series if classical else aux_series)(MSeries.constant(1, 4))):
+        with pytest.raises(TypeError, match="not MSeries"):
+            kernel(MSeries.constant(3, 4), aux)
 
 
 def test_log_form_extractions():
-    series = expand_log_form(genus1_closed(), MSeries.constant(1, 4))
+    series = expand_log_form(genus1_closed(), aux_series(MSeries.constant(1, 4)))
     # the eta and gamma linear terms cancel exactly at q_1
     assert series[(1,)] == 0
-    assert lagrange_extract(series, (1,)) == 0
-    assert lagrange_extract(series, (2,)) == Fraction(1, 2)
+    for alpha, want in (((1,), 0), ((2,), Fraction(1, 2))):
+        aux = _divisor_aux(alpha)
+        assert lagrange_extract(expand_log_form(genus1_closed(), aux), aux) == want
 
 
 def test_log_form_matches_joincut_genus1():
@@ -71,10 +89,12 @@ def test_log_form_matches_joincut_genus1():
 
 def test_rational_form_expansion_properties():
     form = paper_form(2)
-    series = expand_rational_form(form, MSeries.constant(1, 4))
+    series = expand_rational_form(form, aux_series(MSeries.constant(1, 4), 3))
     assert series.constant_term() == 0
-    assert factorial(1) * lagrange_extract(series, (1,)) == 0
-    assert factorial(2) * lagrange_extract(series, (2,)) == 1
+    for alpha, want in (((1,), 0), ((2,), 1)):
+        aux = _divisor_aux(alpha, 3)
+        value = lagrange_extract(expand_rational_form(form, aux), aux)
+        assert factorial(sum(alpha)) * value == want
 
 
 @pytest.mark.parametrize("genus, classical", [(2, False), (3, False), (2, True), (3, True), (4, False)])
@@ -90,13 +110,14 @@ def test_rational_form_expansion_equals_per_term_reference(genus, classical):
         for j in alpha:
             term = term * aux.main_j(j)
         ref = ref + term * (one - aux.main).pow(-form.denominator_power(alpha))
-    assert expand_rational_form(form, one) == ref
+    assert expand_rational_form(form, aux) == ref
 
 
 @pytest.mark.parametrize(
     "one", [MSeries.constant(1, 12), DivisorSeries.constant(1, (4, 3, 2, 2, 1, 1, 1, 1, 1))]
 )
 def test_rational_form_expansion_makes_one_product_per_prefix(monkeypatch, one):
+    auxes = {c: (classical_aux_series if c else aux_series)(one, 6) for c in (False, True)}
     # DivisorSeries multiplies through MSeries.__mul__, so both gradings count
     assert "__mul__" not in vars(DivisorSeries)
     calls = []
@@ -106,7 +127,7 @@ def test_rational_form_expansion_makes_one_product_per_prefix(monkeypatch, one):
         for classical in (False, True):
             form = paper_form(genus, classical)
             calls.clear()
-            expand_rational_form(form, one)
+            expand_rational_form(form, auxes[classical])
             # one product per prefix of two or more parts of a term (a single
             # part is main_j itself), one per Horner step over the powers of
             # (1 - main)^(-1), and one per power of main in its inverse
@@ -127,8 +148,9 @@ def test_round_trip_through_the_change_of_variables():
     Fq = MSeries(5)
     for m, c in F.coeffs.items():
         Fq = Fq + MSeries(5, {m: c}) * one_minus.pow(2 * sum(m))
+    # in the divisor grading of each monomial, as value_from_form reads it
     for m in monos:
-        assert lagrange_extract(Fq, Partition(m)) == F[m]
+        assert lagrange_extract(DivisorSeries(m, Fq.coeffs), _divisor_aux(m)) == F[m]
 
 
 def test_classical_extraction_against_joincut():
@@ -141,21 +163,10 @@ def test_classical_extraction_against_joincut():
                 assert got == table.genus_value(g, alpha), (g, alpha)
 
 
-def test_project_filters_the_numerators_like_the_fraction_path():
-    # the reference rebuilds every coefficient as a Fraction
-    rng = random.Random(11)
-    for w in range(7):
-        monos = [tuple(a) for d in range(w + 1) for a in partitions(d)]
-        F = MSeries(w, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for m in monos})
-        for alpha in (a for d in range(w + 1) for a in partitions(d)):
-            got = _project(F, alpha)
-            assert got == DivisorSeries(alpha, F.coeffs)
-            assert got.den > 0 and gcd(got.den, *got.nums.values()) == 1
-
-
 def test_classical_extract_of_constants():
-    assert classical_extract(MSeries.constant(3, 2), ()) == 3
-    assert classical_extract(MSeries.constant(3, 2), (1,)) == 0
+    for alpha, want in (((), 3), ((1,), 0)):
+        aux = _divisor_aux(alpha, classical=True)
+        assert classical_extract(DivisorSeries.constant(3, alpha), aux) == want
 
 
 def test_rational_form_validation():

@@ -32,4 +32,6 @@ def test_readme_library_quick_start_runs_and_agrees():
     for route in ("count_monotone_transitive", "solve_monotone", "monotone_genus0"):
         assert value(route) == 4
     assert value("form.coefficient((2, 1))") == Fraction(29, 720)
-    assert value("factorial(6) * lagrange_extract") == value("value_from_form")
+    # the kernel reads alpha from the divisor grading of series and aux
+    assert value("factorial(6) * lagrange_extract(series, aux)") == value("value_from_form")
+    assert value("value_from_form") == 281030400

@@ -62,6 +62,22 @@ def test_polynomiality_reads_the_auto_lagrange_answers(monkeypatch):
         assert case in result.detail, result.detail
 
 
+def test_auto_vs_oracle_at_10_reads_the_classical_table_answers(monkeypatch):
+    # a wrong classical form value past |alpha| = 9, which no other row reads
+    value = cli.value_from_form
+
+    def planted(form, alpha):
+        return value(form, alpha) + (getattr(form, "classical", False) and alpha.size >= 10)
+
+    monkeypatch.setattr(cli, "value_from_form", planted)
+    result = verify.run_check("auto-vs-oracle-at-10")
+    assert not result.passed
+    assert result.detail.startswith("378 cases; 84 mismatches: classical g=2 (10,): auto="), (
+        result.detail
+    )
+    assert verify.run_check("classical-formulas").passed
+
+
 def test_a_scaling_mismatch_names_the_partition(monkeypatch):
     table = paper_form(2, classical=True)
     planted = RationalForm(
