@@ -29,7 +29,7 @@ from .oracle import (
     count_classical_transitive,
     count_monotone_transitive,
 )
-from .partitions import Partition, decimal_int
+from .partitions import Partition, decimal_int, short_decimal
 from .pipeline import GENUS_CAP, genus1_closed, rational_form
 from .tables import paper_form
 from .verify import SUITES, run_suite
@@ -129,17 +129,19 @@ def compute_value(genus: int, alpha: Partition, classical: bool, method: str) ->
 
     if method == "joincut":
         if alpha.size > JOINCUT_D_CAP:
-            raise RangeError(f"join-cut path caps |alpha| at {JOINCUT_D_CAP}, got {alpha.size}")
+            raise RangeError(
+                f"join-cut path caps |alpha| at {JOINCUT_D_CAP}, got {short_decimal(alpha.size)}"
+            )
         if r > JOINCUT_R_CAP:
             raise RangeError(
-                f"join-cut path caps r = 2g-2+len+|alpha| at {JOINCUT_R_CAP}, got {r}"
+                f"join-cut path caps r = 2g-2+len+|alpha| at {JOINCUT_R_CAP}, got {short_decimal(r)}"
             )
         return method, Fraction(genus_value(genus, alpha, not classical))
 
     if method == "closed-form":
         if r > CLOSED_FORM_R_CAP:
             raise RangeError(
-                f"closed-form path caps r = 2g-2+len+|alpha| at {CLOSED_FORM_R_CAP}, got {r}"
+                f"closed-form path caps r = 2g-2+len+|alpha| at {CLOSED_FORM_R_CAP}, got {short_decimal(r)}"
             )
         if classical:
             if genus == 0:
@@ -166,7 +168,7 @@ def compute_value(genus: int, alpha: Partition, classical: bool, method: str) ->
             raise RangeError(f"pipeline genus cap is {GENUS_CAP}")
         if alpha.size > EXTRACTION_CAP:
             raise RangeError(
-                f"pipeline extraction caps |alpha| at {EXTRACTION_CAP}, got {alpha.size}"
+                f"pipeline extraction caps |alpha| at {EXTRACTION_CAP}, got {short_decimal(alpha.size)}"
             )
         form = genus1_closed() if genus == 1 else rational_form(genus)
         return method, value_from_form(form, alpha)
@@ -176,7 +178,7 @@ def compute_value(genus: int, alpha: Partition, classical: bool, method: str) ->
             raise RangeError("checked-in tables exist for genus 2 and 3 only")
         if alpha.size > EXTRACTION_CAP:
             raise RangeError(
-                f"table extraction caps |alpha| at {EXTRACTION_CAP}, got {alpha.size}"
+                f"table extraction caps |alpha| at {EXTRACTION_CAP}, got {short_decimal(alpha.size)}"
             )
         return method, value_from_form(paper_form(genus, classical=classical), alpha)
 
@@ -187,7 +189,7 @@ def cmd_compute(args) -> int:
     alpha = parse_partition(args.partition)
     if args.max_degree is not None and alpha.size > args.max_degree:
         raise RangeError(
-            f"|alpha| = {alpha.size} exceeds --max-degree {args.max_degree}"
+            f"|alpha| = {short_decimal(alpha.size)} exceeds --max-degree {short_decimal(args.max_degree)}"
         )
     start = time.perf_counter()
     method, value = compute_value(args.genus, alpha, args.classical, args.method)

@@ -170,8 +170,8 @@ class TruncatedH(Record):
 
     __slots__ = ("D", "R", "monotone", "counts")
 
-    def __init__(self, D: int, R: int, monotone: bool, counts: dict | None = None):
-        self._set(D, R, monotone, {} if counts is None else counts)  # (alpha, r) -> H^r(alpha)
+    def __init__(self, D: int, R: int, monotone: bool):
+        self._set(D, R, monotone, {})  # counts: (alpha, r) -> H^r(alpha)
 
     def __getitem__(self, key) -> int:
         alpha, r = key

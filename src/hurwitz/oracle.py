@@ -49,7 +49,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from operator import mul
 
-from .partitions import Partition, aut_order, partitions, subpartitions
+from .partitions import Partition, aut_order, partitions, short_decimal, subpartitions
 
 # Bound on 2^d*max(d, r)^2 for transitive_counts: the inclusion-exclusion
 # walks about r^2 pairs of ever longer integers for each split of a
@@ -118,7 +118,7 @@ def literal_counts(d: int, rmax: int, monotone: bool) -> dict:
     transitive) exactly when all labels are 0.
     """
     if d > LITERAL_MAX_POINTS:
-        raise ResourceLimitError(f"literal oracle refuses d={d} > {LITERAL_MAX_POINTS}")
+        raise ResourceLimitError(f"literal oracle refuses d={short_decimal(d)} > {LITERAL_MAX_POINTS}")
     start = tuple(range(d))
     blocks = [[(a, b, tuple(b if x == a else a if x == b else x for x in start)) for a in range(b)]
               for b in range(1, d)]
@@ -227,7 +227,7 @@ def transitive_counts(d: int, rmax: int, monotone: bool) -> dict:
     by inverting the orbit decomposition of the non-transitive totals.  A
     negative count, or a nonzero one off Riemann-Hurwitz, raises
     AssertionError; 2^d*max(d, rmax)^2 > ORACLE_MAX_WORK raises
-    ResourceLimitError before any work.
+    ResourceLimitError before any work, the shift 2^d included.
 
     A sequence on {1..d} splits over its orbit set partition into transitive
     pieces.  Fixing the block containing the point 1 (size n', type beta',
@@ -240,10 +240,10 @@ def transitive_counts(d: int, rmax: int, monotone: bool) -> dict:
     blocks are distinct, so exactly one merge is monotone) and C(r, r')
     classically.  Solving for the n' = d term yields T_d.
     """
-    work = (1 << d) * max(d, rmax) ** 2
-    if work > ORACLE_MAX_WORK:
+    if d >= ORACLE_MAX_WORK.bit_length() or (1 << d) * max(d, rmax) ** 2 > ORACLE_MAX_WORK:
         raise ResourceLimitError(
-            f"character oracle caps 2^d*max(d,r)^2 at {ORACLE_MAX_WORK}, got d={d}, r={rmax}: {work}"
+            f"character oracle caps 2^d*max(d,r)^2 at {ORACLE_MAX_WORK}, "
+            f"got d={short_decimal(d)}, r={short_decimal(rmax)}"
         )
     totals = _monotone_totals if monotone else _classical_totals
     width = rmax + 1

@@ -57,6 +57,12 @@ def decimal_int(text: str, signed: bool = False) -> int:
     return int(text)
 
 
+def short_decimal(n: int) -> str:
+    """n in decimal if it has at most 100 digits, else its bit length: a
+    refusal naming n stays one short line, and str() refuses past 4,300."""
+    return str(n) if abs(n) < 10**100 else f"a {n.bit_length()}-bit integer"
+
+
 def aut_order(alpha) -> int:
     """Order of the automorphism group: product of multiplicity factorials."""
     out = 1

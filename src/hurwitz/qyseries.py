@@ -9,18 +9,20 @@ no q-monomial when either factor's is empty; cleaning, +, -, *, ==,
 scale and powers are the MSeries code.  Like every series of
 that kernel a BiSeries holds integer numerators over one denominator in
 canonical form.  The literal operators below map the numerators term by
-term (both parts of the lift's derivative, and the whole transfer before
-its (1-eta)^(-1)) and reduce once per result with the kernel's own
-normaliser, not the ring's.
+term (the lift's derivative with its prefactor's y part, and the whole
+transfer, each before its (1-eta)^(-1)) and reduce once per result with
+the kernel's own normaliser, not the ring's.
 
-No operator here builds a series inverse.  The factor (1-eta)^(-1) of
-the lift and of T is `over_one_minus_eta`: it solves S = F + eta S one
-q-weight at a time, reading each S[m] off the S of the monomials below
-it, and moves each q-monomial's y-terms together.  `expand_ring_element`
-reads a ring element by its (V power, H part) groups: each group is one
-q-part, prod eta_j (1-eta)^(-(v + len hs)) through the same solve, times
-one integer y1-polynomial, the sum of its terms' c (1-4y1)^(-u2/2); the
-outer products of all groups go into one dict, reduced once.
+eta = sum_k c_k q_k, c_k = (2k+1) C(2k,k), and eta_j = sum_k c_k k^j q_k
+come from that formula, in this grading.  No operator here builds a
+series inverse: the (1-eta)^(-1) of the lift and of T is
+`over_one_minus_eta`, which solves S = F + eta S one q-weight at a time,
+reading each S[m] off the S of the monomials below it, and moves each
+q-monomial's y-terms together.  `expand_ring_element` reads a ring
+element by its (V power, H part) groups: each group is one q-part, prod
+eta_j (1-eta)^(-(v + len hs)) through the same solve, times one integer
+y1-polynomial, the sum of its terms' c (1-4y1)^(-u2/2); the outer
+products of all groups go into one dict, reduced once.
 
 Each literal operator returns exactly the box its truncated input
 determines, with no parameter for it.  `lift_literal` takes G at
@@ -56,8 +58,8 @@ show on both sides alike.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
-from .inversion import aux_series
 from .partitions import partitions
 from .ring import RingElement
 from .series import MSeries, _canonical, _key
@@ -125,16 +127,6 @@ class BiSeries(MSeries):
     def __repr__(self) -> str:
         return f"BiSeries(wq={self.wq}, w1={self.w1}, w2={self.w2}, {len(self.nums)} terms)"
 
-    # -- what MSeries has no version of ----------------------------------
-
-    @classmethod
-    def from_mseries(cls, F: MSeries, wq: int, w1: int, w2: int) -> "BiSeries":
-        out = cls(wq, w1, w2)
-        bounds, fits = out.bounds, out._fits
-        nums = {(m, 0, 0): n for m, n in F.nums.items() if fits((m, 0, 0), bounds)}
-        out.nums, out.den = _canonical(nums, F.den)
-        return out
-
 
 def _binomial_coeffs(numer2: int, cap: int) -> list[int]:
     """The coefficients of y^0..y^cap in (1 - 4y)^(numer2 / 2)."""
@@ -153,9 +145,8 @@ def _binomial_coeffs(numer2: int, cap: int) -> list[int]:
 
 @lru_cache(maxsize=16)
 def _eta_coefficients(wq: int) -> dict[int, int]:
-    """k -> the q_k coefficient of eta, k <= wq, read from `aux_series`;
-    they are the integers (2k+1) C(2k,k), so eta's den is 1."""
-    return {k: n for (k,), n in aux_series(MSeries.constant(1, wq)).main.nums.items()}
+    """k -> c_k = (2k+1) C(2k,k), the q_k coefficient of eta, for k <= wq."""
+    return {k: (2 * k + 1) * comb(2 * k, k) for k in range(1, wq + 1)}
 
 
 @lru_cache(maxsize=16)
@@ -206,7 +197,7 @@ def lift_literal(G: BiSeries) -> BiSeries:
     box its input determines: G at (wq, w1, w2) gives the lift at
     (wq - w1, w1, w2).  The d/dq_k part sends q-weight w + k and y1-degree
     b - k to (w, b), so an output term reads input q-weights up to
-    w + b <= wq and no truncated one; the Euler part keeps both degrees.
+    w + b <= wq and no truncated one; the Euler part keeps the q-weight.
     Raises ValueError if wq < w1, where that box is empty."""
     wq, w1, w2 = G.bounds
     if wq < w1:
@@ -215,6 +206,8 @@ def lift_literal(G: BiSeries) -> BiSeries:
     jacobi: dict[QKey, int] = {}
     get = jacobi.get
     euler: dict[QKey, int] = {}
+    # the prefactor's y part 4 y1 (1-4y1)^(-3/2), its y1^m coefficient at m - 1
+    y_part = [4 * c for c in _binomial_coeffs(-3, w1 - 1)]
     for (mono, a, b), n in G.nums.items():
         weight = sum(mono)
         # sum_k k y1^k d/dq_k sends q^mono y1^a y2^b, for each part k of
@@ -226,16 +219,14 @@ def lift_literal(G: BiSeries) -> BiSeries:
                 key = (mono[:i] + mono[i + 1:], a + k, b)
                 jacobi[key] = get(key, 0) + k * mono.count(k) * n
         # sum_k k q_k d/dq_k + y1 d/dy1 + y2 d/dy2 scales q^mono y1^a y2^b
-        # by its total degree |mono| + a + b; the prefactor's y1 needs a < w1
-        if weight <= bounds[0] and a < w1:
-            euler[(mono, a, b)] = (weight + a + b) * n
-    # the prefactor 4 y1 (1-4y1)^(-3/2) (1-eta)^(-1) as its q and y factors,
-    # the y factor's y1^m the coefficient of y1^(m-1) in (1-4y1)^(-3/2)
-    y_part = BiSeries(*bounds)
-    coeffs = _binomial_coeffs(-3, w1 - 1)
-    y_part.nums = {((), m, 0): 4 * c for m, c in enumerate(coeffs, 1) if m <= w1}
+        # by its total degree |mono| + a + b, and the y part adds y1^m for
+        # m = 1..w1 - a; (1-eta)^(-1) acts on q alone, so it comes last
+        if weight <= bounds[0]:
+            for m, c in enumerate(y_part[: w1 - a], 1):
+                key = (mono, a + m, b)
+                euler[key] = euler.get(key, 0) + c * (weight + a + b) * n
     euler_part = over_one_minus_eta(G._new(bounds, *_canonical(euler, G.den)))
-    return G._new(bounds, *_canonical(jacobi, G.den)) + euler_part * y_part
+    return G._new(bounds, *_canonical(jacobi, G.den)) + euler_part
 
 
 def transfer_literal(F: BiSeries) -> BiSeries:
@@ -274,8 +265,8 @@ def expand_ring_element(E: RingElement, wq: int, w1: int, w2: int = 0) -> BiSeri
     """Concrete (q, y1)-series of a ring element, one (V power, H part)
     group at a time: the group's q-part prod eta_j (1-eta)^(-(v + len hs))
     times its y1-polynomial, the sum of c (1-4y1)^(-u2/2) over its terms."""
-    one = MSeries.constant(1, wq)
-    aux = aux_series(one, j_max=max((max(hs) for (_, hs) in E.groups if hs), default=0))
+    one = BiSeries.constant(1, wq, 0, 0)
+    eta = _eta_coefficients(wq)
     out: dict[QKey, int] = {}
     get = out.get
     for (v, hs), col in E.groups.items():
@@ -286,13 +277,11 @@ def expand_ring_element(E: RingElement, wq: int, w1: int, w2: int = 0) -> BiSeri
         ys = [(a, c) for a, c in enumerate(poly) if c]
         q = one
         for j in hs:
-            q = q * aux.main_j(j)
+            q = q * one._new(one.bounds, {((k,), 0, 0): c * k**j for k, c in eta.items()})  # eta_j
         # eta and the eta_j have integer coefficients: the q-part's den is 1
-        q = over_one_minus_eta(BiSeries.from_mseries(q, wq, 0, 0), v + len(hs))
+        q = over_one_minus_eta(q, v + len(hs))
         for (mono, _, _), n in q.nums.items():
             for a, c in ys:
                 key = (mono, a, 0)
                 out[key] = get(key, 0) + n * c
-    series = BiSeries(wq, w1, w2)
-    series.nums, series.den = _canonical(out, E.den)
-    return series
+    return one._new((wq, w1, w2), *_canonical(out, E.den))

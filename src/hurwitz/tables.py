@@ -50,7 +50,7 @@ def _load() -> tuple[str, dict]:
         file = resources.files("hurwitz").joinpath("data/paper_tables.json")
     try:
         data = json.loads(file.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # json recurses per nesting level
         raise ValueError(f"{source}: cannot read the tables: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{source}: the tables must be a JSON object")

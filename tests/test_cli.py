@@ -7,6 +7,7 @@ import pytest
 
 from hurwitz import cli
 from hurwitz.cli import CLOSED_FORM_R_CAP, JOINCUT_R_CAP, fmt_fraction, main, parse_partition
+from hurwitz.oracle import ORACLE_MAX_WORK
 from hurwitz.pipeline import GENUS_CAP
 from hurwitz.partitions import Partition
 
@@ -412,10 +413,46 @@ def test_oracle_work_cap_exits_2_before_the_oracle(capsys, monkeypatch):
                     assert code == 3 and f"the oracle ran for r={r}" in err, argv
                 seen.add(code)
     assert seen == {2, 3}
-    # no genus fits at |alpha| = 19: r >= 18 there, and 2^19 * 19^2 > cap
-    argv = ("compute", "--genus", "0", "--partition", "10,9", "--method", "oracle")
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2 and "got d=19, r=19" in err
+    # no genus fits at |alpha| = 19: r >= 18 there, and 2^19 * 19^2 > cap;
+    # the message names d and r, not the work (900 digits at 1^3000)
+    for parts, d, r in (("10,9", 19, 19), (",".join(["1"] * 3000), 3000, 5998)):
+        argv = ("compute", "--genus", "0", "--partition", parts, "--method", "oracle")
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (2, f"error: character oracle caps 2^d*max(d,r)^2 at {cap}, got d={d}, r={r}\n")
+
+
+@pytest.mark.parametrize("method, cap", [
+    ("closed-form", f"caps r = 2g-2+len+|alpha| at {CLOSED_FORM_R_CAP}"),
+    ("joincut", f"caps r = 2g-2+len+|alpha| at {JOINCUT_R_CAP}"),
+    ("oracle", f"caps 2^d*max(d,r)^2 at {ORACLE_MAX_WORK}"),
+], ids=["closed-form", "joincut", "oracle"])
+def test_cap_is_named_for_an_r_past_the_int_str_limit(capsys, method, cap):
+    # a 4,300-digit genus parses, but its r = 2g has 4,301 digits: str(r)
+    # would raise, so the message shows r's bit length
+    code, out, err = run_cli(capsys, "compute", "--genus", "9" * 4300, "--partition", "2", "--method", method)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert cap in err and "-bit integer" in err and len(err) < 200
+
+
+def test_oracle_refuses_a_huge_part_before_forming_2_to_the_d():
+    # 2^d at d = 10^11 would be a 12.5 GB int; the child's address space is
+    # capped so that a regression fails there instead of allocating
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    argv = ["compute", "--genus", "0", "--partition", "100000000000", "--method", "oracle"]
+    out = subprocess.run(
+        [sys.executable, "-m", "hurwitz.cli", *argv],
+        capture_output=True, text=True, timeout=30, preexec_fn=cap_memory,
+    )
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (
+        f"error: character oracle caps 2^d*max(d,r)^2 at {ORACLE_MAX_WORK}, "
+        "got d=100000000000, r=99999999999\n"
+    )
 
 
 # -- the auto rule ------------------------------------------------------------

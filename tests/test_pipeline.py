@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from test_series import derivative
+from test_series import as_biseries, derivative
 
 from hurwitz.combinat import bernoulli, central_binomial
 from hurwitz.forms import RationalForm
@@ -186,7 +186,7 @@ def _to_px(elem: RingElement, wp: int, wx: int) -> BiSeries:
     base = (MSeries.constant(1, wp) - _gamma_in_p(wp)).inverse()
     out = BiSeries(wp, wx, 0)
     for (mono, a, b), c in series.coeffs.items():
-        factor = BiSeries.from_mseries(base.pow(2 * (sum(mono) + a)), wp, wx, 0)
+        factor = as_biseries(base.pow(2 * (sum(mono) + a)), (wp, wx, 0))
         out = out + BiSeries(wp, wx, 0, {(mono, a, b): c}) * factor
     return out
 
@@ -201,7 +201,7 @@ def test_double_lift_of_genus0_matches_joincut():
     # q-weight <= 3 comparison of y^2 (1-4y)^(-2) against two literal lifts
     wp_in, wcmp, xcmp = 6, 3, 3
     table = solve_monotone(wp_in, 2 * wp_in - 2)
-    G0 = BiSeries.from_mseries(_genus_slice_p(table, 0, wp_in), wp_in, xcmp, 0)
+    G0 = as_biseries(_genus_slice_p(table, 0, wp_in), (wp_in, xcmp, 0))
     lifted_twice = _lift_px(_lift_px(G0))
     algebraic = _to_px(RingElement(
         {(4, 0, ()): Fraction(1, 16), (2, 0, ()): Fraction(-1, 8), (0, 0, ()): Fraction(1, 16)}
@@ -213,7 +213,7 @@ def test_lift_of_genus1_matches_joincut():
     # weight <= 4 comparison of the genus-1 lift against the literal lift
     wp_in, wcmp, xcmp = 8, 4, 4
     table = solve_monotone(wp_in, 2 * wp_in)
-    G1 = BiSeries.from_mseries(_genus_slice_p(table, 1, wp_in), wp_in, xcmp, 0)
+    G1 = as_biseries(_genus_slice_p(table, 1, wp_in), (wp_in, xcmp, 0))
     lifted = _lift_px(G1)
     # D H_1 = U^(1/2) V E_1
     algebraic = _to_px(normalized_delta1(1).shift_u2(1).shift_v(1), wcmp, xcmp)

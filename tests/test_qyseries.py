@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_series import COEFF, KINDS, assert_matches, clean, dense_biseries, derivative, regrade
+from test_series import COEFF, KINDS, as_biseries, assert_matches, clean, dense_biseries, derivative, regrade
 
 from hurwitz.combinat import rising
 
@@ -120,7 +120,7 @@ def product_lift(G):
         return BiSeries(*bounds, {key: c})
 
     one = MSeries.constant(1, G.wq)
-    v = BiSeries.from_mseries((one - aux_series(one).main).inverse(), *bounds)
+    v = as_biseries((one - aux_series(one).main).inverse(), bounds)
     prefactor = term(((), 1, 0), 4) * y_binomial(-3, *bounds) * v
     out, euler = BiSeries(*bounds), BiSeries(*bounds)
     for k in range(1, G.wq + 1):
@@ -251,7 +251,7 @@ def test_y_binomial_against_fraction_formula():
 def _v(bounds):
     """(1-eta)^(-1) built as a series inverse, in the grading ``bounds``."""
     one = MSeries.constant(1, bounds[0])
-    return BiSeries.from_mseries((one - aux_series(one).main).inverse(), *bounds)
+    return as_biseries((one - aux_series(one).main).inverse(), bounds)
 
 
 @given(F=KINDS[1], power=st.integers(0, 3))
@@ -271,7 +271,7 @@ def per_term_expansion(E, wq, w1, w2=0):
         qpart = (one - aux.main).inverse().pow(v + len(hs))
         for j in hs:
             qpart = qpart * aux.main_j(j)
-        term = BiSeries.from_mseries(qpart, wq, w1, w2).scale(c)
+        term = as_biseries(qpart, (wq, w1, w2)).scale(c)
         if u2:
             term = term * y_binomial(-u2, wq, w1, w2)
         out = out + term

@@ -76,6 +76,11 @@ def regrade(s, bounds):
     return type(s)(*bounds, s.coeffs)
 
 
+def as_biseries(F, bounds):
+    """The q-series F as a BiSeries in the grading ``bounds``, at y-degree 0."""
+    return BiSeries(*bounds, {(m, 0, 0): c for m, c in F.coeffs.items()})
+
+
 def draw(data, n):
     """n series of each kind, all in the grading of the first one drawn."""
     out = []

@@ -152,12 +152,15 @@ def test_route_modules_import_only_their_allowlist():
     # the five routes check each other only while each stays apart: the
     # oracle and join-cut use no other route's code, the closed formulas
     # only the combinatorial helpers, and no route reaches the front ends,
-    # the literal operators or the interpolation verify's checks use
+    # the literal operators or the interpolation verify's checks use; the
+    # literal operators build eta from its formula, not from a route's
+    # change of variables, and take only the ring's element type
     package = Path(hurwitz.__file__).parent
     allowed = {
         "oracle.py": {"partitions"},
         "joincut.py": {"partitions"},
         "closedforms.py": {"combinat", "partitions"},
+        "qyseries.py": {"partitions", "ring", "series"},
     }
     for name, modules in allowed.items():
         assert _package_imports(package / name) == modules, name

@@ -78,6 +78,8 @@ def test_env_override(tmp_path):
     [
         (None, "cannot read the tables"),
         ("not json", "cannot read the tables"),
+        # json.loads recurses once per level and raises RecursionError
+        ("[" * 200_000 + "]" * 200_000, "cannot read the tables"),
         (
             json.dumps({"monotone": {"2": {"normalization": "0", "coefficients": {"": "1"}}}}),
             "normalization must be a nonzero integer",
@@ -137,6 +139,7 @@ def test_env_override(tmp_path):
     ids=[
         "missing",
         "not-json",
+        "nested-200000-deep",
         "zero-normalization",
         "family-not-object",
         "table-not-object",
